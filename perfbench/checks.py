@@ -285,14 +285,11 @@ def protocol_wt(req: dict, out: Path) -> float:
     plan and simulate: the planned or solved protocol (explicit simulate
     protocols are inputs, not outputs, and count 0).  isolator: both
     stages of the cascade, 2 W t1, with W t1 = acos(Re D) read off the
-    stage.  transfer-map and feasibility run no protocol and count 0.
-    verify writes no protocol; its determinism check simulates the
-    default push-pull protocol twice, W*T = pi each.
+    stage.  transfer-map, feasibility and verify write no protocol and
+    count 0.
     """
     command = req["command"]
-    if command == "verify":
-        return 2.0 * math.pi
-    if command in ("feasibility", "transfer-map"):
+    if command in ("feasibility", "transfer-map", "verify"):
         return 0.0
     summary = load_json(out / ("plan.json" if command == "plan" else "summary.json"))
     if command == "isolator":

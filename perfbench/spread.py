@@ -1,10 +1,12 @@
 """Repeat the benchmark over seeds and report each metric's spread.
 
-    python3 perfbench/spread.py --workload plan --seeds 1-10 [--seconds 10] [--trace 0]
+    python3 perfbench/spread.py --workload plan --seeds 1-10
 
-For every metric it prints the median, the first and third quartiles
-(statistics.quantiles(values, n=4)) and the spread (Q3 - Q1) / median,
-plus the share of failed operations.  Runs are sequential, so the
+Each run is the command in BENCHMARK.json with the arguments every
+benchmark run takes (--workload, --seed, --seconds run_seconds,
+--trace 0).  For every metric it prints the median, the first and
+third quartiles (statistics.quantiles(values, n=4)) and the spread
+(Q3 - Q1) / median, plus the share of failed operations.  Runs are sequential, so the
 numbers describe this machine at the time of the runs.
 """
 
@@ -29,14 +31,13 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
-    ap.add_argument("--seconds", default="10")
-    ap.add_argument("--trace", default="0")
     args = ap.parse_args(argv)
+    bench = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     runs = []
     for seed in args.seeds:
         proc = subprocess.run(
-            [sys.executable, str(HERE / "run.py"), "--workload", args.workload, "--seed", str(seed),
-             "--seconds", args.seconds, "--trace", args.trace],
+            [*bench["command"], "--workload", args.workload, "--seed", str(seed),
+             "--seconds", str(bench["run_seconds"]), "--trace", "0"],
             capture_output=True, text=True, check=True, cwd=HERE.parent,
         )
         res = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -51,17 +51,31 @@ def plan_requests(rng) -> list[dict]:
         request("d0.5-th1", "plan", delta=0.5, kappa=1.0, threshold=1.0),
         request("d5.5-th0.99", "plan", delta=5.5, kappa=1.0, threshold=0.99),
     ]
-    # Search cost grows steeply with the ratio and jumps with float noise,
-    # so seeded draws stay in narrow bands below 4.5; the fixed d5.5 request
-    # covers the top of the range at a constant cost.
-    bands = ((0.5, 1.3), (1.3, 2.1), (2.1, 2.9), (2.9, 3.7), (3.7, 4.5))
-    for i, (lo, hi) in enumerate(bands):
+    # Search cost follows the descent bound's segment count k and, at one
+    # k, still jumps with kappa0, the sign and float noise.  Each seeded
+    # request draws its ratio from the middle half of the interval where
+    # k is constant, at cells whose cost stays on one side of the fixed
+    # d0.9k0.3-th0.9 request, so that request stays the pass's median.
+    for threshold, k in ((0.9, 2), (0.99, 3), (0.9, 4), (0.9, 5)):
+        lo, hi = _ratio_interval(threshold, k)
+        ratio = rng.uniform(lo + (hi - lo) / 4, hi - (hi - lo) / 4)
         kappa = rng.uniform(0.3, 2.0)
-        ratio = rng.uniform(lo, hi)
-        threshold = (0.99, 0.9)[i % 2]
         delta = _sign(rng) * ratio * kappa
-        reqs.append(request(f"band{i}", "plan", delta=delta, kappa=kappa, threshold=threshold))
+        reqs.append(request(f"k{k}-th{threshold:g}", "plan", delta=delta, kappa=kappa, threshold=threshold))
+    # The median request three times: the median is the middle of three
+    # runs, and the repeats must write byte-identical files.
+    reqs += [dict(reqs[3], key=f"d0.9k0.3-th0.9-repeat{i}", same_as=reqs[3]["key"]) for i in (1, 2)]
     return reqs
+
+
+def _ratio_interval(threshold: float, k: int) -> tuple[float, float]:
+    """Ratios |delta|/kappa0 at which k segments is the fewest that reach threshold.
+
+    k segments reach (1 - cos(k (pi - 2 psi))) / 2 with psi = atan(ratio).
+    """
+    a = math.acos(1.0 - 2.0 * threshold)
+    lo, hi = (math.tan((math.pi - a / n) / 2.0) for n in (k - 1, k))
+    return lo, hi
 
 
 def _jitter(rng, x: float, width: float) -> float:
@@ -112,14 +126,16 @@ def simulate_requests(rng) -> list[dict]:
 
 
 def maps_requests(rng) -> list[dict]:
+    # Three requests at grid 64, four at 256 and two at 512: the four at
+    # 256 cost about the same and hold the pass's median between them, so
+    # it never sits on the gap between two grid sizes.
     reqs = []
-    for grid in (64, 256, 512):
+    for key, grid in (("map64", 64), ("map256a", 256), ("map256b", 256), ("map512", 512)):
         kappa = rng.uniform(0.3, 2.0)
         delta = _sign(rng) * rng.uniform(0.1, 1.5) * kappa
         phi = rng.uniform(0.0, TWO_PI)
-        reqs.append(request(f"map{grid}", "transfer-map", delta=delta, kappa=kappa, phi=phi, grid=grid))
-    for grid in (128, 512):
-        reqs.append(request(f"feas{grid}", "feasibility", grid=grid))
+        reqs.append(request(key, "transfer-map", delta=delta, kappa=kappa, phi=phi, grid=grid))
+    reqs.append(request("feas256", "feasibility", grid=256))
     # The cascade's W*T depends on the ratio alone; fixed ratios keep it steady.
     for grid, ratio in ((64, 0.3), (256, 0.5), (512, 0.7)):
         kappa = rng.uniform(0.3, 2.0)
@@ -136,27 +152,32 @@ def maps_requests(rng) -> list[dict]:
     return reqs
 
 
-# Battery seeds on which every check of the fast battery passes.  About
+# Battery seeds on which every check of the fast battery passes and whose
+# random protocols make the battery run 84k-98k RK4 steps.  A battery's
+# time follows its RK4 steps, which range from 58k to 114k over seeds, so
+# a narrow band keeps the work of a pass steady from seed to seed.  About
 # one seed in 25 fails rk4_convergence (RK4_CONVERGENCE_FAILS is one), so
 # seeds drawn at random would fail on some benchmark seeds only.
 BATTERY_SEEDS = (
-    2057662796, 1086692598, 1627043987, 1213525038, 381859589, 1099331152, 2022759187, 2087754336,
-    2072389849, 1320494442, 673642109, 1220379519, 1395730113, 615869797, 2064685235, 1190804278,
-    755370167, 1003999126, 228466717, 1310089596, 735990591, 1998110049, 644403501, 1293886807,
+    2072389849, 2057662796, 1213525038, 228466717, 1099331152, 1293886807, 2064685235, 1627043987,
+    1998110049, 1003999126, 735990591,
 )
 RK4_CONVERGENCE_FAILS = 528034840
 DEFAULT_BATTERY_SEED = 20240817
 
 
 def verify_requests(rng) -> list[dict]:
-    fast, fault = (int(x) for x in rng.choice(BATTERY_SEEDS, size=2, replace=False))
+    fast_a, fast_b, fault = (int(x) for x in rng.choice(BATTERY_SEEDS, size=3, replace=False))
     return [
-        request("fast", "verify", seed=fast, fast=True, inject_fault=False),
+        request("fast-a", "verify", seed=fast_a, fast=True, inject_fault=False),
         # The full battery at the CLI's default seed, as `modeswitch verify` runs it.
         request("full", "verify", seed=DEFAULT_BATTERY_SEED, fast=False, inject_fault=False),
+        request("fast-b", "verify", seed=fast_b, fast=True, inject_fault=False),
         request("fault", "verify", seed=fault, fast=True, inject_fault=True),
-        # Fails every time (exit 1, rk4_convergence); counted as a failed operation.
-        request("fast-rk4-fails", "verify", seed=RK4_CONVERGENCE_FAILS, fast=True, inject_fault=False),
+        # Fails every time (exit 1, rk4_convergence): counted as a failed
+        # operation, and untimed, so that mending the defect moves no timing.
+        request("fast-rk4-fails", "verify", seed=RK4_CONVERGENCE_FAILS, fast=True, inject_fault=False,
+                untimed=True),
     ]
 
 
@@ -168,13 +189,13 @@ BUILDERS = {
 }
 
 # One cheap request per workload, run untimed as part of set-up.  verify
-# warms up with the simulate request its determinism check makes: the
-# cheapest battery takes seconds, and set-up is measured three times a run.
-_SIMULATE_WARMUP = request("warmup", "simulate", delta=0.5, kappa=1.0, phi=math.pi, samples=256, kind="feasible")
+# warms up with the simulate request its output_determinism check makes
+# (the CLI's default phi is pi): the cheapest battery takes seconds, and
+# set-up is timed several times a run.
 WARMUPS = {
     "plan": request("warmup", "plan", delta=0.5, kappa=1.0, threshold=0.9),
-    "simulate": _SIMULATE_WARMUP,
-    "verify": _SIMULATE_WARMUP,
+    "simulate": request("warmup", "simulate", delta=0.5, kappa=1.0, phi=math.pi, samples=256, kind="feasible"),
+    "verify": request("warmup", "simulate", delta=0.5, kappa=1.0, samples=256, kind="feasible"),
     "maps": request("warmup", "transfer-map", delta=0.5, kappa=1.0, phi=math.pi, grid=64),
 }
 
