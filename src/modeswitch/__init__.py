@@ -16,7 +16,6 @@ from .dynamics import (
     propagate,
     propagator_until,
     protocol_propagator,
-    rabi_frequency,
     segment_propagator,
     static_max_transfer,
 )
@@ -73,12 +72,10 @@ from .planner import (
     StaircasePlan,
     descent_bound,
     dive_plan,
-    greedy_staircase,
     min_switches_estimate,
     minimal_plan_search,
     plan_from_protocol,
     recursive_intersection_ok,
-    refine_plan,
     staircase_circles,
 )
 from .twostep import (

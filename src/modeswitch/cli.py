@@ -5,7 +5,7 @@ Subcommands:
     simulate      run a protocol (default: the solved two-step transfer)
     feasibility   tabulate the two-segment criterion over (ratio, phi)
     transfer-map  tabulate two-segment transfer over both durations
-    plan          search for a minimal multi-segment plan
+    plan          build the minimal multi-segment plan (closed-form dive)
     isolator      evaluate the three-stage nonreciprocal cascade
     verify        run the self-check battery
 
@@ -19,6 +19,7 @@ identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -32,7 +33,6 @@ from .dynamics import (
     Protocol,
     propagate,
     protocol_propagator,
-    rabi_frequency,
     static_max_transfer,
 )
 from .geometry import to_bloch
@@ -144,7 +144,6 @@ class RunConfig:
     rf_offset: float = 0.5 * math.pi
     direction: str = FORWARD
     max_segments: int | None = None
-    restarts: int = 8
     fast: bool = False
     inject_fault: bool = False
 
@@ -154,7 +153,7 @@ class RunConfig:
             if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
                 raise ValueError(f"config field {name!r} must be a finite number")
             object.__setattr__(self, name, float(v))
-        for name in ("grid", "samples", "seed", "restarts"):
+        for name in ("grid", "samples", "seed"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, int):
                 raise ValueError(f"config field {name!r} must be an integer")
@@ -166,8 +165,6 @@ class RunConfig:
             raise ValueError("grid must be >= 2")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.restarts < 0:
-            raise ValueError("restarts must be >= 0")
         if self.direction not in (FORWARD, BACKWARD):
             raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
         if self.max_segments is not None:
@@ -234,7 +231,7 @@ def _params_block(cfg: RunConfig) -> dict:
     return {
         "delta": cfg.delta,
         "kappa": cfg.kappa,
-        "rabi": rabi_frequency(params),
+        "rabi": params.rabi,
         "ratio": params.ratio if cfg.kappa > 0 else None,
     }
 
@@ -285,12 +282,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         ["t", "re_a1", "im_a1", "re_a2", "im_a2", "p1", "p2", "u", "v", "w"],
         rows,
     )
-    boundaries = []
-    acc = 0.0
-    for seg in protocol.segments[:-1]:
-        acc += seg.duration
-        boundaries.append(acc)
-    legs = split_legs(samples, boundaries)
+    legs = split_legs(samples, list(itertools.accumulate(protocol.durations[:-1])))
     write_text(out / "trajectory.svg", trajectory_svg([[s for s in leg] for leg in legs]))
     summary = {
         "command": "simulate",
@@ -389,8 +381,6 @@ def cmd_plan(cfg: RunConfig) -> int:
         search = minimal_plan_search(
             params,
             threshold=cfg.threshold,
-            restarts=cfg.restarts,
-            rng_seed=cfg.seed,
             max_segments=cfg.max_segments,
         )
     except PlanSearchError as err:
@@ -408,15 +398,8 @@ def cmd_plan(cfg: RunConfig) -> int:
         [(int(k), float(a)) for k, a in search.curve],
     )
     samples = propagate(params, plan.protocol, ModeState.mode1(), cfg.samples)
-    boundaries = []
-    acc = 0.0
-    for seg in plan.protocol.segments[:-1]:
-        acc += seg.duration
-        boundaries.append(acc)
-    write_text(
-        out / "trajectory.svg",
-        trajectory_svg(split_legs(samples, boundaries)),
-    )
+    boundaries = list(itertools.accumulate(plan.protocol.durations[:-1]))
+    write_text(out / "trajectory.svg", trajectory_svg(split_legs(samples, boundaries)))
     print(
         f"plan: {len(plan.protocol.segments)} segments, {plan.switches} switches, "
         f"achieved {plan.achieved:.9f} (estimate {search.estimate})"

@@ -63,11 +63,6 @@ class CouplerParams:
         return abs(self.delta) / self.kappa0
 
 
-def rabi_frequency(params: CouplerParams) -> float:
-    """Return W = sqrt(delta^2 + kappa0^2)."""
-    return params.rabi
-
-
 def static_max_transfer(params: CouplerParams) -> float:
     """Peak of |a2(t)|^2 from (1, 0) under constant coupling.
 

@@ -25,7 +25,6 @@ from .dynamics import (
     CouplingSegment,
     ModeState,
     Protocol,
-    rabi_frequency,
 )
 
 # Default resolution: step * W, and the loudest value still accepted.
@@ -63,7 +62,7 @@ class IntegrationConfig:
         object.__setattr__(self, "max_step_fraction", frac)
 
     def resolved_step(self, params: CouplerParams) -> float:
-        w = rabi_frequency(params)
+        w = params.rabi
         if self.step is None:
             return DEFAULT_STEP_FRACTION / w
         if self.step * w > self.max_step_fraction * (1.0 + 1e-12):

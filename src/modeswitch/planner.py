@@ -13,10 +13,10 @@ whose azimuth is antipodal to the exit point.  Once the state is at polar
 angle >= 2 psi a final axis azimuth exists whose circle passes through the
 south pole exactly, finishing the transfer.
 
-The planner offers that construction directly (dive_plan), a greedy
-candidate search that rediscovers it segment by segment (greedy_staircase),
-local polish of any plan (refine_plan), and a per-count search wrapper
-(minimal_plan_search).
+The planner offers that construction directly (dive_plan) and the
+minimal plan it implies (minimal_plan_search): the first segment count
+whose bound reaches the threshold, built by dive_plan.  No numerical
+search is involved.
 """
 
 from __future__ import annotations
@@ -24,16 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import minimize, minimize_scalar
-
 from .dynamics import (
     CouplerParams,
     CouplingSegment,
     ModeState,
     Protocol,
     compose,
-    protocol_propagator,
     segment_propagator,
 )
 from .geometry import (
@@ -49,17 +45,20 @@ from .geometry import (
     to_bloch,
 )
 
-_TWO_PI = 2.0 * math.pi
+# Slack on threshold comparisons: a plan that lands on the south pole
+# reaches |a2|^2 = 1 only up to rounding, so threshold 1.0 taken exactly
+# would be unreachable in floating point.
+THRESHOLD_SLACK = 1e-12
 
 
 def min_switches_estimate(ratio: float) -> int:
     """Quick switch-count scale for a given |delta| / kappa0.
 
     Returns ceil(pi / (4 arctan(1 / ratio))).  This counts full
-    modulation periods rather than raw segment boundaries; plans found
-    by the search need roughly twice as many segments, one per half
-    period.  A tiny slack keeps exact integer arguments (ratio 1 gives
-    exactly 1) from rounding up through float noise.
+    modulation periods rather than raw segment boundaries; minimal
+    plans need roughly twice as many segments, one per half period.  A
+    tiny slack keeps exact integer arguments (ratio 1 gives exactly 1)
+    from rounding up through float noise.
     """
     if ratio <= 0.0 or not math.isfinite(ratio):
         raise ValueError("ratio must be positive and finite")
@@ -92,7 +91,7 @@ class StaircasePlan:
 
 
 class PlanSearchError(RuntimeError):
-    """Search exhausted its segment cap; carries the best plan found."""
+    """Segment cap hit before the threshold; carries the deepest plan."""
 
     def __init__(self, message: str, best: StaircasePlan, curve: tuple):
         super().__init__(message)
@@ -142,56 +141,6 @@ def _mirror_protocol(protocol: Protocol) -> Protocol:
     )
 
 
-def _deepest_point(n: np.ndarray, rho: float) -> np.ndarray:
-    """Point of largest polar angle on the circle of radius rho about n."""
-    down = np.array([0.0, 0.0, -1.0]) + n[2] * n
-    nn = np.linalg.norm(down)
-    if nn < 1e-12:
-        raise ValueError("deepest point undefined for a polar axis")
-    down = down / nn
-    return math.cos(rho) * n + math.sin(rho) * down
-
-
-def _rotate(n: np.ndarray, p: np.ndarray, angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return p * c + np.cross(n, p) * s + n * np.dot(n, p) * (1.0 - c)
-
-
-def _landing_phases(params: CouplerParams, p: np.ndarray) -> list[float]:
-    """Axis azimuths whose circle through p also passes through the pole.
-
-    Solves cos(phi) u + sin(phi) v = -(delta/kappa0)(1 + w) for phi.
-    Empty when p is too shallow (polar angle below 2 psi).
-    """
-    r_uv = math.hypot(p[0], p[1])
-    rhs = -(params.delta / params.kappa0) * (1.0 + p[2])
-    if r_uv < 1e-12:
-        return [0.0] if abs(rhs) < 1e-12 else []
-    x = rhs / r_uv
-    if abs(x) > 1.0 + 1e-12:
-        return []
-    x = max(-1.0, min(1.0, x))
-    alpha = math.atan2(p[1], p[0])
-    dphi = math.acos(x)
-    if dphi < 1e-12:
-        return [alpha]
-    return [alpha + dphi, alpha - dphi]
-
-
-def _best_landing(params: CouplerParams, p: np.ndarray) -> tuple[float, float] | None:
-    """Shortest-duration (phase, duration) landing p onto the south pole."""
-    options = []
-    p_bloch = BlochVector.from_array(p)
-    for phi in _landing_phases(params, p):
-        axis = rotation_axis(params, phi)
-        dur = precession_duration(axis, p_bloch, SOUTH)
-        options.append((dur, phi))
-    if not options:
-        return None
-    dur, phi = min(options)
-    return phi, dur
-
-
 def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
     """Half-turn descent plan, the constructive optimum per segment count.
 
@@ -201,6 +150,13 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
     pole exactly and the plan may use fewer segments than allowed;
     otherwise every segment is a half turn and the plan stops on the
     deepest reachable circle bottom, attaining descent_bound.
+
+    Everything is closed form.  Phases 0 and pi put every axis in the u-w
+    plane, so half turn j leaves the state in that plane at polar angle
+    exactly j (pi - 2 psi), on the +u side for odd j.  From polar angle
+    theta and azimuth alpha the circle about axis(phi) passes through the
+    south pole iff cos(phi - alpha) = -tan(psi) / tan(theta / 2), which
+    has a solution once theta >= 2 psi.
     """
     if max_segments < 1:
         raise ValueError("max_segments must be >= 1")
@@ -210,185 +166,37 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
         core = dive_plan(CouplerParams(-params.delta, params.kappa0), max_segments)
         return plan_from_protocol(params, _mirror_protocol(core.protocol))
 
-    w = params.rabi
-    half_turn = math.pi / (2.0 * w)
+    half_turn = math.pi / (2.0 * params.rabi)
     psi = tilt_angle(params)
-    if params.delta == 0.0:
-        prot = Protocol((CouplingSegment(0.0, half_turn),))
-        return plan_from_protocol(params, prot)
-
     step = math.pi - 2.0 * psi
-    pairs: list[tuple[float, float]] = []
-    p = NORTH.as_array()
-    phase = 0.0
-    if max_segments * step >= math.pi - 1e-12:
-        dives = max(0, math.ceil(2.0 * psi / step - 1e-12))
-    else:
-        dives = max_segments
-    for _ in range(dives):
-        axis = rotation_axis(params, phase)
-        n = axis.as_array()
-        rho = math.acos(max(-1.0, min(1.0, float(np.dot(n, p)))))
-        pairs.append((phase, half_turn))
-        p = _deepest_point(n, rho)
-        phase = math.atan2(p[1], p[0]) + math.pi
-    if max_segments * step >= math.pi - 1e-12:
-        landing = _best_landing(params, p)
-        if landing is None:
-            # Entry sits marginally shy of the pole circle; take one more dive.
-            axis = rotation_axis(params, phase)
-            n = axis.as_array()
-            rho = math.acos(max(-1.0, min(1.0, float(np.dot(n, p)))))
-            pairs.append((phase, half_turn))
-            p = _deepest_point(n, rho)
-            landing = _best_landing(params, p)
-        phi, dur = landing
-        pairs.append((phi, dur))
+    lands = max_segments * step >= math.pi - 1e-12
+    dives = max(0, math.ceil(2.0 * psi / step - 1e-12)) if lands else max_segments
+    pairs = [(math.pi * (j % 2), half_turn) for j in range(dives)]
+    if lands and dives == 0:
+        # delta ~ 0: one half turn carries the north pole to the south pole.
+        pairs.append((0.0, half_turn))
+    elif lands:
+        theta = dives * step
+        alpha = 0.0 if dives % 2 else math.pi
+        entry = BlochVector(math.sin(theta) * math.cos(alpha), 0.0, math.cos(theta))
+        # Clamped: at the tangent count theta sits on 2 psi up to rounding.
+        x = -math.tan(psi) / math.tan(theta / 2.0)
+        dphi = math.acos(max(-1.0, min(1.0, x)))
+        landings = [
+            (phi, precession_duration(rotation_axis(params, phi), entry, SOUTH))
+            for phi in (alpha + dphi, alpha - dphi)
+        ]
+        pairs.append(min(landings, key=lambda pd: pd[1]))
     return plan_from_protocol(params, Protocol.from_pairs(pairs))
-
-
-def greedy_staircase(
-    params: CouplerParams, max_segments: int, candidates: int = 256
-) -> StaircasePlan:
-    """Segment-by-segment descent by candidate scoring.
-
-    On the current circle, candidate switch points are sampled at
-    uniformly spaced precession angles.  A candidate from which some
-    axis circle passes through the south pole wins outright (earliest
-    such candidate is kept and the plan finishes next segment); otherwise
-    candidates are scored by the depth of the circle obtained with the
-    azimuth-antipodal axis, and the best is refined continuously before
-    committing.  The final allowed segment stops at its circle's deepest
-    point.  Durations are exact precession times, so refine_plan is only
-    needed when the segment budget binds.
-    """
-    if max_segments < 1:
-        raise ValueError("max_segments must be >= 1")
-    if candidates < 8:
-        raise ValueError("need at least 8 candidates")
-    if params.kappa0 == 0.0:
-        raise ValueError("planning requires kappa0 > 0")
-    if params.delta < 0.0:
-        core = greedy_staircase(
-            CouplerParams(-params.delta, params.kappa0), max_segments, candidates
-        )
-        return plan_from_protocol(params, _mirror_protocol(core.protocol))
-
-    w = params.rabi
-    psi = tilt_angle(params)
-    theta_ax = math.pi / 2.0 - psi
-    pole_gap = math.acos(-params.delta / w)  # axis-to-south-pole angle
-
-    pairs: list[tuple[float, float]] = []
-    p = NORTH.as_array()
-    phase = 0.0
-    for i in range(max_segments):
-        axis = rotation_axis(params, phase)
-        n = axis.as_array()
-        rho = math.acos(max(-1.0, min(1.0, float(np.dot(n, p)))))
-        if abs(rho - pole_gap) <= 1e-9:
-            dur = precession_duration(axis, BlochVector.from_array(p), SOUTH)
-            pairs.append((phase, dur))
-            break
-        if i == max_segments - 1:
-            deep = _deepest_point(n, rho)
-            dur = precession_duration(
-                axis, BlochVector.from_array(p), BlochVector.from_array(deep)
-            )
-            pairs.append((phase, dur))
-            break
-
-        def depth_after(theta: float) -> float:
-            q = _rotate(n, p, -theta)
-            phi_d = math.atan2(q[1], q[0]) + math.pi
-            n2 = rotation_axis(params, phi_d).as_array()
-            rho2 = math.acos(max(-1.0, min(1.0, float(np.dot(n2, q)))))
-            mp = theta_ax + rho2
-            return mp if mp <= math.pi else _TWO_PI - mp
-
-        best_theta = None
-        best_score = None
-        landing_theta = None
-        for j in range(candidates):
-            theta = _TWO_PI * (j + 0.5) / candidates
-            q = _rotate(n, p, -theta)
-            if _landing_phases(params, q):
-                landing_theta = theta
-                break
-            score = depth_after(theta)
-            if best_score is None or score > best_score:
-                best_score = score
-                best_theta = theta
-
-        if landing_theta is not None:
-            q = _rotate(n, p, -landing_theta)
-            phi_next, _ = _best_landing(params, q)
-            pairs.append((phase, landing_theta / (2.0 * w)))
-            p = q
-            phase = phi_next
-            continue
-
-        spacing = _TWO_PI / candidates
-        res = minimize_scalar(
-            lambda th: -depth_after(th),
-            bounds=(max(best_theta - spacing, 1e-9), min(best_theta + spacing, _TWO_PI)),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        theta = float(res.x)
-        q = _rotate(n, p, -theta)
-        pairs.append((phase, theta / (2.0 * w)))
-        phase = math.atan2(q[1], q[0]) + math.pi
-        p = q
-
-    return plan_from_protocol(params, Protocol.from_pairs(pairs))
-
-
-def refine_plan(
-    params: CouplerParams, plan: StaircasePlan, maxfev: int = 20000
-) -> StaircasePlan:
-    """Polish durations and phases by derivative-free local search.
-
-    Optimizes 1 - |a2|^2 over all segment durations (reflected to stay
-    nonnegative) and phases with Powell's method.  Returns the input
-    plan unchanged unless the polish strictly improves it.
-    """
-    segs = plan.protocol.segments
-    k = len(segs)
-    x0 = np.array([s.duration for s in segs] + [s.phase for s in segs])
-
-    def loss(x):
-        prot = Protocol(
-            tuple(
-                CouplingSegment(x[k + i], abs(x[i])) for i in range(k)
-            )
-        )
-        return 1.0 - protocol_propagator(params, prot).transfer
-
-    res = minimize(
-        loss,
-        x0,
-        method="Powell",
-        options={"xtol": 1e-12, "ftol": 1e-14, "maxfev": maxfev},
-    )
-    achieved = 1.0 - float(res.fun)
-    if achieved <= plan.achieved:
-        return plan
-    prot = Protocol(
-        tuple(
-            CouplingSegment(float(res.x[k + i]), abs(float(res.x[i])))
-            for i in range(k)
-        )
-    )
-    return plan_from_protocol(params, prot)
 
 
 @dataclass(frozen=True)
 class PlanSearch:
     """Outcome of minimal_plan_search.
 
-    curve holds (segment_count, best_achieved) for every count tried,
-    in order; estimate is min_switches_estimate at this ratio.
+    curve holds (segment_count, achieved) of the dive plan for every
+    count tried, in order; estimate is min_switches_estimate at this
+    ratio.
     """
 
     plan: StaircasePlan
@@ -399,19 +207,14 @@ class PlanSearch:
 def minimal_plan_search(
     params: CouplerParams,
     threshold: float = 0.99,
-    restarts: int = 8,
-    rng_seed: int = 20240817,
     max_segments: int | None = None,
-    refine_maxfev: int = 8000,
 ) -> PlanSearch:
-    """Smallest segment count whose best plan reaches the threshold.
+    """Smallest segment count whose dive plan reaches the threshold.
 
-    Counts are tried in increasing order.  Counts whose descent_bound
-    falls below the threshold cannot succeed, so only the bound-attaining
-    dive plan is recorded for them.  At viable counts the dive, greedy
-    and (for small ratios, count 2) exact two-segment constructions seed
-    a multi-start Powell refinement with `restarts` random perturbations.
-    Raises PlanSearchError with the best plan found if the cap is hit.
+    dive_plan attains descent_bound at every count, so the minimal count
+    is the first k with descent_bound(k) >= threshold and its dive plan
+    is the answer; every count tried records its dive plan in the curve.
+    Raises PlanSearchError with the deepest plan if the cap comes first.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
@@ -420,54 +223,21 @@ def minimal_plan_search(
     psi = abs(tilt_angle(params))
     step = math.pi - 2.0 * psi
     cap = max_segments if max_segments is not None else math.ceil(math.pi / step) + 2
-    rng = np.random.default_rng(rng_seed)
+    if cap < 1:
+        raise ValueError("max_segments must be >= 1")
+    estimate = min_switches_estimate(params.ratio) if params.ratio > 0 else 1
 
     curve: list[tuple[int, float]] = []
-    best_overall: StaircasePlan | None = None
-    ratio = params.ratio
-    estimate = min_switches_estimate(ratio) if ratio > 0 else 1
-
     for k in range(1, cap + 1):
-        if descent_bound(params, k) < threshold - 1e-12:
-            plan_k = dive_plan(params, k)
-        else:
-            seeds = [dive_plan(params, k), greedy_staircase(params, k)]
-            if k == 2 and ratio < 1.0:
-                from .twostep import pushpull_times
-
-                seeds.append(plan_from_protocol(params, pushpull_times(params).protocol()))
-            pool = list(seeds)
-            base = max(seeds, key=lambda pl: pl.achieved)
-            for _ in range(restarts):
-                segs = base.protocol.segments
-                jitter = Protocol(
-                    tuple(
-                        CouplingSegment(
-                            s.phase + rng.normal(0.0, 0.2),
-                            s.duration * math.exp(rng.normal(0.0, 0.1)),
-                        )
-                        for s in segs
-                    )
-                )
-                pool.append(plan_from_protocol(params, jitter))
-            refined = [
-                pl
-                if pl.achieved >= 1.0 - 1e-12
-                else refine_plan(params, pl, maxfev=refine_maxfev)
-                for pl in pool
-            ]
-            plan_k = max(
-                refined, key=lambda pl: (pl.achieved, -pl.protocol.total_duration)
-            )
-        curve.append((k, plan_k.achieved))
-        if best_overall is None or plan_k.achieved > best_overall.achieved:
-            best_overall = plan_k
-        if plan_k.achieved >= threshold:
-            return PlanSearch(plan_k, tuple(curve), estimate)
-
+        plan = dive_plan(params, k)
+        curve.append((k, plan.achieved))
+        if descent_bound(params, k) >= threshold - THRESHOLD_SLACK:
+            break
+    if plan.achieved >= threshold - THRESHOLD_SLACK:
+        return PlanSearch(plan, tuple(curve), estimate)
     raise PlanSearchError(
         f"no plan reached {threshold:g} within {cap} segments "
-        f"(best {best_overall.achieved:.6f})",
-        best_overall,
+        f"(best {plan.achieved:.6f})",
+        plan,
         tuple(curve),
     )

@@ -33,7 +33,6 @@ from .dynamics import (
     Protocol,
     propagator_until,
     protocol_propagator,
-    rabi_frequency,
 )
 from .geometry import (
     NORTH,
@@ -77,7 +76,7 @@ def critical_phase(ratio: float) -> float:
 
 def axis_separation(params: CouplerParams, phi: float) -> float:
     """Angle between the phase-0 and phase-phi precession axes."""
-    w2 = rabi_frequency(params) ** 2
+    w2 = params.rabi ** 2
     g = (params.kappa0**2 * math.cos(phi) + params.delta**2) / w2
     return math.acos(max(-1.0, min(1.0, g)))
 
@@ -91,7 +90,7 @@ def two_step_ceiling(params: CouplerParams, phi: float) -> float:
     """
     if two_step_feasible(params, phi):
         return 1.0
-    psi = tilt_angle(params)
+    psi = abs(tilt_angle(params))
     theta = axis_separation(params, phi)
     return math.cos(psi - theta / 2.0) ** 2
 
@@ -130,7 +129,7 @@ def pushpull_times(params: CouplerParams) -> TwoStepSolution:
             "for larger detuning",
             achievable=two_step_ceiling(params, math.pi),
         )
-    w = rabi_frequency(params)
+    w = params.rabi
     wt1 = math.atan(w / math.sqrt(params.kappa0**2 - params.delta**2))
     t1 = wt1 / w
     t2 = (math.pi - wt1) / w
@@ -145,7 +144,7 @@ def _grid_transfer(params: CouplerParams, phi: float, n: int) -> tuple[np.ndarra
     Returns (axis, values) where axis is the common W t grid.  The map
     is pi-periodic in each duration, so [0, pi] covers everything.
     """
-    w = rabi_frequency(params)
+    w = params.rabi
     wt = np.linspace(0.0, math.pi, n)
     c, s = np.cos(wt), np.sin(wt)
     dr = params.delta / w
@@ -215,11 +214,9 @@ def solve_two_step(params: CouplerParams, phi: float) -> TwoStepSolution:
         # Fall through on tolerance-boundary misclassification.
     wt, grid = _grid_transfer(params, phi, 64)
     i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    w = rabi_frequency(params)
+    w = params.rabi
     t1, t2, achieved = _refine_two_step(params, phi, wt[i] / w, wt[j] / w)
     feasible = two_step_feasible(params, phi)
-    if feasible and achieved >= 1.0 - 1e-9:
-        return TwoStepSolution(t1, t2, phi, achieved, True)
     return TwoStepSolution(t1, t2, phi, achieved, feasible and achieved >= 1.0 - 1e-9)
 
 

@@ -326,7 +326,7 @@ def check_plan_geometry(fast: bool) -> CheckResult:
     details = []
     for ratio in ratios:
         params = CouplerParams(ratio, 1.0)
-        search = minimal_plan_search(params, restarts=2, refine_maxfev=2000)
+        search = minimal_plan_search(params)
         plan = search.plan
         if plan.achieved < 0.99:
             worst = max(worst, 0.99 - plan.achieved)

@@ -43,9 +43,10 @@ def test_dumps17_nonfinite_floats_become_strings():
 
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"delta": 0.5, "bogus": 1}))
-    with pytest.raises(ValueError, match="bogus"):
-        load_config(str(cfg), {})
+    for key in ("bogus", "restarts"):
+        cfg.write_text(json.dumps({"delta": 0.5, key: 1}))
+        with pytest.raises(ValueError, match=key):
+            load_config(str(cfg), {})
 
 
 def test_config_flag_overrides_file(tmp_path):
@@ -197,6 +198,15 @@ def test_plan_cap_exit_code(tmp_path):
     assert payload["switch_estimate"] is None
     assert payload["achieved"] < 0.99
     assert len(payload["curve"]) == 2
+
+
+def test_plan_threshold_one_at_rounding_case(tmp_path):
+    out = tmp_path / "plan"
+    args = ["plan", "--delta", -9.206459350378962, "--kappa", 1.5604168390472817]
+    assert run(args + ["--threshold", 1.0, "--out", out]) == 0
+    payload = json.loads((out / "plan.json").read_text())
+    assert payload["threshold_met"] is True
+    assert payload["achieved"] >= 1.0 - 1e-12
 
 
 def test_isolator_summary_consistency(tmp_path):

@@ -15,7 +15,6 @@ from modeswitch import (
     propagate,
     propagator_until,
     protocol_propagator,
-    rabi_frequency,
     segment_propagator,
     static_max_transfer,
 )
@@ -23,9 +22,9 @@ from modeswitch.oracle import generator
 
 
 def test_rabi_frequency():
-    assert rabi_frequency(CouplerParams(2.0, 1.0)) == pytest.approx(math.sqrt(5.0))
-    assert rabi_frequency(CouplerParams(0.0, 1.5)) == 1.5
-    assert rabi_frequency(CouplerParams(-3.0, 4.0)) == pytest.approx(5.0)
+    assert CouplerParams(2.0, 1.0).rabi == pytest.approx(math.sqrt(5.0))
+    assert CouplerParams(0.0, 1.5).rabi == 1.5
+    assert CouplerParams(-3.0, 4.0).rabi == pytest.approx(5.0)
 
 
 def test_static_max_transfer_values():

@@ -5,20 +5,14 @@ import pytest
 
 from modeswitch import (
     CouplerParams,
-    CouplingSegment,
     ModeState,
     PlanSearchError,
-    Protocol,
     descent_bound,
     dive_plan,
-    greedy_staircase,
     min_switches_estimate,
     minimal_plan_search,
-    plan_from_protocol,
     propagate,
-    pushpull_times,
     recursive_intersection_ok,
-    refine_plan,
     segment_propagator,
     staircase_circles,
     static_max_transfer,
@@ -88,27 +82,22 @@ def test_dive_plan_zero_detuning_single_segment():
     assert plan.achieved == pytest.approx(1.0, abs=1e-12)
 
 
-def test_greedy_reproduces_two_step():
-    params = CouplerParams(0.5, 1.0)
-    plan = greedy_staircase(params, 2)
-    assert len(plan.protocol.segments) == 2
-    assert plan.achieved == pytest.approx(1.0, abs=1e-6)
+def test_dive_plan_switch_points_on_circles():
+    params = CouplerParams(2.5, 1.0)
+    plan = dive_plan(params, 4)
+    circles = staircase_circles(params, plan)
+    assert recursive_intersection_ok(circles)
+    for i, p in enumerate(plan.switch_points):
+        assert circles[i].contains(p.as_array(), 1e-8)
+        assert circles[i + 1].contains(p.as_array(), 1e-8)
 
 
-def test_greedy_exact_at_ratio_two():
-    params = CouplerParams(2.0, 1.0)
-    plan = greedy_staircase(params, 4)
-    assert plan.achieved == pytest.approx(1.0, abs=1e-9)
-    assert plan.switches == 3
-
-
-def test_greedy_descent_is_monotone():
+def test_dive_plan_descent_is_monotone():
     params = CouplerParams(3.0, 1.0)
-    plan = greedy_staircase(params, 5)
+    plan = dive_plan(params, 5)
     samples = propagate(params, plan.protocol, ModeState.mode1(), 512)
     # Per-segment running minima of w must strictly decrease.
     boundaries = np.cumsum([s.duration for s in plan.protocol.segments])
-    total = plan.protocol.total_duration
     minima = []
     idx = 0
     current = math.inf
@@ -122,46 +111,9 @@ def test_greedy_descent_is_monotone():
         assert b < a - 1e-6
 
 
-def test_greedy_switch_points_on_circles():
-    params = CouplerParams(2.5, 1.0)
-    plan = greedy_staircase(params, 4)
-    circles = staircase_circles(params, plan)
-    assert recursive_intersection_ok(circles)
-    for i, p in enumerate(plan.switch_points):
-        assert circles[i].contains(p.as_array(), 1e-8)
-        assert circles[i + 1].contains(p.as_array(), 1e-8)
-
-
-def test_refine_plan_fixed_point():
-    params = CouplerParams(0.5, 1.0)
-    sol = pushpull_times(params)
-    plan = plan_from_protocol(params, sol.protocol())
-    refined = refine_plan(params, plan)
-    # Already optimal: polish may not make it worse, and an exact tie
-    # must return the input object untouched.
-    assert refined.achieved >= plan.achieved
-    if refined is not plan:
-        assert refined.achieved > plan.achieved
-
-
-def test_refine_plan_restores_perturbed_plan():
-    params = CouplerParams(0.5, 1.0)
-    sol = pushpull_times(params)
-    perturbed = Protocol(
-        (
-            CouplingSegment(0.02, sol.t1 * 1.01),
-            CouplingSegment(math.pi - 0.015, sol.t2 * 0.99),
-        )
-    )
-    plan = plan_from_protocol(params, perturbed)
-    assert plan.achieved < 1.0 - 1e-6
-    refined = refine_plan(params, plan)
-    assert refined.achieved >= 1.0 - 1e-8
-
-
 def test_minimal_search_ratio_two():
     params = CouplerParams(2.0, 1.0)
-    search = minimal_plan_search(params, restarts=3, rng_seed=4)
+    search = minimal_plan_search(params)
     assert search.plan.achieved >= 0.99
     assert len(search.plan.protocol.segments) == 4
     assert search.plan.switches == 3
@@ -177,7 +129,7 @@ def test_minimal_search_ratio_two():
 
 def test_minimal_search_curve_attains_bound():
     params = CouplerParams(4.0, 1.0)
-    search = minimal_plan_search(params, restarts=2, rng_seed=4)
+    search = minimal_plan_search(params)
     for k, a in search.curve[:-1]:
         assert a == pytest.approx(descent_bound(params, k), abs=1e-9)
 
@@ -185,7 +137,7 @@ def test_minimal_search_curve_attains_bound():
 def test_minimal_search_cap_raises_with_best():
     params = CouplerParams(3.0, 1.0)
     with pytest.raises(PlanSearchError) as exc:
-        minimal_plan_search(params, max_segments=2, restarts=2, rng_seed=4)
+        minimal_plan_search(params, max_segments=2)
     err = exc.value
     assert err.best.achieved < 0.99
     assert err.best.achieved == pytest.approx(descent_bound(params, 2), abs=1e-6)
@@ -193,8 +145,8 @@ def test_minimal_search_cap_raises_with_best():
 
 
 def test_negative_detuning_mirrors():
-    pos = minimal_plan_search(CouplerParams(2.0, 1.0), restarts=2, rng_seed=4)
-    neg = minimal_plan_search(CouplerParams(-2.0, 1.0), restarts=2, rng_seed=4)
+    pos = minimal_plan_search(CouplerParams(2.0, 1.0))
+    neg = minimal_plan_search(CouplerParams(-2.0, 1.0))
     assert len(neg.plan.protocol.segments) == len(pos.plan.protocol.segments)
     assert neg.plan.achieved >= 0.99
 

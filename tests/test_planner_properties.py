@@ -1,0 +1,53 @@
+"""Property tests: the minimal plan is minimal, meets its threshold, and
+its dimensionless duration W*T depends only on |delta| / kappa0."""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from modeswitch import CouplerParams, descent_bound, minimal_plan_search
+
+# Fixed example order, no example database: runs are reproducible.
+PROFILE = settings(derandomize=True, database=None, max_examples=200, deadline=None)
+
+# At threshold 1.0 this ratio once left every plan short of 1.0 by rounding.
+ROUNDING_CASE = ((-9.206459350378962, 1.5604168390472817), 1.0)
+
+
+@st.composite
+def couplers(draw):
+    """(delta, kappa0) with |delta| / kappa0 in [0.05, 12], either sign."""
+    kappa = draw(st.floats(0.05, 5.0))
+    ratio = draw(st.floats(0.05, 12.0))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    return sign * ratio * kappa, kappa
+
+
+thresholds = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+
+
+def plan_wt(delta: float, kappa: float, threshold: float) -> float:
+    params = CouplerParams(delta, kappa)
+    return params.rabi * minimal_plan_search(params, threshold).plan.protocol.total_duration
+
+
+@PROFILE
+@given(couplers(), thresholds)
+@example(*ROUNDING_CASE)
+def test_minimal_plan_meets_threshold_with_fewest_segments(coupler, threshold):
+    params = CouplerParams(*coupler)
+    search = minimal_plan_search(params, threshold)
+    k = len(search.plan.protocol.segments)
+    assert search.curve[-1][0] == k
+    assert k == 1 or descent_bound(params, k - 1) < threshold
+    assert search.plan.achieved >= threshold - 1e-12
+
+
+@PROFILE
+@given(couplers(), thresholds, st.floats(0.1, 10.0))
+@example(*ROUNDING_CASE, 2.0)
+@example((3.0, 1.0), 0.9, 0.3)
+def test_plan_duration_is_sign_and_scale_invariant(coupler, threshold, scale):
+    delta, kappa = coupler
+    wt = plan_wt(delta, kappa, threshold)
+    assert abs(plan_wt(-delta, kappa, threshold) - wt) <= 1e-12
+    assert abs(plan_wt(scale * delta, scale * kappa, threshold) - wt) <= 1e-12

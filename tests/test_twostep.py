@@ -101,6 +101,20 @@ def test_axis_separation_and_ceiling():
     assert two_step_ceiling(params, math.pi) == 1.0
 
 
+def test_ceiling_matches_brute_force_at_negative_detuning():
+    from modeswitch.twostep import _grid_transfer, _refine_two_step
+
+    phi = 1.0
+    for delta in (0.6, -0.6):
+        params = CouplerParams(delta, 1.0)
+        wt, grid = _grid_transfer(params, phi, 64)
+        i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
+        w = params.rabi
+        _, _, brute = _refine_two_step(params, phi, wt[i] / w, wt[j] / w)
+        assert brute == pytest.approx(0.98643, abs=1e-5)
+        assert two_step_ceiling(params, phi) == pytest.approx(brute, abs=1e-7)
+
+
 def test_solve_two_step_matches_pushpull():
     params = CouplerParams(0.5, 1.0)
     sol = solve_two_step(params, math.pi)
