@@ -76,6 +76,20 @@ def test_dive_plan_exact_landing():
         assert len(plan.protocol.segments) == k_full
 
 
+def test_greedy_reproduces_two_step():
+    params = CouplerParams(0.5, 1.0)
+    plan = dive_plan(params, 2)
+    assert len(plan.protocol.segments) == 2
+    assert plan.achieved == pytest.approx(1.0, abs=1e-6)
+
+
+def test_greedy_exact_at_ratio_two():
+    params = CouplerParams(2.0, 1.0)
+    plan = dive_plan(params, 4)
+    assert plan.achieved == pytest.approx(1.0, abs=1e-9)
+    assert plan.switches == 3
+
+
 def test_dive_plan_zero_detuning_single_segment():
     plan = dive_plan(CouplerParams(0.0, 1.0), 5)
     assert len(plan.protocol.segments) == 1
