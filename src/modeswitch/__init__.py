@@ -14,7 +14,6 @@ from .dynamics import (
     TransferMatrix,
     compose,
     propagate,
-    propagator_until,
     protocol_propagator,
     segment_propagator,
     static_max_transfer,

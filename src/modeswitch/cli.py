@@ -56,6 +56,7 @@ from .twostep import (
     pushpull_times,
     solve_two_step,
     transfer_map,
+    two_step_ceiling,
     two_step_feasible,
 )
 from . import verify as verify_mod
@@ -296,8 +297,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "rk4_transfer": rk4_final.transfer,
         "rk4_mismatch": abs(rk4_final.transfer - final.transfer),
     }
+    if source != "config":
+        summary["feasible"] = two_step_feasible(params, cfg.phi)
+        summary["ceiling"] = two_step_ceiling(params, cfg.phi)
     write_text(out / "summary.json", dumps17(summary))
     print(f"simulate: transfer {final.transfer:.12g} over {len(protocol.segments)} segments")
+    if source == "solve_two_step" and not summary["feasible"]:
+        msg = f"two segments reach at most {summary['ceiling']:.12g} at this phase"
+        print(f"simulate: {msg}; use `modeswitch plan` for complete transfer", file=sys.stderr)
     return 0
 
 

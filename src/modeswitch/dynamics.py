@@ -238,32 +238,6 @@ def protocol_propagator(params: CouplerParams, protocol: Protocol) -> TransferMa
     return acc
 
 
-def propagator_until(params: CouplerParams, protocol: Protocol, t: float) -> TransferMatrix:
-    """Propagator from 0 to time t inside the protocol.
-
-    t is clamped to [0, total_duration].  Association of the partial
-    product matches :func:`protocol_propagator`, so at t = total_duration
-    the two agree bit for bit.
-    """
-    if t >= protocol.total_duration:
-        return protocol_propagator(params, protocol)
-    t = max(t, 0.0)
-    acc = TransferMatrix.identity()
-    elapsed = 0.0
-    for seg in protocol.segments:
-        if t <= elapsed:
-            break
-        remaining = t - elapsed
-        if remaining >= seg.duration:
-            acc = compose(segment_propagator(params, seg), acc)
-            elapsed += seg.duration
-        else:
-            partial = CouplingSegment(seg.phase, remaining)
-            acc = compose(segment_propagator(params, partial), acc)
-            break
-    return acc
-
-
 def propagate(
     params: CouplerParams,
     protocol: Protocol,
@@ -274,13 +248,29 @@ def propagate(
 
     Returns sample_count + 1 pairs (t, state) covering [0, total_duration]
     inclusive.  Zero-total-duration protocols yield constant samples.
+    One pass over the segments: a sample at or past the end uses
+    :func:`protocol_propagator`, so the last state agrees with it bit for
+    bit; any other sample composes its partial segment on top of the
+    product of the whole segments before it, which grows as t advances.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     total = protocol.total_duration
+    segments = protocol.segments
+    prefix, elapsed, whole = TransferMatrix.identity(), 0.0, 0
     out: list[tuple[float, ModeState]] = []
     for k in range(sample_count + 1):
         t = total * k / sample_count
-        m = propagator_until(params, protocol, t)
+        if t >= total:
+            m = protocol_propagator(params, protocol)
+        else:
+            while whole < len(segments) and t > elapsed and t - elapsed >= segments[whole].duration:
+                prefix = compose(segment_propagator(params, segments[whole]), prefix)
+                elapsed += segments[whole].duration
+                whole += 1
+            m = prefix
+            if whole < len(segments) and t > elapsed:
+                partial = CouplingSegment(segments[whole].phase, t - elapsed)
+                m = compose(segment_propagator(params, partial), prefix)
         out.append((t, m.apply(initial)))
     return out

@@ -12,31 +12,30 @@ which is the complete-transfer criterion this module implements.  The
 push-pull special case phi = pi admits closed-form durations whenever
 |delta| < kappa0.
 
-When the criterion fails, the best two-segment transfer is still useful;
-:func:`solve_two_step` then reports the maximum over (t1, t2) found by a
-dense grid plus local refinement, which matches the analytic ceiling
-cos^2(psi - Theta/2) built from the axis separation Theta.
+When the criterion fails, :func:`solve_two_step` still reaches the best
+two-segment transfer in closed form: the ceiling cos^2(psi - Theta/2)
+built from the axis separation Theta.  :func:`solve_fraction` cuts
+either solution at a partial target with one asin or acos.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dynamics import (
     CouplerParams,
     CouplingSegment,
-    ModeState,
     Protocol,
-    propagator_until,
     protocol_propagator,
 )
 from .geometry import (
+    ANGLE_TOL,
     NORTH,
     SOUTH,
+    bloch_precess,
     circle_intersection,
     circle_through,
     precession_duration,
@@ -75,10 +74,14 @@ def critical_phase(ratio: float) -> float:
 
 
 def axis_separation(params: CouplerParams, phi: float) -> float:
-    """Angle between the phase-0 and phase-phi precession axes."""
-    w2 = params.rabi ** 2
-    g = (params.kappa0**2 * math.cos(phi) + params.delta**2) / w2
-    return math.acos(max(-1.0, min(1.0, g)))
+    """Angle between the phase-0 and phase-phi precession axes.
+
+    The axes are a chord 2 (kappa0 / W) |sin(phi / 2)| apart, so Theta =
+    2 asin((kappa0 / W) |sin(phi / 2)|); unlike acos of their dot product
+    this keeps full precision as Theta goes to 0.
+    """
+    half = params.kappa0 / params.rabi * abs(math.sin(phi / 2.0))
+    return 2.0 * math.asin(min(1.0, half))
 
 
 def two_step_ceiling(params: CouplerParams, phi: float) -> float:
@@ -134,8 +137,7 @@ def pushpull_times(params: CouplerParams) -> TwoStepSolution:
     t1 = wt1 / w
     t2 = (math.pi - wt1) / w
     sol = TwoStepSolution(t1, t2, math.pi, 0.0, True)
-    achieved = protocol_propagator(params, sol.protocol()).transfer
-    return TwoStepSolution(t1, t2, math.pi, achieved, True)
+    return replace(sol, achieved=protocol_propagator(params, sol.protocol()).transfer)
 
 
 def _grid_transfer(params: CouplerParams, phi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,67 +159,70 @@ def _grid_transfer(params: CouplerParams, phi: float, n: int) -> tuple[np.ndarra
     return wt, np.abs(oc) ** 2
 
 
-def _refine_two_step(
-    params: CouplerParams, phi: float, t1: float, t2: float
-) -> tuple[float, float, float]:
-    """Local maximization of the two-segment transfer from a seed."""
+def _second_leg(params: CouplerParams, phi: float, t1: float) -> tuple[float, float, float]:
+    """(c, r, chi) with Bloch w = c + r cos(2 W s + chi) at time s into the
+    phase-phi segment, entered after t1 of phase 0 from the north pole."""
+    start = bloch_precess(rotation_axis(params, 0.0), NORTH, t1).as_array()
+    n = rotation_axis(params, phi).as_array()
+    perp = start - np.dot(n, start) * n
+    # Precession turns by -2 W s, so r cos(chi) = perp_z and r sin(chi) = (n x perp)_z.
+    r_cos, r_sin = perp[2], float(np.cross(n, perp)[2])
+    return float(np.dot(n, start)) * n[2], math.hypot(r_cos, r_sin), math.atan2(r_sin, r_cos)
 
-    def objective(x):
-        prot = Protocol(
-            (CouplingSegment(0.0, abs(x[0])), CouplingSegment(phi, abs(x[1])))
-        )
-        return -protocol_propagator(params, prot).transfer
 
-    res = minimize(
-        objective,
-        np.array([t1, t2]),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-15, "maxfev": 2000},
-    )
-    return abs(res.x[0]), abs(res.x[1]), -res.fun
+def _closest_approach(params: CouplerParams, phi: float) -> tuple[float, float]:
+    """Durations carrying mode 1 closest to mode 2 when the circles miss.
+
+    For delta >= 0, switch where the north-pole circle is farthest from
+    axis(phi), so the second circle is the widest reachable, and stop at
+    that circle's lowest w.  delta < 0 maps onto it by (delta, phi) ->
+    (-delta, -phi), which keeps the transfer at every (t1, t2): the
+    composite off-diagonal becomes -conj of itself.
+    """
+    if params.delta < 0.0:
+        params, phi = CouplerParams(-params.delta, params.kappa0), -phi
+    sin_psi = math.sin(tilt_angle(params))
+    # Right-handed azimuth about axis(0), from the north pole, of the point
+    # farthest from axis(phi); precession turns by -2 W t.
+    azimuth = math.atan2(math.sin(phi), -sin_psi * (1.0 - math.cos(phi)))
+    t1 = ((-azimuth) % (2.0 * math.pi)) / (2.0 * params.rabi)
+    _, _, chi = _second_leg(params, phi, t1)
+    # w is lowest at 2 W t2 + chi = pi.  A switch point already there, as
+    # at phi = 0, needs no second leg even if rounding puts chi near -pi.
+    turn = math.pi - chi
+    return t1, (0.0 if turn >= 2.0 * math.pi - ANGLE_TOL else turn) / (2.0 * params.rabi)
 
 
 def solve_two_step(params: CouplerParams, phi: float) -> TwoStepSolution:
-    """Durations for complete transfer, or the best fallback.
+    """Durations for complete transfer, or the best fallback, in closed form.
 
     Feasible case: the switch point is an intersection of the two pole
     circles; among the at-most-two candidates the one with the smallest
-    total duration wins (ties break toward smaller t1).  Infeasible
-    case: dense grid search over W t in [0, pi]^2 plus Nelder-Mead
-    refinement, reported with feasible=False.
+    total duration wins (ties break toward smaller t1).  Otherwise (the
+    criterion fails, or tolerance leaves the circles apart)
+    :func:`_closest_approach` reaches the ceiling cos^2(psi - Theta/2),
+    and feasible is False unless that still comes within 1e-9 of 1.
     """
-    axis1 = rotation_axis(params, 0.0)
-    axis2 = rotation_axis(params, phi)
+    candidates = []
     if two_step_feasible(params, phi):
-        c1 = circle_through(axis1, NORTH)
-        c2 = circle_through(axis2, SOUTH)
-        inter = circle_intersection(c1, c2)
+        axis1 = rotation_axis(params, 0.0)
+        axis2 = rotation_axis(params, phi)
+        inter = circle_intersection(circle_through(axis1, NORTH), circle_through(axis2, SOUTH))
         if inter.kind == "coincident":
             # Degenerate delta = 0, phi = 0: one circle through both poles.
-            t1 = precession_duration(axis1, NORTH, SOUTH)
-            candidates = [(t1, 0.0)]
-        elif inter.kind in ("pair", "tangent"):
-            candidates = []
-            for p in inter.points:
-                t1 = precession_duration(axis1, NORTH, p)
-                t2 = precession_duration(axis2, p, SOUTH)
-                candidates.append((t1, t2))
-        else:
-            candidates = []
-        if candidates:
-            t1, t2 = min(candidates, key=lambda c: (c[0] + c[1], c[0]))
-            sol = TwoStepSolution(t1, t2, phi, 0.0, True)
-            achieved = protocol_propagator(params, sol.protocol()).transfer
-            if achieved < 1.0 - 1e-9:
-                t1, t2, achieved = _refine_two_step(params, phi, t1, t2)
-            return TwoStepSolution(t1, t2, phi, achieved, True)
-        # Fall through on tolerance-boundary misclassification.
-    wt, grid = _grid_transfer(params, phi, 64)
-    i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-    w = params.rabi
-    t1, t2, achieved = _refine_two_step(params, phi, wt[i] / w, wt[j] / w)
-    feasible = two_step_feasible(params, phi)
-    return TwoStepSolution(t1, t2, phi, achieved, feasible and achieved >= 1.0 - 1e-9)
+            candidates = [(precession_duration(axis1, NORTH, SOUTH), 0.0)]
+        candidates += [
+            (precession_duration(axis1, NORTH, p), precession_duration(axis2, p, SOUTH))
+            for p in inter.points
+        ]
+    if candidates:
+        t1, t2 = min(candidates, key=lambda c: (c[0] + c[1], c[0]))
+    else:
+        t1, t2 = _closest_approach(params, phi)
+    sol = TwoStepSolution(t1, t2, phi, 0.0, True)
+    achieved = protocol_propagator(params, sol.protocol()).transfer
+    feasible = bool(candidates) or (two_step_feasible(params, phi) and achieved >= 1.0 - 1e-9)
+    return replace(sol, achieved=achieved, feasible=feasible)
 
 
 @dataclass(frozen=True)
@@ -275,9 +280,11 @@ def feasibility_map(n: int = 64) -> FeasibilityMap:
 def solve_fraction(params: CouplerParams, phi: float, p: float) -> Protocol:
     """Shortest truncation of the two-segment solution reaching |a2|^2 = p.
 
-    The full solution is computed first; the protocol is then cut at the
-    first time its running transfer crosses p (bisection to residual
-    1e-9).  Requesting more than the protocol can deliver raises
+    The full solution is computed first and cut, in closed form, at the
+    first time its transfer reaches p.  In the first segment the transfer
+    is (kappa0 / W)^2 sin^2(W t); in the second, the Bloch w about
+    axis(phi) is c + r cos(2 W s + chi), so the cut is one asin or one
+    acos.  Requesting more than the protocol can deliver raises
     InfeasibleTransferError carrying the achievable maximum.
     """
     if not 0.0 <= p <= 1.0:
@@ -289,43 +296,21 @@ def solve_fraction(params: CouplerParams, phi: float, p: float) -> Protocol:
             "for this phase",
             achievable=sol.achieved,
         )
-    full = sol.protocol()
     if p == 0.0:
         return Protocol((CouplingSegment(0.0, 0.0),))
     if p >= sol.achieved - 1e-12:
-        return full
-    total = full.total_duration
-    initial = ModeState.mode1()
-
-    def transfer_at(t: float) -> float:
-        return propagator_until(params, full, t).apply(initial).transfer
-
-    # Dense scan to bracket the first crossing, then bisection.
-    samples = 4096
-    lo = 0.0
-    hi = None
-    prev_t = 0.0
-    for k in range(1, samples + 1):
-        t = total * k / samples
-        if transfer_at(t) >= p:
-            lo, hi = prev_t, t
-            break
-        prev_t = t
-    if hi is None:
-        hi = total
-        lo = prev_t
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if transfer_at(mid) >= p:
-            hi = mid
-        else:
-            lo = mid
-        if abs(transfer_at(hi) - p) <= 1e-9 and hi - lo <= 1e-15 * max(total, 1.0) + 1e-18:
-            break
-    t_star = hi
-    t1 = full.segments[0].duration
-    if t_star <= t1:
-        return Protocol((CouplingSegment(0.0, t_star),))
-    return Protocol(
-        (CouplingSegment(0.0, t1), CouplingSegment(phi, t_star - t1))
-    )
+        return sol.protocol()
+    w = params.rabi
+    scale = params.kappa0 / w
+    # The first segment peaks at W t = pi/2, or at its end if that comes sooner.
+    peak1 = scale * scale * (math.sin(w * sol.t1) ** 2 if w * sol.t1 < math.pi / 2.0 else 1.0)
+    if p <= peak1:
+        t = math.asin(min(1.0, math.sqrt(p) / scale)) / w
+        return Protocol((CouplingSegment(0.0, t),))
+    c, r, chi = _second_leg(params, phi, sol.t1)
+    # w starts above 1 - 2p, so the first crossing is the falling one at
+    # 2 W s + chi = acos(g); chi is in (-pi, pi], and only rounding can
+    # put acos(g) below it.
+    g = max(-1.0, min(1.0, (1.0 - 2.0 * p - c) / r))
+    s = max(0.0, math.acos(g) - chi) / (2.0 * w)
+    return Protocol((CouplingSegment(0.0, sol.t1), CouplingSegment(phi, s)))

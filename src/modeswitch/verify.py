@@ -54,7 +54,7 @@ from .isolator import (
 )
 from .oracle import IntegrationConfig, expm_protocol, generator, integrate_matrix
 from .planner import minimal_plan_search, recursive_intersection_ok, staircase_circles
-from .twostep import pushpull_times, two_step_ceiling, two_step_feasible
+from .twostep import _grid_transfer, pushpull_times, two_step_ceiling, two_step_feasible
 
 
 @dataclass(frozen=True)
@@ -233,27 +233,44 @@ def check_cone_floor(rng, n: int) -> CheckResult:
     return _result("cone_floor", max(worst, 0.0), 1e-9, f"{n} static trajectories")
 
 
-def check_two_step_ceiling(rng, n: int) -> CheckResult:
-    """Brute-force maxima against the analytic two-segment ceiling."""
-    from .twostep import _grid_transfer, _refine_two_step
+def _refine_two_step(
+    params: CouplerParams, phi: float, t1: float, t2: float
+) -> tuple[float, float, float]:
+    """Local maximization of the two-segment transfer from a seed."""
+    from scipy.optimize import minimize
 
+    def objective(x):
+        prot = Protocol(
+            (CouplingSegment(0.0, abs(x[0])), CouplingSegment(phi, abs(x[1])))
+        )
+        return -protocol_propagator(params, prot).transfer
+
+    res = minimize(
+        objective,
+        np.array([t1, t2]),
+        method="Nelder-Mead",
+        options={"xatol": 1e-12, "fatol": 1e-15, "maxfev": 2000},
+    )
+    return abs(res.x[0]), abs(res.x[1]), -res.fun
+
+
+def check_two_step_ceiling(rng, n: int) -> CheckResult:
+    """Brute-force maxima against the analytic ceiling; odd draws negate delta."""
     worst = 0.0
-    for _ in range(n):
+    for k in range(n):
         ratio = rng.uniform(0.05, 1.2)
         phi = rng.uniform(0.0, math.pi)
-        params = CouplerParams(ratio, 1.0)
+        params = CouplerParams(-ratio if k % 2 else ratio, 1.0)
         wt, grid = _grid_transfer(params, phi, 48)
         i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
         w = params.rabi
         _, _, achieved = _refine_two_step(params, phi, wt[i] / w, wt[j] / w)
         worst = max(worst, abs(achieved - two_step_ceiling(params, phi)))
-    return _result("two_step_ceiling", worst, 1e-7, f"{n} random (ratio, phi) draws")
+    return _result("two_step_ceiling", worst, 1e-7, f"{n} random (delta, phi) draws, both signs")
 
 
 def check_criterion_vs_brute(n_cells: int = 50) -> CheckResult:
     """Classification agreement between the criterion and maximization."""
-    from .twostep import _grid_transfer, _refine_two_step
-
     ratios = np.linspace(0.0, 1.2, n_cells)
     phis = np.linspace(0.0, math.pi, n_cells)
     agree = 0

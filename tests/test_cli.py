@@ -95,6 +95,8 @@ def test_simulate_outputs(tmp_path):
     assert summary["command"] == "simulate"
     assert summary["protocol_source"] == "solve_two_step"
     assert summary["transfer"] == pytest.approx(1.0, abs=1e-12)
+    assert summary["feasible"] is True
+    assert summary["ceiling"] == 1.0
     assert summary["rk4_mismatch"] <= 1e-8
     assert summary["final_norm"] == pytest.approx(1.0, abs=1e-12)
     # Last CSV row reproduces the summary transfer.
@@ -102,6 +104,16 @@ def test_simulate_outputs(tmp_path):
     assert float(last[6]) == pytest.approx(summary["transfer"], abs=1e-12)
     svg = (out / "trajectory.svg").read_text()
     assert svg.startswith("<svg") and svg.rstrip().endswith("</svg>")
+
+
+def test_simulate_reports_two_segment_shortfall(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert run(["simulate", "--delta", 2, "--kappa", 1, "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["feasible"] is False
+    assert summary["ceiling"] == pytest.approx(0.64, abs=1e-12)
+    assert summary["transfer"] == pytest.approx(0.64, abs=1e-12)
+    assert "modeswitch plan" in capsys.readouterr().err
 
 
 def test_simulate_explicit_protocol(tmp_path):
@@ -115,6 +127,7 @@ def test_simulate_explicit_protocol(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", out]) == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["protocol_source"] == "config"
+    assert "feasible" not in summary and "ceiling" not in summary
     assert len(summary["protocol"]) == 2
     assert summary["protocol"][0]["duration"] == 1.2
 

@@ -13,7 +13,6 @@ from modeswitch import (
     TransferMatrix,
     compose,
     propagate,
-    propagator_until,
     protocol_propagator,
     segment_propagator,
     static_max_transfer,
@@ -123,23 +122,32 @@ def test_propagate_endpoints_and_norm():
         assert abs(s.norm - 1.0) < 1e-13
 
 
-def test_propagator_until_full_time_is_exact():
+def test_propagate_last_sample_is_exact():
     params = CouplerParams(1.4, 0.9)
     prot = Protocol.from_pairs([(0.2, 0.8), (2.1, 1.7), (4.0, 0.3)])
-    full = protocol_propagator(params, prot)
-    until = propagator_until(params, prot, prot.total_duration)
+    initial = ModeState(0.6, 0.8j)
+    final = protocol_propagator(params, prot).apply(initial)
+    t, last = propagate(params, prot, initial, 64)[-1]
     # Same association order, so the results are identical, not just close.
-    assert until.d == full.d
-    assert until.o == full.o
+    assert t == prot.total_duration
+    assert last.a1 == final.a1
+    assert last.a2 == final.a2
 
 
-def test_propagator_until_mid_segment():
+def test_propagate_mid_segment_samples():
     params = CouplerParams(0.0, 1.0)
     prot = Protocol.from_pairs([(0.0, 1.0), (math.pi, 1.0)])
-    m = propagator_until(params, prot, 0.25)
-    ref = segment_propagator(params, CouplingSegment(0.0, 0.25))
-    assert m.d == pytest.approx(ref.d)
-    assert m.o == pytest.approx(ref.o)
+    samples = propagate(params, prot, ModeState.mode1(), 8)
+    first = segment_propagator(params, CouplingSegment(0.0, 1.0))
+    for k, m in (
+        (1, segment_propagator(params, CouplingSegment(0.0, 0.25))),
+        (5, compose(segment_propagator(params, CouplingSegment(math.pi, 0.25)), first)),
+    ):
+        t, state = samples[k]
+        ref = m.apply(ModeState.mode1())
+        assert t == 0.25 * k
+        assert state.a1 == pytest.approx(ref.a1)
+        assert state.a2 == pytest.approx(ref.a2)
 
 
 def test_transfer_from_mode1():

@@ -1,13 +1,10 @@
 """Property tests: the minimal plan is minimal, meets its threshold, and
 its dimensionless duration W*T depends only on |delta| / kappa0."""
 
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from modeswitch import CouplerParams, descent_bound, minimal_plan_search
-
-# Fixed example order, no example database: runs are reproducible.
-PROFILE = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 # At threshold 1.0 this ratio once left every plan short of 1.0 by rounding.
 ROUNDING_CASE = ((-9.206459350378962, 1.5604168390472817), 1.0)
@@ -30,7 +27,6 @@ def plan_wt(delta: float, kappa: float, threshold: float) -> float:
     return params.rabi * minimal_plan_search(params, threshold).plan.protocol.total_duration
 
 
-@PROFILE
 @given(couplers(), thresholds)
 @example(*ROUNDING_CASE)
 def test_minimal_plan_meets_threshold_with_fewest_segments(coupler, threshold):
@@ -42,7 +38,6 @@ def test_minimal_plan_meets_threshold_with_fewest_segments(coupler, threshold):
     assert search.plan.achieved >= threshold - 1e-12
 
 
-@PROFILE
 @given(couplers(), thresholds, st.floats(0.1, 10.0))
 @example(*ROUNDING_CASE, 2.0)
 @example((3.0, 1.0), 0.9, 0.3)

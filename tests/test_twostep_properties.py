@@ -1,0 +1,67 @@
+"""Property tests: the closed-form two-segment solver reaches the ceiling
+cos^2(psi - Theta/2) (1 when the criterion holds), its W*T depends only
+on |delta| / kappa0 and phi up to the mirror (delta, phi) -> (-delta, -phi),
+and solve_fraction cuts at the first time the transfer reaches p."""
+
+import math
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from modeswitch import (
+    CouplerParams,
+    ModeState,
+    propagate,
+    protocol_propagator,
+    solve_fraction,
+    solve_two_step,
+    two_step_ceiling,
+    two_step_feasible,
+)
+
+
+@st.composite
+def couplers(draw):
+    """(delta, kappa0) with |delta| / kappa0 in [0.05, 3], either sign."""
+    kappa = draw(st.floats(0.05, 5.0))
+    ratio = draw(st.floats(0.05, 3.0))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    return sign * ratio * kappa, kappa
+
+
+phases = st.floats(0.0, 2.0 * math.pi)
+
+
+def solve_wt(delta: float, kappa: float, phi: float) -> float:
+    params = CouplerParams(delta, kappa)
+    sol = solve_two_step(params, phi)
+    return params.rabi * (sol.t1 + sol.t2)
+
+
+@given(couplers(), phases)
+def test_solver_reaches_the_ceiling(coupler, phi):
+    params = CouplerParams(*coupler)
+    sol = solve_two_step(params, phi)
+    assert abs(sol.achieved - two_step_ceiling(params, phi)) <= 1e-12
+    assert abs(protocol_propagator(params, sol.protocol()).transfer - sol.achieved) <= 1e-12
+    if two_step_feasible(params, phi):
+        assert sol.feasible
+        assert abs(sol.achieved - 1.0) <= 1e-12
+
+
+@given(couplers(), phases, st.floats(0.1, 10.0))
+def test_solver_duration_is_mirror_and_scale_invariant(coupler, phi, scale):
+    delta, kappa = coupler
+    wt = solve_wt(delta, kappa, phi)
+    assert abs(solve_wt(-delta, kappa, -phi) - wt) <= 1e-12
+    assert abs(solve_wt(scale * delta, scale * kappa, phi) - wt) <= 1e-12
+
+
+@given(couplers(), phases, st.floats(0.0, 1.0))
+def test_fraction_cut_hits_target_first(coupler, phi, share):
+    params = CouplerParams(*coupler)
+    p = share * solve_two_step(params, phi).achieved
+    cut = solve_fraction(params, phi, p)
+    assert abs(protocol_propagator(params, cut).transfer - p) <= 1e-12
+    for _, state in propagate(params, cut, ModeState.mode1(), 64):
+        assert state.transfer <= p + 1e-12
