@@ -19,6 +19,7 @@ identical outputs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import itertools
 import json
 import math
@@ -49,7 +50,7 @@ from .isolator import (
 )
 from .oracle import IntegrationConfig, integrate
 from .planner import PlanSearchError, minimal_plan_search
-from .render import split_legs, trajectory_svg
+from .render import trajectory_svg
 from .twostep import (
     critical_phase,
     feasibility_map,
@@ -111,19 +112,41 @@ def dumps17(obj) -> str:
     return render(_to_jsonable(obj), 0) + "\n"
 
 
-def write_text(path: Path, text: str) -> None:
+def _create(path: Path):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_text(path: Path, text: str) -> None:
+    with _create(path) as fh:
         fh.write(text)
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(
-            ",".join(fmt17(v) if isinstance(v, float) else str(v) for v in row)
+    """Header plus one line per row, written as the rows arrive."""
+    with _create(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(
+            ",".join(fmt17(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+            for row in rows
         )
-    write_text(path, "\n".join(lines) + "\n")
+
+
+def _grid_rows(row_axis, col_axis, *tables):
+    """Rows (row value, column value, table values...) of 2-D maps, row-major.
+
+    Converts one grid row at a time, so no grid^2 list of Python objects
+    is ever built.
+    """
+    cols = col_axis.tolist()
+    for r, *cells in zip(row_axis.tolist(), *tables):
+        yield from zip(itertools.repeat(r), cols, *(c.tolist() for c in cells))
+
+
+# Largest accepted grid side and sample count: grid^2 cells and the
+# sample list are held in memory, so bigger runs fail before allocating.
+MAX_GRID = 2048
+MAX_SAMPLES = 100_000
 
 
 @dataclass(frozen=True)
@@ -143,7 +166,6 @@ class RunConfig:
     theta1: float = 1.5 * math.pi
     theta2: float = 0.0
     rf_offset: float = 0.5 * math.pi
-    direction: str = FORWARD
     max_segments: int | None = None
     fast: bool = False
     inject_fault: bool = False
@@ -162,12 +184,10 @@ class RunConfig:
             raise ValueError("kappa must be nonnegative")
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must lie in (0, 1]")
-        if self.grid < 2:
-            raise ValueError("grid must be >= 2")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.direction not in (FORWARD, BACKWARD):
-            raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
+        if not 2 <= self.grid <= MAX_GRID:
+            raise ValueError(f"grid must lie in [2, {MAX_GRID}]")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}]")
         if self.max_segments is not None:
             if isinstance(self.max_segments, bool) or not isinstance(self.max_segments, int):
                 raise ValueError("max_segments must be an integer")
@@ -283,8 +303,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         ["t", "re_a1", "im_a1", "re_a2", "im_a2", "p1", "p2", "u", "v", "w"],
         rows,
     )
-    legs = split_legs(samples, list(itertools.accumulate(protocol.durations[:-1])))
-    write_text(out / "trajectory.svg", trajectory_svg([[s for s in leg] for leg in legs]))
+    boundaries = list(itertools.accumulate(protocol.durations[:-1]))
+    write_text(out / "trajectory.svg", trajectory_svg(samples, boundaries))
     summary = {
         "command": "simulate",
         "params": _params_block(cfg),
@@ -311,15 +331,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_feasibility(cfg: RunConfig) -> int:
     fm = feasibility_map(cfg.grid)
     out = Path(cfg.out)
-    rows = [
-        (float(r), float(p), int(fm.feasible[i, j]))
-        for i, r in enumerate(fm.ratios)
-        for j, p in enumerate(fm.phis)
-    ]
+    # int cells: str(True) would write "True", not "1".
+    rows = _grid_rows(fm.ratios, fm.phis, fm.feasible.astype(int))
     write_csv(out / "feasibility.csv", ["ratio", "phi", "feasible"], rows)
-    boundary = [
-        (float(r), critical_phase(float(r))) for r in fm.ratios if r <= 1.0
-    ]
+    boundary = [(r, critical_phase(r)) for r in fm.ratios.tolist() if r <= 1.0]
     write_csv(out / "boundary.csv", ["ratio", "phi_critical"], boundary)
     summary = {
         "command": "feasibility",
@@ -338,15 +353,9 @@ def cmd_transfer_map(cfg: RunConfig) -> int:
     params = cfg.params
     tm = transfer_map(params, cfg.phi, cfg.grid)
     out = Path(cfg.out)
-    rows = [
-        (float(tm.t1_axis[i]), float(tm.t2_axis[j]), float(tm.values[i, j]))
-        for i in range(len(tm.t1_axis))
-        for j in range(len(tm.t2_axis))
-    ]
+    rows = _grid_rows(tm.t1_axis, tm.t2_axis, tm.values)
     write_csv(out / "transfer_map.csv", ["t1_over_pi", "t2_over_pi", "transfer"], rows)
-    import numpy as np
-
-    i, j = np.unravel_index(int(np.argmax(tm.values)), tm.values.shape)
+    i, j = divmod(int(tm.values.argmax()), len(tm.t2_axis))
     summary = {
         "command": "transfer-map",
         "params": _params_block(cfg),
@@ -406,7 +415,7 @@ def cmd_plan(cfg: RunConfig) -> int:
     )
     samples = propagate(params, plan.protocol, ModeState.mode1(), cfg.samples)
     boundaries = list(itertools.accumulate(plan.protocol.durations[:-1]))
-    write_text(out / "trajectory.svg", trajectory_svg(split_legs(samples, boundaries)))
+    write_text(out / "trajectory.svg", trajectory_svg(samples, boundaries))
     print(
         f"plan: {len(plan.protocol.segments)} segments, {plan.switches} switches, "
         f"achieved {plan.achieved:.9f} (estimate {search.estimate})"
@@ -426,32 +435,21 @@ def cmd_isolator(cfg: RunConfig) -> int:
     out = Path(cfg.out)
 
     sweep = contrast_sweep(stage, cfg.grid)
-    rows = []
-    contrast = sweep.contrast_db
-    for i in range(len(sweep.delta_thetas)):
-        for j in range(len(sweep.offsets)):
-            rows.append(
-                (
-                    float(sweep.delta_thetas[i]),
-                    float(sweep.offsets[j]),
-                    float(sweep.forward[i, j]),
-                    float(sweep.backward[i, j]),
-                    float(contrast[i, j]),
-                )
-            )
     write_csv(
         out / "sweep.csv",
         ["delta_theta", "rf_offset", "forward", "backward", "contrast_db"],
-        rows,
+        _grid_rows(
+            sweep.delta_thetas, sweep.offsets, sweep.forward, sweep.backward, sweep.contrast_db
+        ),
     )
     for direction in (FORWARD, BACKWARD):
         samples = cascade_trajectory(params, stage_protocol, spec, direction, cfg.samples)
-        t_mid = stage_protocol.total_duration
-        write_text(
-            out / f"trajectory_{direction}.svg",
-            trajectory_svg(split_legs(samples, [t_mid])),
-        )
+        svg = trajectory_svg(samples, [stage_protocol.total_duration])
+        write_text(out / f"trajectory_{direction}.svg", svg)
+    # optimal_phases() holds in the gauge with a real stage diagonal; this
+    # run's theta1 - theta2 carries the extra 2 arg D, so undo it here.
     opt_dt, opt_off = optimal_phases()
+    opt_dt = (opt_dt - 2.0 * cmath.phase(stage.d)) % (2.0 * math.pi)
     summary = {
         "command": "isolator",
         "params": _params_block(cfg),

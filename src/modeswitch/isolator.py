@@ -201,7 +201,8 @@ class ContrastSweep:
 
     @property
     def contrast_db(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
+        # Cells where both powers vanish are nan, as 0/0.
+        with np.errstate(divide="ignore", invalid="ignore"):
             return 10.0 * (np.log10(self.forward) - np.log10(self.backward))
 
 

@@ -45,22 +45,20 @@ def _panel_frame(panel: int, label: str) -> list[str]:
     return parts
 
 
-def trajectory_svg(legs: list[list[ModeState]], title: str = "") -> str:
-    """Render one or more trajectory legs.
+def trajectory_svg(
+    samples: list[tuple[float, ModeState]], boundaries: list[float]
+) -> str:
+    """Render (t, state) samples, split into legs at the boundary times.
 
-    Each leg is a list of states and gets its own color, so protocol
-    segments or cascade stages stay visually distinct.
+    Each leg gets its own color, so protocol segments or cascade stages
+    stay visually distinct.
     """
+    legs = _split_legs(samples, boundaries)
     body: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
         f'<rect width="{_W}" height="{_H}" fill="white"/>',
     ]
-    if title:
-        body.append(
-            f'<text x="{_W // 2}" y="22" text-anchor="middle" '
-            f'font-size="14" fill="#000">{title}</text>'
-        )
     body.extend(_panel_frame(0, "u-w projection"))
     body.extend(_panel_frame(1, "v-w projection"))
     for panel in (0, 1):
@@ -89,19 +87,18 @@ def trajectory_svg(legs: list[list[ModeState]], title: str = "") -> str:
     return "\n".join(body) + "\n"
 
 
-def split_legs(
+def _split_legs(
     samples: list[tuple[float, ModeState]], boundaries: list[float]
 ) -> list[list[ModeState]]:
-    """Split (t, state) samples into legs at the given boundary times."""
-    legs: list[list[ModeState]] = []
-    current: list[ModeState] = []
+    """Split (t, state) samples into legs at the given boundary times.
+
+    The sample at a boundary ends one leg and starts the next.
+    """
+    legs: list[list[ModeState]] = [[]]
     bounds = list(boundaries)
     for t, s in samples:
-        current.append(s)
+        legs[-1].append(s)
         if bounds and t >= bounds[0] - 1e-15:
-            legs.append(current)
-            current = [s]
+            legs.append([s])
             bounds.pop(0)
-    if current:
-        legs.append(current)
     return [leg for leg in legs if leg]

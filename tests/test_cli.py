@@ -1,10 +1,33 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from modeswitch import Protocol, protocol_propagator
-from modeswitch.cli import RunConfig, dumps17, fmt17, load_config, main
+import modeswitch
+from modeswitch import (
+    CouplerParams,
+    CouplingSegment,
+    Protocol,
+    contrast_sweep,
+    feasibility_map,
+    protocol_propagator,
+    pushpull_times,
+    transfer_map,
+)
+from modeswitch.cli import (
+    MAX_GRID,
+    MAX_SAMPLES,
+    RunConfig,
+    dumps17,
+    fmt17,
+    load_config,
+    main,
+)
 
 
 def run(args):
@@ -43,9 +66,9 @@ def test_dumps17_nonfinite_floats_become_strings():
 
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
-    for key in ("bogus", "restarts"):
+    for key in ("bogus", "restarts", "direction"):
         cfg.write_text(json.dumps({"delta": 0.5, key: 1}))
-        with pytest.raises(ValueError, match=key):
+        with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
             load_config(str(cfg), {})
 
 
@@ -64,8 +87,10 @@ def test_run_config_validation():
         RunConfig(threshold=0.0)
     with pytest.raises(ValueError):
         RunConfig(grid=1)
-    with pytest.raises(ValueError):
-        RunConfig(direction="in")
+    with pytest.raises(ValueError, match=str(MAX_GRID)):
+        RunConfig(grid=MAX_GRID + 1)
+    with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
+        RunConfig(samples=MAX_SAMPLES + 1)
     with pytest.raises(ValueError):
         RunConfig(target=1.5)
     with pytest.raises(ValueError):
@@ -83,6 +108,23 @@ def test_main_exit_2_on_bad_input(tmp_path):
     assert run(["simulate", "--grid", 1, "--out", tmp_path / "x"]) == 2
     missing = tmp_path / "nope.json"
     assert run(["simulate", "--config", missing]) == 2
+    # Values just above a cap fail in validation, before any output exists.
+    assert run(["transfer-map", "--grid", MAX_GRID + 1, "--out", tmp_path / "big"]) == 2
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"samples": MAX_SAMPLES + 1}))
+    assert run(["simulate", "--config", big, "--out", tmp_path / "big"]) == 2
+    assert not (tmp_path / "big").exists()
+
+
+def test_cli_import_skips_scipy_optimize():
+    # Start-up cost: only the verify battery's brute-force reference needs it.
+    src = str(Path(modeswitch.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, modeswitch.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_simulate_outputs(tmp_path):
@@ -191,8 +233,6 @@ def test_plan_roundtrip(tmp_path):
     protocol = Protocol.from_pairs(
         [(s["phase"], s["duration"]) for s in payload["segments"]]
     )
-    from modeswitch import CouplerParams
-
     again = protocol_propagator(CouplerParams(2.0, 1.0), protocol).transfer
     assert abs(again - payload["achieved"]) <= 1e-12
     curve = (out / "curve.csv").read_text().splitlines()
@@ -238,6 +278,57 @@ def test_isolator_summary_consistency(tmp_path):
     assert len(rows) == 1 + 16 * 16
     assert (out / "trajectory_forward.svg").exists()
     assert (out / "trajectory_backward.svg").exists()
+
+
+def test_isolator_optimum_is_in_the_run_gauge(tmp_path):
+    out = tmp_path / "iso"
+    assert run(["isolator", "--delta", 0.5, "--out", out]) == 0
+    optimum = json.loads((out / "summary.json").read_text())["optimal_delta_theta"]
+    assert optimum == pytest.approx(2.618, abs=1e-3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"theta1": optimum, "theta2": 0.0, "rf_offset": math.pi / 2}))
+    assert run(["isolator", "--delta", 0.5, "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["forward_power"] <= 1e-12
+    assert summary["backward_power"] >= 1.0 - 1e-12
+
+
+def _grid_lines(row_axis, col_axis, *tables):
+    """Expected CSV body of a 2-D map: row-major, 17-digit floats, 0/1 flags."""
+    def cell(x):
+        return str(int(x)) if isinstance(x, np.bool_) else fmt17(x)
+
+    return [
+        ",".join([fmt17(r), fmt17(c), *(cell(t[i, j]) for t in tables)])
+        for i, r in enumerate(row_axis)
+        for j, c in enumerate(col_axis)
+    ]
+
+
+def test_grid_csv_layout(tmp_path):
+    assert run(["feasibility", "--grid", 5, "--out", tmp_path / "feas"]) == 0
+    fm = feasibility_map(5)
+    body = (tmp_path / "feas" / "feasibility.csv").read_text().splitlines()[1:]
+    assert body == _grid_lines(fm.ratios, fm.phis, fm.feasible)
+    assert {line.rsplit(",", 1)[1] for line in body} == {"0", "1"}
+
+    assert run(["transfer-map", "--grid", 4, "--out", tmp_path / "map"]) == 0
+    tm = transfer_map(CouplerParams(0.5, 1.0), math.pi, 4)
+    body = (tmp_path / "map" / "transfer_map.csv").read_text().splitlines()[1:]
+    assert body == _grid_lines(tm.t1_axis, tm.t2_axis, tm.values)
+
+    # At zero detuning the stage diagonal is real, so the 4x4 sweep hits
+    # exact zeros of both powers: contrast cells of inf, -inf and nan.
+    out = tmp_path / "iso"
+    assert run(["isolator", "--delta", 0, "--grid", 4, "--out", out]) == 0
+    params = CouplerParams(0.0, 1.0)
+    segment = CouplingSegment(0.0, pushpull_times(params).t1)
+    sweep = contrast_sweep(protocol_propagator(params, Protocol((segment,))), 4)
+    body = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert body == _grid_lines(
+        sweep.delta_thetas, sweep.offsets, sweep.forward, sweep.backward, sweep.contrast_db
+    )
+    assert {"inf", "-inf", "nan"} <= {line.rsplit(",", 1)[1] for line in body}
 
 
 def test_isolator_zero_offset_is_reciprocal(tmp_path):
