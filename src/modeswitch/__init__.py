@@ -25,12 +25,10 @@ from .geometry import (
     CircleIntersection,
     RotationAxis,
     SphericalCircle,
-    angular_distance,
     bloch_precess,
     circle_intersection,
     circle_through,
     cone_floor,
-    pole_circle_radii,
     precession_duration,
     rotation_axis,
     tilt_angle,

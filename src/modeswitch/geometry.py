@@ -201,16 +201,6 @@ def circle_through(axis: RotationAxis, point: BlochVector) -> SphericalCircle:
     return SphericalCircle(axis.n, math.acos(g))
 
 
-def pole_circle_radii(params: CouplerParams) -> tuple[float, float]:
-    """Radii of the precession circles through the two poles.
-
-    For tilt psi these are pi/2 - psi (north pole, mode 1) and
-    pi/2 + psi (south pole, mode 2), independent of the coupling phase.
-    """
-    psi = tilt_angle(params)
-    return (math.pi / 2.0 - psi, math.pi / 2.0 + psi)
-
-
 def cone_floor(params: CouplerParams) -> float:
     """Lowest w reachable from the north pole without switching.
 
@@ -295,8 +285,3 @@ def circle_intersection(
         "pair",
         (BlochVector.from_array(p_plus), BlochVector.from_array(p_minus)),
     )
-
-
-def angular_distance(a: BlochVector, b: BlochVector) -> float:
-    g = float(np.clip(np.dot(a.as_array(), b.as_array()), -1.0, 1.0))
-    return math.acos(g)

@@ -140,23 +140,27 @@ def pushpull_times(params: CouplerParams) -> TwoStepSolution:
     return replace(sol, achieved=protocol_propagator(params, sol.protocol()).transfer)
 
 
-def _grid_transfer(params: CouplerParams, phi: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer |a2|^2 from mode 1 on an n x n grid of W t in [0, pi].
+def _grid_transfer(
+    params: CouplerParams, phi: float, wt1: np.ndarray, wt2: np.ndarray
+) -> np.ndarray:
+    """Transfer |a2|^2 from mode 1 with W t1 = wt1[i] and W t2 = wt2[j].
 
-    Returns (axis, values) where axis is the common W t grid.  The map
-    is pi-periodic in each duration, so [0, pi] covers everything.
+    Returns the table values[i, j].  The map is pi-periodic in each
+    duration, so axes in [0, pi] cover everything.
     """
     w = params.rabi
-    wt = np.linspace(0.0, math.pi, n)
-    c, s = np.cos(wt), np.sin(wt)
     dr = params.delta / w
     kr = params.kappa0 / w
-    d1 = c - 1j * dr * s
-    o1 = -1j * kr * s
-    d2 = d1
-    o2 = o1 * np.exp(1j * phi)
+
+    def entries(wt):
+        c, s = np.cos(wt), np.sin(wt)
+        return c - 1j * dr * s, -1j * kr * s
+
+    d1, o1 = entries(wt1)
+    d2, o2 = entries(wt2)
+    o2 = o2 * np.exp(1j * phi)
     oc = d2[None, :] * o1[:, None] + o2[None, :] * np.conj(d1)[:, None]
-    return wt, np.abs(oc) ** 2
+    return np.abs(oc) ** 2
 
 
 def _second_leg(params: CouplerParams, phi: float, t1: float) -> tuple[float, float, float]:
@@ -252,9 +256,9 @@ def transfer_map(params: CouplerParams, phi: float, n: int = 64) -> TransferMap:
     """
     if n < 2:
         raise ValueError("transfer map needs n >= 2")
-    wt, grid = _grid_transfer(params, phi, n)
+    wt = np.linspace(0.0, math.pi, n)
     axis = wt / math.pi
-    return TransferMap(axis, axis.copy(), grid)
+    return TransferMap(axis, axis.copy(), _grid_transfer(params, phi, wt, wt))
 
 
 @dataclass(frozen=True)

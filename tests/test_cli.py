@@ -117,10 +117,17 @@ def test_main_exit_2_on_bad_input(tmp_path):
 
 
 def test_cli_import_skips_scipy_optimize():
-    # Start-up cost: only the verify battery's brute-force reference needs it.
+    # Start-up cost: neither the CLI nor the battery's brute-force
+    # references (grid and zoom on the closed-form transfer) load it.
     src = str(Path(modeswitch.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, modeswitch.cli; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, numpy, modeswitch.cli\n"
+        "from modeswitch.verify import check_criterion_vs_brute, check_two_step_ceiling\n"
+        "assert check_two_step_ceiling(numpy.random.default_rng(1), 3).passed\n"
+        "assert check_criterion_vs_brute(4).passed\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
@@ -362,5 +369,5 @@ def test_verify_fault_injection_fails(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is False
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
-    assert failed
+    assert failed == ["propagator_vs_expm"]
     assert any(line.startswith("FAIL") for line in capsys.readouterr().out.splitlines())

@@ -12,12 +12,10 @@ from modeswitch import (
     ModeState,
     RotationAxis,
     SphericalCircle,
-    angular_distance,
     bloch_precess,
     circle_intersection,
     circle_through,
     cone_floor,
-    pole_circle_radii,
     precession_duration,
     rotation_axis,
     segment_propagator,
@@ -130,11 +128,9 @@ def test_precession_duration_roundtrip():
 def test_circle_through_and_pole_radii():
     params = CouplerParams(1.0, 1.0)
     psi = tilt_angle(params)
-    r_n, r_s = pole_circle_radii(params)
-    assert r_n == pytest.approx(math.pi / 2.0 - psi)
-    assert r_s == pytest.approx(math.pi / 2.0 + psi)
-    c = circle_through(rotation_axis(params, 0.3), NORTH)
-    assert c.radius == pytest.approx(r_n)
+    axis = rotation_axis(params, 0.3)
+    assert circle_through(axis, NORTH).radius == pytest.approx(math.pi / 2.0 - psi)
+    assert circle_through(axis, SOUTH).radius == pytest.approx(math.pi / 2.0 + psi)
 
 
 def test_cone_floor_matches_static_bound():
@@ -222,10 +218,3 @@ def test_intersection_points_on_both_circles():
         for p in inter.points:
             assert c1.contains(p.as_array(), 1e-9)
             assert c2.contains(p.as_array(), 1e-9)
-
-
-def test_angular_distance():
-    assert angular_distance(NORTH, SOUTH) == pytest.approx(math.pi)
-    assert angular_distance(NORTH, BlochVector(1.0, 0.0, 0.0)) == pytest.approx(
-        math.pi / 2.0
-    )

@@ -124,6 +124,29 @@ def test_step_halving_shrinks_error():
     assert 8.0 < coarse / fine < 24.0
 
 
+def test_rk4_convergence_check_rejects_a_third_order_step(monkeypatch):
+    from modeswitch import oracle
+    from modeswitch.verify import check_rk4_convergence
+
+    def kutta3_segment(h, a, duration, step):
+        # Kutta's third-order scheme: halving the step cuts the error ~8x.
+        n = max(1, math.ceil(duration / step))
+        dt = duration / n
+        m = -1j * h
+        for _ in range(n):
+            k1 = m @ a
+            k2 = m @ (a + 0.5 * dt * k1)
+            k3 = m @ (a - dt * k1 + 2.0 * dt * k2)
+            a = a + (dt / 6.0) * (k1 + 4.0 * k2 + k3)
+        return a
+
+    assert check_rk4_convergence(np.random.default_rng(20240817), 4).passed
+    monkeypatch.setattr(oracle, "_rk4_segment", kutta3_segment)
+    res = check_rk4_convergence(np.random.default_rng(20240817), 4)
+    assert not res.passed
+    assert res.residual > 2.0, res.detail
+
+
 def test_coarse_step_norm_drift_is_visible():
     params = CouplerParams(2.0, 1.0)
     w = params.rabi

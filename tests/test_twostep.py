@@ -102,16 +102,12 @@ def test_axis_separation_and_ceiling():
 
 
 def test_ceiling_matches_brute_force_at_negative_detuning():
-    from modeswitch.twostep import _grid_transfer
-    from modeswitch.verify import _refine_two_step
+    from modeswitch.verify import _brute_two_step_max
 
     phi = 1.0
     for delta in (0.6, -0.6):
         params = CouplerParams(delta, 1.0)
-        wt, grid = _grid_transfer(params, phi, 64)
-        i, j = np.unravel_index(int(np.argmax(grid)), grid.shape)
-        w = params.rabi
-        _, _, brute = _refine_two_step(params, phi, wt[i] / w, wt[j] / w)
+        brute = _brute_two_step_max(params, phi)
         assert brute == pytest.approx(0.98643, abs=1e-5)
         assert two_step_ceiling(params, phi) == pytest.approx(brute, abs=1e-7)
 

@@ -18,6 +18,7 @@ from modeswitch import (
     two_step_ceiling,
     two_step_feasible,
 )
+from modeswitch.verify import _brute_two_step_max
 
 
 @st.composite
@@ -43,6 +44,7 @@ def test_solver_reaches_the_ceiling(coupler, phi):
     params = CouplerParams(*coupler)
     sol = solve_two_step(params, phi)
     assert abs(sol.achieved - two_step_ceiling(params, phi)) <= 1e-12
+    assert abs(_brute_two_step_max(params, phi) - two_step_ceiling(params, phi)) <= 1e-12
     assert abs(protocol_propagator(params, sol.protocol()).transfer - sol.achieved) <= 1e-12
     if two_step_feasible(params, phi):
         assert sol.feasible
