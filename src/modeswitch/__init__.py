@@ -15,6 +15,7 @@ from .dynamics import (
     compose,
     propagate,
     protocol_propagator,
+    remap_phases,
     segment_propagator,
     static_max_transfer,
 )
@@ -38,20 +39,15 @@ from .isolator import (
     BACKWARD,
     FORWARD,
     ContrastSweep,
-    DirectionalResponse,
     IsolatorSpec,
-    canonical_stage,
     cascade,
     cascade_trajectory,
-    closed_form_cross_power,
+    closed_form_powers,
+    contrast_db,
     contrast_sweep,
     cross_power,
-    directional_response,
     effective_differential_phase,
-    offset_protocol,
     optimal_phases,
-    phase_jump,
-    phase_section,
     reciprocity_defect,
     stage_with_offset,
 )

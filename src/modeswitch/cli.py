@@ -19,7 +19,6 @@ identical outputs.
 from __future__ import annotations
 
 import argparse
-import cmath
 import itertools
 import json
 import math
@@ -42,9 +41,10 @@ from .isolator import (
     FORWARD,
     IsolatorSpec,
     cascade_trajectory,
-    closed_form_cross_power,
+    closed_form_powers,
+    contrast_db,
     contrast_sweep,
-    directional_response,
+    cross_power,
     effective_differential_phase,
     optimal_phases,
 )
@@ -265,6 +265,8 @@ def _protocol_block(protocol: Protocol) -> list:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.params
+    if cfg.protocol is not None and cfg.target is not None:
+        raise ValueError("simulate takes 'protocol' or 'target', not both")
     protocol = cfg.built_protocol()
     source = "config"
     if protocol is None:
@@ -351,6 +353,8 @@ def cmd_feasibility(cfg: RunConfig) -> int:
 
 def cmd_transfer_map(cfg: RunConfig) -> int:
     params = cfg.params
+    # Before any output: kappa = 0 has no ratio and fails here.
+    feasible = two_step_feasible(params, cfg.phi)
     tm = transfer_map(params, cfg.phi, cfg.grid)
     out = Path(cfg.out)
     rows = _grid_rows(tm.t1_axis, tm.t2_axis, tm.values)
@@ -364,7 +368,7 @@ def cmd_transfer_map(cfg: RunConfig) -> int:
         "peak": tm.peak,
         "peak_t1_over_pi": float(tm.t1_axis[i]),
         "peak_t2_over_pi": float(tm.t2_axis[j]),
-        "feasible": two_step_feasible(params, cfg.phi),
+        "feasible": feasible,
     }
     write_text(out / "summary.json", dumps17(summary))
     print(f"transfer-map: peak {tm.peak:.12g} on a {cfg.grid}x{cfg.grid} grid")
@@ -431,7 +435,8 @@ def cmd_isolator(cfg: RunConfig) -> int:
     stage_protocol = Protocol((CouplingSegment(0.0, sol.t1),))
     stage = protocol_propagator(params, stage_protocol)
     spec = IsolatorSpec(stage, cfg.theta1, cfg.theta2, cfg.rf_offset)
-    resp = directional_response(spec)
+    fwd, bwd = cross_power(spec, FORWARD), cross_power(spec, BACKWARD)
+    closed_fwd, closed_bwd = closed_form_powers(stage, spec.delta_theta, spec.rf_offset)
     out = Path(cfg.out)
 
     sweep = contrast_sweep(stage, cfg.grid)
@@ -446,10 +451,7 @@ def cmd_isolator(cfg: RunConfig) -> int:
         samples = cascade_trajectory(params, stage_protocol, spec, direction, cfg.samples)
         svg = trajectory_svg(samples, [stage_protocol.total_duration])
         write_text(out / f"trajectory_{direction}.svg", svg)
-    # optimal_phases() holds in the gauge with a real stage diagonal; this
-    # run's theta1 - theta2 carries the extra 2 arg D, so undo it here.
-    opt_dt, opt_off = optimal_phases()
-    opt_dt = (opt_dt - 2.0 * cmath.phase(stage.d)) % (2.0 * math.pi)
+    opt_dt, opt_off = optimal_phases(stage)
     summary = {
         "command": "isolator",
         "params": _params_block(cfg),
@@ -464,19 +466,16 @@ def cmd_isolator(cfg: RunConfig) -> int:
         "theta2": cfg.theta2,
         "rf_offset": cfg.rf_offset,
         "effective_delta_theta": effective_differential_phase(spec),
-        "forward_power": resp.forward_power,
-        "backward_power": resp.backward_power,
-        "contrast_db": resp.contrast_db,
-        "closed_form_forward": closed_form_cross_power(spec, FORWARD),
-        "closed_form_backward": closed_form_cross_power(spec, BACKWARD),
+        "forward_power": fwd,
+        "backward_power": bwd,
+        "contrast_db": contrast_db(fwd, bwd),
+        "closed_form_forward": float(closed_fwd),
+        "closed_form_backward": float(closed_bwd),
         "optimal_delta_theta": opt_dt,
         "optimal_rf_offset": opt_off,
     }
     write_text(out / "summary.json", dumps17(summary))
-    print(
-        f"isolator: forward {resp.forward_power:.12g}, backward "
-        f"{resp.backward_power:.12g}"
-    )
+    print(f"isolator: forward {fwd:.12g}, backward {bwd:.12g}")
     return 0
 
 

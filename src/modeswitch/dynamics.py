@@ -127,6 +127,18 @@ class Protocol:
         return tuple(s.duration for s in self.segments)
 
 
+def remap_phases(protocol: Protocol, sign: float = 1.0, shift: float = 0.0) -> Protocol:
+    """Same durations with every phase phi replaced by sign * phi - shift.
+
+    sign -1 mirrors a protocol for -delta onto one for +delta; shift
+    re-drives it with all phases offset, which multiplies the
+    off-diagonal element of its propagator by exp(-i shift).
+    """
+    return Protocol(
+        tuple(CouplingSegment(sign * s.phase - shift, s.duration) for s in protocol.segments)
+    )
+
+
 @dataclass(frozen=True)
 class ModeState:
     """Complex amplitude pair (a1, a2)."""

@@ -11,12 +11,14 @@ total phases and the cross transmission is direction dependent:
 
     |T_12|^2 = 2 |D|^2 |O|^2 (1 + cos(dtheta + 2 arg D +/- delta)),
 
-with + for forward.  The 2 arg D term vanishes in the gauge where the
-stage diagonal is real; canonical_stage provides that gauge.
+with + for forward (closed_form_powers).  The 2 arg D term is the
+stage's own gauge: it vanishes only for a real stage diagonal, and
+optimal_phases(stage) and effective_differential_phase already include
+it.
 
-For a balanced stage (|D|^2 = |O|^2 = 1/2) the choice dtheta = delta =
-pi/2 blocks the forward cross transmission completely while the backward
-one reaches 1.
+For a balanced stage (|D|^2 = |O|^2 = 1/2) the choice dtheta + 2 arg D =
+delta = pi/2 blocks the forward cross transmission completely while the
+backward one reaches 1.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ import numpy as np
 
 from .dynamics import (
     CouplerParams,
-    CouplingSegment,
     ModeState,
     Protocol,
     TransferMatrix,
     compose,
     propagate,
+    remap_phases,
 )
 
 FORWARD = "forward"
@@ -78,36 +80,27 @@ def stage_with_offset(stage: TransferMatrix, offset: float) -> TransferMatrix:
     return TransferMatrix(stage.d, stage.o * cmath.exp(-1j * offset))
 
 
-def canonical_stage(stage: TransferMatrix) -> TransferMatrix:
-    """Equivalent stage in the gauge with a real nonnegative diagonal.
-
-    Port phase references are free; reindexing them cannot change any
-    |T|^2.  In this gauge the closed-form cross power loses its
-    2 arg D term.
-    """
-    return TransferMatrix(abs(stage.d), stage.o)
-
-
-def phase_section(theta1: float, theta2: float) -> TransferMatrix:
-    """Static differential section, SU(2) part only.
-
-    diag(e^{i theta1}, e^{i theta2}) equals a global phase times
-    diag(e^{i dtheta/2}, e^{-i dtheta/2}); the global phase cannot affect
-    any transmission power and is dropped.
-    """
-    half = (theta1 - theta2) / 2.0
-    return TransferMatrix(cmath.exp(1j * half), 0.0)
+def _in_order(direction: str, stage, offset_stage):
+    """The two stages in the order the given direction meets them."""
+    if direction == FORWARD:
+        return stage, offset_stage
+    if direction == BACKWARD:
+        return offset_stage, stage
+    raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
 
 
 def cascade(spec: IsolatorSpec, direction: str) -> TransferMatrix:
-    """Total cascade propagator (global phase dropped) for one direction."""
-    section = phase_section(spec.theta1, spec.theta2)
-    second = stage_with_offset(spec.stage, spec.rf_offset)
-    if direction == FORWARD:
-        return compose(second, compose(section, spec.stage))
-    if direction == BACKWARD:
-        return compose(spec.stage, compose(section, second))
-    raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
+    """Total cascade propagator (global phase dropped) for one direction.
+
+    The section diag(e^{i theta1}, e^{i theta2}) enters as its SU(2)
+    part diag(e^{i dtheta/2}, e^{-i dtheta/2}); the global phase cannot
+    affect any transmission power.
+    """
+    section = TransferMatrix(cmath.exp(1j * (spec.delta_theta / 2.0)), 0.0)
+    first, second = _in_order(
+        direction, spec.stage, stage_with_offset(spec.stage, spec.rf_offset)
+    )
+    return compose(second, compose(section, first))
 
 
 def cross_power(spec: IsolatorSpec, direction: str) -> float:
@@ -115,22 +108,21 @@ def cross_power(spec: IsolatorSpec, direction: str) -> float:
     return abs(cascade(spec, direction).o) ** 2
 
 
-def closed_form_cross_power(spec: IsolatorSpec, direction: str) -> float:
-    """Cross transmission from the interference formula.
+def _gauge_angle(stage: TransferMatrix) -> float:
+    """2 arg D, the stage's contribution to the differential phase."""
+    return 2.0 * cmath.phase(stage.d)
 
-    2 |D|^2 |O|^2 (1 + cos(dtheta + 2 arg D + delta)) forward and with
-    -delta backward.  Agrees with cross_power to machine precision for
-    any unitary stage.
+
+def closed_form_powers(stage: TransferMatrix, dtheta, offset):
+    """(forward, backward) cross powers from the interference formula.
+
+    2 |D|^2 |O|^2 (1 + cos(dtheta + 2 arg D +/- offset)), elementwise, so
+    dtheta and offset may be numpy arrays that broadcast together.
+    Agrees with cross_power to machine precision for any unitary stage.
     """
-    d, o = spec.stage.d, spec.stage.o
-    arg_d = cmath.phase(d) if d != 0 else 0.0
-    if direction == FORWARD:
-        angle = spec.delta_theta + 2.0 * arg_d + spec.rf_offset
-    elif direction == BACKWARD:
-        angle = spec.delta_theta + 2.0 * arg_d - spec.rf_offset
-    else:
-        raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
-    return 2.0 * abs(d) ** 2 * abs(o) ** 2 * (1.0 + math.cos(angle))
+    amp = 2.0 * abs(stage.d) ** 2 * abs(stage.o) ** 2
+    base = dtheta + _gauge_angle(stage)
+    return amp * (1.0 + np.cos(base + offset)), amp * (1.0 + np.cos(base - offset))
 
 
 def reciprocity_defect(spec: IsolatorSpec) -> float:
@@ -141,24 +133,19 @@ def reciprocity_defect(spec: IsolatorSpec) -> float:
 def effective_differential_phase(spec: IsolatorSpec) -> float:
     """delta_theta + 2 arg D, the angle that actually enters the response.
 
-    Replacing the stage by canonical_stage(stage) and delta_theta by this
+    Replacing the stage by one with diagonal |D| and delta_theta by this
     value leaves both directional powers unchanged.
     """
-    d = spec.stage.d
-    arg_d = cmath.phase(d) if d != 0 else 0.0
-    return spec.delta_theta + 2.0 * arg_d
+    return spec.delta_theta + _gauge_angle(spec.stage)
 
 
-@dataclass(frozen=True)
-class DirectionalResponse:
-    forward: TransferMatrix
-    backward: TransferMatrix
-    forward_power: float
-    backward_power: float
-    contrast_db: float
+def contrast_db(fwd: float, bwd: float) -> float:
+    """10 log10(fwd / bwd), with 0 for equal powers and +/-inf for a zero.
 
-
-def _contrast_db(fwd: float, bwd: float) -> float:
+    ContrastSweep.contrast_db keeps its own array form, 10 (log10 fwd -
+    log10 bwd) with nan where both vanish: routing either through the
+    other would change the bytes of summary.json or of sweep.csv.
+    """
     if fwd == bwd:
         return 0.0
     if bwd == 0.0:
@@ -168,21 +155,14 @@ def _contrast_db(fwd: float, bwd: float) -> float:
     return 10.0 * math.log10(fwd / bwd)
 
 
-def directional_response(spec: IsolatorSpec) -> DirectionalResponse:
-    fwd_m = cascade(spec, FORWARD)
-    bwd_m = cascade(spec, BACKWARD)
-    fwd = abs(fwd_m.o) ** 2
-    bwd = abs(bwd_m.o) ** 2
-    return DirectionalResponse(fwd_m, bwd_m, fwd, bwd, _contrast_db(fwd, bwd))
+def optimal_phases(stage: TransferMatrix) -> tuple[float, float]:
+    """(delta_theta, rf_offset) giving complete isolation with this stage.
 
-
-def optimal_phases() -> tuple[float, float]:
-    """(delta_theta, rf_offset) giving complete isolation.
-
-    For a balanced stage with real diagonal, (pi/2, pi/2) makes the
-    forward cross power vanish while the backward one reaches 1.
+    For a balanced stage, delta_theta + 2 arg D = rf_offset = pi/2 makes
+    the forward cross power vanish while the backward one reaches 1;
+    delta_theta is returned reduced to [0, 2 pi).
     """
-    return (math.pi / 2.0, math.pi / 2.0)
+    return ((math.pi / 2.0 - _gauge_angle(stage)) % (2.0 * math.pi), math.pi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -213,26 +193,8 @@ def contrast_sweep(stage: TransferMatrix, n: int = 64) -> ContrastSweep:
         raise ValueError("stage matrix must be unitary")
     dthetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     offsets = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    d, o = stage.d, stage.o
-    arg_d = cmath.phase(d) if d != 0 else 0.0
-    amp = 2.0 * abs(d) ** 2 * abs(o) ** 2
-    base = dthetas[:, None] + 2.0 * arg_d
-    fwd = amp * (1.0 + np.cos(base + offsets[None, :]))
-    bwd = amp * (1.0 + np.cos(base - offsets[None, :]))
+    fwd, bwd = closed_form_powers(stage, dthetas[:, None], offsets[None, :])
     return ContrastSweep(dthetas, offsets, fwd, bwd)
-
-
-def phase_jump(state: ModeState, theta1: float, theta2: float) -> ModeState:
-    return ModeState(
-        state.a1 * cmath.exp(1j * theta1), state.a2 * cmath.exp(1j * theta2)
-    )
-
-
-def offset_protocol(protocol: Protocol, offset: float) -> Protocol:
-    """The stage protocol re-driven with all phases shifted by -offset."""
-    return Protocol(
-        tuple(CouplingSegment(s.phase - offset, s.duration) for s in protocol.segments)
-    )
 
 
 def cascade_trajectory(
@@ -246,18 +208,17 @@ def cascade_trajectory(
 
     The static section acts instantaneously at the stage boundary; both
     stages contribute sample_count samples each.  The offset stage is
-    realized as the stage protocol with all drive phases shifted, which
-    reproduces stage_with_offset exactly.
+    realized as the stage protocol with all drive phases shifted by
+    -rf_offset, which reproduces stage_with_offset exactly.
     """
-    if direction == FORWARD:
-        first, second = stage_protocol, offset_protocol(stage_protocol, spec.rf_offset)
-    elif direction == BACKWARD:
-        first, second = offset_protocol(stage_protocol, spec.rf_offset), stage_protocol
-    else:
-        raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
+    first, second = _in_order(
+        direction, stage_protocol, remap_phases(stage_protocol, shift=spec.rf_offset)
+    )
     leg1 = propagate(params, first, ModeState.mode1(), sample_count)
-    t_mid = leg1[-1][0]
-    mid = phase_jump(leg1[-1][1], spec.theta1, spec.theta2)
+    t_mid, end = leg1[-1]
+    mid = ModeState(
+        end.a1 * cmath.exp(1j * spec.theta1), end.a2 * cmath.exp(1j * spec.theta2)
+    )
     leg2 = propagate(params, second, mid, sample_count)
     out = list(leg1)
     out.extend((t_mid + t, s) for t, s in leg2[1:])

@@ -96,6 +96,19 @@ def _rk4_segment(h: np.ndarray, a: np.ndarray, duration: float, step: float) -> 
     return a
 
 
+def _rk4_protocol(
+    params: CouplerParams,
+    protocol: Protocol,
+    a: np.ndarray,
+    config: IntegrationConfig | None,
+) -> np.ndarray:
+    """Step a, one state vector or a 2x2 matrix of columns, through the protocol."""
+    step = (config or IntegrationConfig()).resolved_step(params)
+    for seg in protocol.segments:
+        a = _rk4_segment(generator(params, seg.phase), a, seg.duration, step)
+    return a
+
+
 def integrate(
     params: CouplerParams,
     protocol: Protocol,
@@ -107,12 +120,8 @@ def integrate(
     No renormalization is applied along the way; norm drift is part of
     the error signal this oracle exists to expose.
     """
-    cfg = config or IntegrationConfig()
-    step = cfg.resolved_step(params)
     a = np.array([initial.a1, initial.a2], dtype=complex)
-    for seg in protocol.segments:
-        h = generator(params, seg.phase)
-        a = _rk4_segment(h, a, seg.duration, step)
+    a = _rk4_protocol(params, protocol, a, config)
     return ModeState(complex(a[0]), complex(a[1]))
 
 
@@ -121,12 +130,8 @@ def integrate_matrix(
     protocol: Protocol,
     config: IntegrationConfig | None = None,
 ) -> np.ndarray:
-    """Full 2x2 propagator by integrating both basis states."""
-    cols = []
-    for basis in (ModeState.mode1(), ModeState.mode2()):
-        out = integrate(params, protocol, basis, config)
-        cols.append([out.a1, out.a2])
-    return np.array(cols, dtype=complex).T
+    """Full 2x2 propagator: both basis states stepped together as one matrix."""
+    return _rk4_protocol(params, protocol, np.eye(2, dtype=complex), config)
 
 
 def expm_propagator(params: CouplerParams, segment: CouplingSegment) -> np.ndarray:

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 from .dynamics import (
     CouplerParams,
-    CouplingSegment,
     ModeState,
     Protocol,
     compose,
+    remap_phases,
     segment_propagator,
 )
 from .geometry import (
@@ -134,13 +134,6 @@ def recursive_intersection_ok(circles, tol: float = 1e-8) -> bool:
     return True
 
 
-def _mirror_protocol(protocol: Protocol) -> Protocol:
-    """Negate all phases; maps plans for -delta onto plans for +delta."""
-    return Protocol(
-        tuple(CouplingSegment(-s.phase, s.duration) for s in protocol.segments)
-    )
-
-
 def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
     """Half-turn descent plan, the constructive optimum per segment count.
 
@@ -164,7 +157,7 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
         raise ValueError("planning requires kappa0 > 0")
     if params.delta < 0.0:
         core = dive_plan(CouplerParams(-params.delta, params.kappa0), max_segments)
-        return plan_from_protocol(params, _mirror_protocol(core.protocol))
+        return plan_from_protocol(params, remap_phases(core.protocol, sign=-1.0))
 
     half_turn = math.pi / (2.0 * params.rabi)
     psi = tilt_angle(params)

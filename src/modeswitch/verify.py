@@ -27,6 +27,7 @@ from .dynamics import (
     compose,
     propagate,
     protocol_propagator,
+    remap_phases,
     segment_propagator,
     static_max_transfer,
 )
@@ -44,9 +45,8 @@ from .isolator import (
     FORWARD,
     IsolatorSpec,
     cascade_trajectory,
-    closed_form_cross_power,
+    closed_form_powers,
     cross_power,
-    offset_protocol,
     reciprocity_defect,
     stage_with_offset,
 )
@@ -394,14 +394,9 @@ def check_isolator_identity(rng, n: int) -> CheckResult:
             rng.uniform(0.0, 2.0 * math.pi),
             rng.uniform(0.0, 2.0 * math.pi),
         )
-        for direction in (FORWARD, BACKWARD):
-            worst = max(
-                worst,
-                abs(
-                    cross_power(spec, direction)
-                    - closed_form_cross_power(spec, direction)
-                ),
-            )
+        closed = closed_form_powers(stage, spec.delta_theta, spec.rf_offset)
+        for direction, power in zip((FORWARD, BACKWARD), closed):
+            worst = max(worst, abs(cross_power(spec, direction) - power))
     # Reciprocity zeros: offset 0, and effective differential phase 0.
     stage = TransferMatrix(math.sqrt(0.5), 1j * math.sqrt(0.5))
     worst = max(worst, reciprocity_defect(IsolatorSpec(stage, 1.3, 0.4, 0.0)))
@@ -417,7 +412,7 @@ def check_isolator_offset_realization(rng, n: int) -> CheckResult:
         protocol = _random_protocol(rng, params, max_segments=4)
         offset = rng.uniform(0.0, 2.0 * math.pi)
         direct = stage_with_offset(protocol_propagator(params, protocol), offset)
-        shifted = protocol_propagator(params, offset_protocol(protocol, offset))
+        shifted = protocol_propagator(params, remap_phases(protocol, shift=offset))
         worst = max(worst, _matrix_mismatch(direct.as_array(), shifted.as_array()))
     return _result("isolator_offset_realization", worst, 1e-12, f"{n} random stages")
 

@@ -146,7 +146,7 @@ def test_feasibility_classification(capsys):
 def test_isolator_extremes(capsys):
     t0 = time.perf_counter()
     stage = TransferMatrix(RHALF, -1j * RHALF)  # balanced, real diagonal
-    dtheta, offset = optimal_phases()
+    dtheta, offset = optimal_phases(stage)
     spec = IsolatorSpec(stage, dtheta, 0.0, offset)
     fwd = cross_power(spec, FORWARD)
     bwd = cross_power(spec, BACKWARD)

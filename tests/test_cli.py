@@ -28,6 +28,8 @@ from modeswitch.cli import (
     load_config,
     main,
 )
+from modeswitch import verify
+from modeswitch.verify import CheckResult, check_expm_agreement
 
 
 def run(args):
@@ -363,11 +365,50 @@ def test_verify_fast(tmp_path, capsys):
     assert lines[-1].startswith("verify:")
 
 
-def test_verify_fault_injection_fails(tmp_path, capsys):
+def test_verify_fault_injection_fails():
+    # The injected fault conjugates the expm reference; on the same draws
+    # the check fails with it and passes without it.
+    failed = check_expm_agreement(np.random.default_rng(7), 40, inject_fault=True)
+    passed = check_expm_agreement(np.random.default_rng(7), 40, inject_fault=False)
+    assert not failed.passed and "[fault injected]" in failed.detail
+    assert passed.passed
+
+
+def test_verify_exits_1_and_reports_a_failing_check(tmp_path, capsys, monkeypatch):
+    failing = CheckResult("propagator_vs_expm", False, 0.5, 1e-10, "stub")
+    monkeypatch.setattr(verify, "run_battery", lambda **kwargs: [failing])
     out = tmp_path / "ver"
-    assert run(["verify", "--fast", "--inject-fault", "--out", out]) == 1
+    assert run(["verify", "--fast", "--out", out]) == 1
     report = json.loads((out / "report.json").read_text())
-    assert report["passed"] is False
-    failed = [c["name"] for c in report["checks"] if not c["passed"]]
-    assert failed == ["propagator_vs_expm"]
-    assert any(line.startswith("FAIL") for line in capsys.readouterr().out.splitlines())
+    assert report == {
+        "passed": False,
+        "checks": [
+            {
+                "name": "propagator_vs_expm",
+                "passed": False,
+                "residual": 0.5,
+                "tolerance": 1e-10,
+                "detail": "stub",
+            }
+        ],
+    }
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("FAIL propagator_vs_expm")
+    assert lines[-1] == "verify: 0/1 checks passed"
+
+
+def test_simulate_rejects_protocol_with_target(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": [[0.0, 1.2]], "target": 0.5}))
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "'protocol'" in err and "'target'" in err
+    assert not out.exists()
+
+
+def test_transfer_map_without_coupling_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "map"
+    assert run(["transfer-map", "--kappa", 0, "--delta", 1, "--out", out]) == 2
+    assert "ratio undefined" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from modeswitch import (
@@ -14,6 +16,7 @@ from modeswitch import (
     compose,
     propagate,
     protocol_propagator,
+    remap_phases,
     segment_propagator,
     static_max_transfer,
 )
@@ -156,3 +159,22 @@ def test_transfer_from_mode1():
     m = segment_propagator(params, seg)
     assert m.transfer == pytest.approx(1.0)
     assert m.apply(ModeState.mode1()).transfer == pytest.approx(1.0)
+
+
+segments = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.0, 5.0))
+
+
+@given(st.floats(-3.0, 3.0), st.floats(0.1, 3.0), st.lists(segments, min_size=1, max_size=5))
+def test_mirror_conjugates_propagator(delta, kappa, pairs):
+    """delta -> -delta with phi -> -phi maps [[D, O], ..] to [[conj D, -conj O], ..]."""
+    params, mirrored = CouplerParams(delta, kappa), CouplerParams(-delta, kappa)
+    protocol = Protocol.from_pairs(pairs)
+    for seg in protocol.segments:
+        m = segment_propagator(params, seg)
+        mm = segment_propagator(mirrored, CouplingSegment(-seg.phase, seg.duration))
+        assert mm.d == m.d.conjugate()
+        assert abs(mm.o + m.o.conjugate()) <= 1e-12
+    m = protocol_propagator(params, protocol)
+    mm = protocol_propagator(mirrored, remap_phases(protocol, sign=-1.0))
+    assert abs(mm.d - m.d.conjugate()) <= 1e-12
+    assert abs(mm.o + m.o.conjugate()) <= 1e-12

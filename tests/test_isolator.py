@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modeswitch import (
     BACKWARD,
@@ -10,23 +12,20 @@ from modeswitch import (
     CouplerParams,
     CouplingSegment,
     IsolatorSpec,
-    ModeState,
     Protocol,
     TransferMatrix,
-    canonical_stage,
     cascade,
     cascade_trajectory,
-    closed_form_cross_power,
+    closed_form_powers,
+    contrast_db,
     contrast_sweep,
     cross_power,
-    directional_response,
     effective_differential_phase,
-    offset_protocol,
     optimal_phases,
-    phase_jump,
     protocol_propagator,
     pushpull_times,
     reciprocity_defect,
+    remap_phases,
     segment_propagator,
     stage_with_offset,
 )
@@ -78,16 +77,25 @@ def test_cascade_matches_full_matrix_product():
         )
 
 
-def test_closed_form_matches_matrix_product():
-    rng = np.random.default_rng(12)
-    for _ in range(200):
-        stage = random_stage(rng)
-        t1, t2, off = rng.uniform(-6.0, 6.0, size=3)
-        spec = IsolatorSpec(stage, t1, t2, off)
-        for direction in (FORWARD, BACKWARD):
-            assert closed_form_cross_power(spec, direction) == pytest.approx(
-                cross_power(spec, direction), abs=1e-12
-            )
+@st.composite
+def unitary_stages(draw):
+    """Any SU(2) stage: |D| = cos(alpha), |O| = sin(alpha), free phases."""
+    alpha = draw(st.floats(0.0, math.pi / 2.0))
+    arg_d, arg_o = draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi))
+    return TransferMatrix(
+        math.cos(alpha) * cmath.exp(1j * arg_d), math.sin(alpha) * cmath.exp(1j * arg_o)
+    )
+
+
+angles = st.floats(-6.0, 6.0)
+
+
+@given(unitary_stages(), angles, angles, angles)
+def test_closed_form_matches_matrix_product(stage, t1, t2, off):
+    spec = IsolatorSpec(stage, t1, t2, off)
+    fwd, bwd = closed_form_powers(stage, spec.delta_theta, off)
+    assert abs(fwd - cross_power(spec, FORWARD)) <= 1e-12
+    assert abs(bwd - cross_power(spec, BACKWARD)) <= 1e-12
 
 
 def test_canonical_gauge_preserves_response():
@@ -96,34 +104,31 @@ def test_canonical_gauge_preserves_response():
         stage = random_stage(rng)
         off = rng.uniform(0.0, 2.0 * math.pi)
         spec = IsolatorSpec(stage, rng.uniform(0, 6), rng.uniform(0, 6), off)
-        gauge = IsolatorSpec(
-            canonical_stage(stage), effective_differential_phase(spec), 0.0, off
-        )
+        # The gauge with a real nonnegative stage diagonal.
+        real_diagonal = TransferMatrix(abs(stage.d), stage.o)
+        gauge = IsolatorSpec(real_diagonal, effective_differential_phase(spec), 0.0, off)
         for direction in (FORWARD, BACKWARD):
             assert cross_power(gauge, direction) == pytest.approx(
                 cross_power(spec, direction), abs=1e-12
             )
 
 
-def test_canonical_stage_properties():
-    stage = random_stage(np.random.default_rng(14))
-    canon = canonical_stage(stage)
-    assert canon.d.imag == 0.0
-    assert canon.d.real >= 0.0
-    assert abs(canon.d) == pytest.approx(abs(stage.d))
-    assert canon.o == stage.o
-    assert canon.unitarity_defect < 1e-12
-
-
 def test_optimal_phases_extremes():
-    dtheta, off = optimal_phases()
+    dtheta, off = optimal_phases(balanced_stage())
+    assert (dtheta, off) == (math.pi / 2.0, math.pi / 2.0)
     spec = IsolatorSpec(balanced_stage(), dtheta, 0.0, off)
-    assert cross_power(spec, FORWARD) == pytest.approx(0.0, abs=1e-15)
-    assert cross_power(spec, BACKWARD) == pytest.approx(1.0, abs=1e-15)
-    resp = directional_response(spec)
-    assert resp.forward_power == pytest.approx(0.0, abs=1e-15)
-    assert resp.backward_power == pytest.approx(1.0, abs=1e-15)
-    assert resp.contrast_db < -250.0
+    fwd, bwd = cross_power(spec, FORWARD), cross_power(spec, BACKWARD)
+    assert fwd == pytest.approx(0.0, abs=1e-15)
+    assert bwd == pytest.approx(1.0, abs=1e-15)
+    assert contrast_db(fwd, bwd) < -250.0
+    # Any balanced stage: the optimum is in the stage's own gauge.
+    for arg_d in (-2.5, 0.4, 3.0):
+        stage = TransferMatrix(RHALF * cmath.exp(1j * arg_d), 1j * RHALF)
+        dtheta, off = optimal_phases(stage)
+        assert 0.0 <= dtheta < 2.0 * math.pi
+        spec = IsolatorSpec(stage, dtheta, 0.0, off)
+        assert cross_power(spec, FORWARD) == pytest.approx(0.0, abs=1e-15)
+        assert cross_power(spec, BACKWARD) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_reciprocal_configurations():
@@ -132,12 +137,19 @@ def test_reciprocal_configurations():
     # No drive offset: both directions see the same product.
     spec0 = IsolatorSpec(stage, rng.uniform(0, 6), rng.uniform(0, 6), 0.0)
     assert reciprocity_defect(spec0) == 0.0
-    resp = directional_response(spec0)
-    assert resp.contrast_db == 0.0
+    assert contrast_db(cross_power(spec0, FORWARD), cross_power(spec0, BACKWARD)) == 0.0
     # Effective differential phase zero: offset alone cannot distinguish.
     arg_d = cmath.phase(stage.d)
     spec1 = IsolatorSpec(stage, -2.0 * arg_d, 0.0, rng.uniform(0, 6))
     assert reciprocity_defect(spec1) <= 1e-12
+
+
+def test_contrast_db_conventions():
+    assert contrast_db(0.5, 0.5) == 0.0
+    assert contrast_db(0.0, 0.0) == 0.0
+    assert contrast_db(0.3, 0.0) == math.inf
+    assert contrast_db(0.0, 0.3) == -math.inf
+    assert contrast_db(1.0, 0.1) == pytest.approx(10.0)
 
 
 def test_reciprocity_defect_formula():
@@ -195,27 +207,22 @@ def test_contrast_sweep_rejects_bad_input():
         contrast_sweep(TransferMatrix(1.0, 1.0), n=8)
 
 
-def test_offset_protocol_realizes_offset_stage():
-    rng = np.random.default_rng(18)
-    for _ in range(20):
-        params = CouplerParams(rng.uniform(-2, 2), rng.uniform(0.2, 2.0))
-        segs = tuple(
-            CouplingSegment(rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 2.0))
-            for _ in range(rng.integers(1, 5))
-        )
-        protocol = Protocol(segs)
-        off = rng.uniform(0.0, 2.0 * math.pi)
-        direct = stage_with_offset(protocol_propagator(params, protocol), off)
-        shifted = protocol_propagator(params, offset_protocol(protocol, off))
-        assert shifted.d == pytest.approx(direct.d, abs=1e-12)
-        assert shifted.o == pytest.approx(direct.o, abs=1e-12)
+@st.composite
+def stage_protocols(draw):
+    """(params, protocol): one to four segments, either sign of delta."""
+    params = CouplerParams(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.2, 2.0)))
+    segment = st.tuples(st.floats(0.0, 2.0 * math.pi), st.floats(0.1, 2.0))
+    pairs = draw(st.lists(segment, min_size=1, max_size=4))
+    return params, Protocol.from_pairs(pairs)
 
 
-def test_phase_jump():
-    s = ModeState(0.6, 0.8j)
-    out = phase_jump(s, math.pi / 2.0, -math.pi / 2.0)
-    assert out.a1 == pytest.approx(0.6j)
-    assert out.a2 == pytest.approx(0.8)
+@given(stage_protocols(), st.floats(0.0, 2.0 * math.pi))
+def test_offset_protocol_realizes_offset_stage(stage_protocol, off):
+    params, protocol = stage_protocol
+    direct = stage_with_offset(protocol_propagator(params, protocol), off)
+    shifted = protocol_propagator(params, remap_phases(protocol, shift=off))
+    assert abs(shifted.d - direct.d) <= 1e-12
+    assert abs(shifted.o - direct.o) <= 1e-12
 
 
 def test_cascade_trajectory_endpoints():
@@ -252,5 +259,6 @@ def test_cascade_rejects_unknown_direction():
     spec = IsolatorSpec(balanced_stage(), 0.1, 0.0, 0.2)
     with pytest.raises(ValueError):
         cascade(spec, "sideways")
+    protocol = Protocol((CouplingSegment(0.0, 1.0),))
     with pytest.raises(ValueError):
-        closed_form_cross_power(spec, "up")
+        cascade_trajectory(CouplerParams(0.5, 1.0), protocol, spec, "up")
