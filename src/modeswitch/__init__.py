@@ -30,7 +30,8 @@ from .geometry import (
     circle_intersection,
     circle_through,
     cone_floor,
-    precession_duration,
+    leg_time,
+    precession_leg,
     rotation_axis,
     tilt_angle,
     to_bloch,

@@ -17,7 +17,9 @@ above and is verified against it to 1e-10 in the test suite.
 Trajectories under one segment are therefore circles on the sphere.  The
 planner reasons about which circles pass through which points, which is
 classical spherical geometry; this module supplies those primitives with
-explicit tolerance handling.
+explicit tolerance handling.  Along any fixed direction the height of a
+precessing point is one sinusoid in time (precession_leg), so the time
+at which a leg reaches a given height is one acos (leg_time).
 """
 
 from __future__ import annotations
@@ -31,6 +33,9 @@ from .dynamics import CouplerParams, ModeState
 
 # Angular comparisons share one absolute tolerance (rad).
 ANGLE_TOL = 1e-9
+# Slack on |n| = 1 for axes and circle centers: absorbs the rounding of
+# components computed from trigonometric functions or divisions.
+UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -86,7 +91,7 @@ class RotationAxis:
         if len(n) != 3:
             raise ValueError("axis must have three components")
         nn = math.sqrt(sum(x * x for x in n))
-        if abs(nn - 1.0) > 1e-9:
+        if abs(nn - 1.0) > UNIT_TOL:
             raise ValueError("axis must be a unit vector")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "omega", float(self.omega))
@@ -138,30 +143,33 @@ def bloch_precess(axis: RotationAxis, start: BlochVector, t: float) -> BlochVect
     return BlochVector.from_array(_rotate(n, p, -2.0 * axis.omega * t))
 
 
-def precession_duration(axis: RotationAxis, start: BlochVector, end: BlochVector) -> float:
-    """First time at which precession carries start onto end.
+def precession_leg(axis: RotationAxis, start: BlochVector, along) -> tuple[float, float, float]:
+    """(c, r, chi) with along . p(s) = c + r cos(2 W s + chi).
 
-    Both points must lie on a common circle about the axis (same axial
-    distance within ANGLE_TOL).  Points on the axis itself need no time;
-    0.0 is returned.  Raises ValueError if end is off the start's circle.
+    p(s) is start precessed for time s about axis, and along is any
+    3-vector: (0, 0, 1) follows the Bloch w, another axis the height
+    along that axis.  r is 0 when along is parallel to axis or start
+    sits on it.
     """
     n = axis.as_array()
-    a = start.as_array()
-    b = end.as_array()
-    ca = float(np.dot(n, a))
-    cb = float(np.dot(n, b))
-    if abs(math.acos(max(-1.0, min(1.0, ca))) - math.acos(max(-1.0, min(1.0, cb)))) > 1e-6:
-        raise ValueError("points do not share a precession circle")
-    a_perp = a - ca * n
-    b_perp = b - cb * n
-    ra = float(np.linalg.norm(a_perp))
-    rb = float(np.linalg.norm(b_perp))
-    if ra < 1e-12 or rb < 1e-12:
-        return 0.0
-    # Signed angle from a_perp to b_perp, right-handed about n.
-    ang = math.atan2(float(np.dot(n, np.cross(a_perp, b_perp))), float(np.dot(a_perp, b_perp)))
-    # Precession sweeps angle -2 w t, so invert the sign and wrap forward.
-    turn = (-ang) % (2.0 * math.pi)
+    p = start.as_array()
+    a = np.asarray(along, dtype=float)
+    height = float(np.dot(n, p))
+    perp = p - height * n
+    # Precession turns perp by -2 W s, so r cos(chi) = a . perp and
+    # r sin(chi) = a . (n x perp).
+    r_cos = float(np.dot(a, perp))
+    r_sin = float(np.dot(a, np.cross(n, perp)))
+    return height * float(np.dot(a, n)), math.hypot(r_cos, r_sin), math.atan2(r_sin, r_cos)
+
+
+def leg_time(axis: RotationAxis, chi: float, angle: float) -> float:
+    """Earliest s >= 0 at which 2 W s + chi reaches angle (mod 2 pi).
+
+    A turn that falls short of a full circle by at most ANGLE_TOL is
+    rounding of a leg that starts there, and takes no time.
+    """
+    turn = (angle - chi) % (2.0 * math.pi)
     if turn >= 2.0 * math.pi - ANGLE_TOL:
         turn = 0.0
     return turn / (2.0 * axis.omega)
@@ -179,7 +187,7 @@ class SphericalCircle:
         if len(c) != 3:
             raise ValueError("center must have three components")
         nn = math.sqrt(sum(x * x for x in c))
-        if abs(nn - 1.0) > 1e-9:
+        if abs(nn - 1.0) > UNIT_TOL:
             raise ValueError("circle center must be a unit vector")
         r = float(self.radius)
         if not 0.0 <= r <= math.pi:

@@ -139,20 +139,16 @@ def effective_differential_phase(spec: IsolatorSpec) -> float:
     return spec.delta_theta + _gauge_angle(spec.stage)
 
 
-def contrast_db(fwd: float, bwd: float) -> float:
-    """10 log10(fwd / bwd), with 0 for equal powers and +/-inf for a zero.
+def contrast_db(fwd, bwd):
+    """10 log10(fwd / bwd) elementwise: 0 for equal powers, +/-inf for one zero.
 
-    ContrastSweep.contrast_db keeps its own array form, 10 (log10 fwd -
-    log10 bwd) with nan where both vanish: routing either through the
-    other would change the bytes of summary.json or of sweep.csv.
+    Scalars give a float, arrays an array of the broadcast shape.
     """
-    if fwd == bwd:
-        return 0.0
-    if bwd == 0.0:
-        return math.inf
-    if fwd == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(fwd / bwd)
+    fwd = np.asarray(fwd, dtype=float)
+    bwd = np.asarray(bwd, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        db = 10.0 * (np.log10(fwd) - np.log10(bwd))
+    return np.where(fwd == bwd, 0.0, db)[()]
 
 
 def optimal_phases(stage: TransferMatrix) -> tuple[float, float]:
@@ -181,9 +177,7 @@ class ContrastSweep:
 
     @property
     def contrast_db(self) -> np.ndarray:
-        # Cells where both powers vanish are nan, as 0/0.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return 10.0 * (np.log10(self.forward) - np.log10(self.backward))
+        return contrast_db(self.forward, self.backward)
 
 
 def contrast_sweep(stage: TransferMatrix, n: int = 64) -> ContrastSweep:

@@ -16,7 +16,10 @@ south pole exactly, finishing the transfer.
 The planner offers that construction directly (dive_plan) and the
 minimal plan it implies (minimal_plan_search): the first segment count
 whose bound reaches the threshold, built by dive_plan.  No numerical
-search is involved.
+search is involved.  The landing time comes from the landing leg's
+height c + r cos(2 W s + chi), as the two-segment switch is one acos
+on its first leg's: it is the turn to angle pi, the lowest w of the
+landing circle, which is the south pole.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ from .dynamics import (
 )
 from .geometry import (
     NORTH,
-    SOUTH,
     BlochVector,
     SphericalCircle,
     circle_intersection,
     circle_through,
-    precession_duration,
+    leg_time,
+    precession_leg,
     rotation_axis,
     tilt_angle,
     to_bloch,
@@ -49,6 +52,15 @@ from .geometry import (
 # reaches |a2|^2 = 1 only up to rounding, so threshold 1.0 taken exactly
 # would be unreachable in floating point.
 THRESHOLD_SLACK = 1e-12
+# Keeps an exact integer quotient in min_switches_estimate (ratio 1 gives
+# exactly 1) from rounding up through the last digit of pi / atan.
+ESTIMATE_SLACK = 1e-9
+# Slack on the dive's segment arithmetic: k (pi - 2 psi) reaching pi, or
+# 2 psi / (pi - 2 psi) sitting on an integer, up to rounding.
+LANDING_SLACK = 1e-12
+# Angular tolerance for consecutive plan circles to count as meeting:
+# switch points come out of products of propagators, not exact geometry.
+INTERSECTION_TOL = 1e-8
 
 
 def min_switches_estimate(ratio: float) -> int:
@@ -56,14 +68,13 @@ def min_switches_estimate(ratio: float) -> int:
 
     Returns ceil(pi / (4 arctan(1 / ratio))).  This counts full
     modulation periods rather than raw segment boundaries; minimal
-    plans need roughly twice as many segments, one per half period.  A
-    tiny slack keeps exact integer arguments (ratio 1 gives exactly 1)
-    from rounding up through float noise.
+    plans need roughly twice as many segments, one per half period.
+    ESTIMATE_SLACK keeps exact integer values from rounding up.
     """
     if ratio <= 0.0 or not math.isfinite(ratio):
         raise ValueError("ratio must be positive and finite")
     value = math.pi / (4.0 * math.atan(1.0 / ratio))
-    return math.ceil(value - 1e-9)
+    return math.ceil(value - ESTIMATE_SLACK)
 
 
 def descent_bound(params: CouplerParams, k: int) -> float:
@@ -126,7 +137,7 @@ def staircase_circles(params: CouplerParams, plan: StaircasePlan) -> tuple[Spher
     return tuple(circles)
 
 
-def recursive_intersection_ok(circles, tol: float = 1e-8) -> bool:
+def recursive_intersection_ok(circles, tol: float = INTERSECTION_TOL) -> bool:
     """Check that each consecutive circle pair actually meets."""
     for a, b in zip(circles, circles[1:]):
         if circle_intersection(a, b, tol).count < 1:
@@ -149,7 +160,8 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
     exactly j (pi - 2 psi), on the +u side for odd j.  From polar angle
     theta and azimuth alpha the circle about axis(phi) passes through the
     south pole iff cos(phi - alpha) = -tan(psi) / tan(theta / 2), which
-    has a solution once theta >= 2 psi.
+    has a solution once theta >= 2 psi; of the two such phases the one
+    with the shorter turn down to the south pole lands.
     """
     if max_segments < 1:
         raise ValueError("max_segments must be >= 1")
@@ -162,8 +174,8 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
     half_turn = math.pi / (2.0 * params.rabi)
     psi = tilt_angle(params)
     step = math.pi - 2.0 * psi
-    lands = max_segments * step >= math.pi - 1e-12
-    dives = max(0, math.ceil(2.0 * psi / step - 1e-12)) if lands else max_segments
+    lands = max_segments * step >= math.pi - LANDING_SLACK
+    dives = max(0, math.ceil(2.0 * psi / step - LANDING_SLACK)) if lands else max_segments
     pairs = [(math.pi * (j % 2), half_turn) for j in range(dives)]
     if lands and dives == 0:
         # delta ~ 0: one half turn carries the north pole to the south pole.
@@ -175,10 +187,12 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
         # Clamped: at the tangent count theta sits on 2 psi up to rounding.
         x = -math.tan(psi) / math.tan(theta / 2.0)
         dphi = math.acos(max(-1.0, min(1.0, x)))
-        landings = [
-            (phi, precession_duration(rotation_axis(params, phi), entry, SOUTH))
-            for phi in (alpha + dphi, alpha - dphi)
-        ]
+        landings = []
+        for phi in (alpha + dphi, alpha - dphi):
+            # The landing circle's lowest w, at angle pi, is the south pole.
+            axis = rotation_axis(params, phi)
+            _, _, chi = precession_leg(axis, entry, NORTH.as_array())
+            landings.append((phi, leg_time(axis, chi, math.pi)))
         pairs.append(min(landings, key=lambda pd: pd[1]))
     return plan_from_protocol(params, Protocol.from_pairs(pairs))
 

@@ -12,10 +12,13 @@ which is the complete-transfer criterion this module implements.  The
 push-pull special case phi = pi admits closed-form durations whenever
 |delta| < kappa0.
 
-When the criterion fails, :func:`solve_two_step` still reaches the best
-two-segment transfer in closed form: the ceiling cos^2(psi - Theta/2)
-built from the axis separation Theta.  :func:`solve_fraction` cuts
-either solution at a partial target with one asin or acos.
+Along the first circle the switch point's height along axis(phi) is one
+sinusoid c + r cos(2 W t1 + chi), so :func:`solve_two_step` switches at
+one acos: the first time that height equals the south pole's.  When the
+criterion fails the acos is clamped to the nearest extremum, which
+reaches the ceiling cos^2(psi - Theta/2) built from the axis separation
+Theta.  :func:`solve_fraction` cuts either solution at a partial target
+with one more acos, on the Bloch w of the leg that first reaches it.
 """
 
 from __future__ import annotations
@@ -31,21 +34,17 @@ from .dynamics import (
     Protocol,
     protocol_propagator,
 )
-from .geometry import (
-    ANGLE_TOL,
-    NORTH,
-    SOUTH,
-    bloch_precess,
-    circle_intersection,
-    circle_through,
-    precession_duration,
-    rotation_axis,
-    tilt_angle,
-)
+from .geometry import NORTH, bloch_precess, leg_time, precession_leg, rotation_axis, tilt_angle
 
 # Slack applied to the feasibility inequality so exact-boundary cases
 # (equality in cos phi) classify as feasible under floating point.
 FEASIBILITY_EPS = 1e-12
+# A first leg whose height along axis(phi) swings by less than this is
+# flat: axis(phi) is parallel to axis(0) and r holds only rounding.
+FLAT_LEG_TOL = 1e-14
+# Slack on comparing a target fraction with the achieved transfer, which
+# the propagator rounds in its last digits.
+ACHIEVED_SLACK = 1e-12
 
 
 class InfeasibleTransferError(ValueError):
@@ -102,9 +101,8 @@ def two_step_ceiling(params: CouplerParams, phi: float) -> float:
 class TwoStepSolution:
     """Durations (s) for the phase-0 and phase-phi segments.
 
-    feasible reports whether complete transfer was possible; when it is
-    False, (t1, t2) locate the best achievable transfer instead and
-    achieved sits strictly below 1.
+    feasible is two_step_feasible at phi; when it is False, (t1, t2)
+    locate the best achievable transfer instead, the ceiling below 1.
     """
 
     t1: float
@@ -163,70 +161,38 @@ def _grid_transfer(
     return np.abs(oc) ** 2
 
 
-def _second_leg(params: CouplerParams, phi: float, t1: float) -> tuple[float, float, float]:
-    """(c, r, chi) with Bloch w = c + r cos(2 W s + chi) at time s into the
-    phase-phi segment, entered after t1 of phase 0 from the north pole."""
-    start = bloch_precess(rotation_axis(params, 0.0), NORTH, t1).as_array()
-    n = rotation_axis(params, phi).as_array()
-    perp = start - np.dot(n, start) * n
-    # Precession turns by -2 W s, so r cos(chi) = perp_z and r sin(chi) = (n x perp)_z.
-    r_cos, r_sin = perp[2], float(np.cross(n, perp)[2])
-    return float(np.dot(n, start)) * n[2], math.hypot(r_cos, r_sin), math.atan2(r_sin, r_cos)
-
-
-def _closest_approach(params: CouplerParams, phi: float) -> tuple[float, float]:
-    """Durations carrying mode 1 closest to mode 2 when the circles miss.
-
-    For delta >= 0, switch where the north-pole circle is farthest from
-    axis(phi), so the second circle is the widest reachable, and stop at
-    that circle's lowest w.  delta < 0 maps onto it by (delta, phi) ->
-    (-delta, -phi), which keeps the transfer at every (t1, t2): the
-    composite off-diagonal becomes -conj of itself.
-    """
-    if params.delta < 0.0:
-        params, phi = CouplerParams(-params.delta, params.kappa0), -phi
-    sin_psi = math.sin(tilt_angle(params))
-    # Right-handed azimuth about axis(0), from the north pole, of the point
-    # farthest from axis(phi); precession turns by -2 W t.
-    azimuth = math.atan2(math.sin(phi), -sin_psi * (1.0 - math.cos(phi)))
-    t1 = ((-azimuth) % (2.0 * math.pi)) / (2.0 * params.rabi)
-    _, _, chi = _second_leg(params, phi, t1)
-    # w is lowest at 2 W t2 + chi = pi.  A switch point already there, as
-    # at phi = 0, needs no second leg even if rounding puts chi near -pi.
-    turn = math.pi - chi
-    return t1, (0.0 if turn >= 2.0 * math.pi - ANGLE_TOL else turn) / (2.0 * params.rabi)
-
-
 def solve_two_step(params: CouplerParams, phi: float) -> TwoStepSolution:
     """Durations for complete transfer, or the best fallback, in closed form.
 
-    Feasible case: the switch point is an intersection of the two pole
-    circles; among the at-most-two candidates the one with the smallest
-    total duration wins (ties break toward smaller t1).  Otherwise (the
-    criterion fails, or tolerance leaves the circles apart)
-    :func:`_closest_approach` reaches the ceiling cos^2(psi - Theta/2),
-    and feasible is False unless that still comes within 1e-9 of 1.
+    The first segment runs until the north-pole circle about axis(0)
+    first reaches the circle about n = axis(phi) through the south pole:
+    its height along n is c + r cos(2 W t1 + chi), so t1 is the earlier
+    of the angles +-acos(g), g = (-n_z - c) / r.  When the criterion
+    fails |g| exceeds 1 and the switch goes to the nearest extremum,
+    the closest approach.  A flat first leg (axis(phi) parallel to
+    axis(0)) switches at once.  The second segment turns to the lowest
+    w of its circle.  The two intersections give a swapped pair of
+    durations, (a, b) and (b, a), with equal totals, so the first
+    crossing settles that tie without rounding and gives t1 <= t2.
     """
-    candidates = []
-    if two_step_feasible(params, phi):
-        axis1 = rotation_axis(params, 0.0)
-        axis2 = rotation_axis(params, phi)
-        inter = circle_intersection(circle_through(axis1, NORTH), circle_through(axis2, SOUTH))
-        if inter.kind == "coincident":
-            # Degenerate delta = 0, phi = 0: one circle through both poles.
-            candidates = [(precession_duration(axis1, NORTH, SOUTH), 0.0)]
-        candidates += [
-            (precession_duration(axis1, NORTH, p), precession_duration(axis2, p, SOUTH))
-            for p in inter.points
-        ]
-    if candidates:
-        t1, t2 = min(candidates, key=lambda c: (c[0] + c[1], c[0]))
+    axis1 = rotation_axis(params, 0.0)
+    axis2 = rotation_axis(params, phi)
+    n = axis2.as_array()
+    c, r, chi = precession_leg(axis1, NORTH, n)
+    if r < FLAT_LEG_TOL:
+        t1 = 0.0
     else:
-        t1, t2 = _closest_approach(params, phi)
-    sol = TwoStepSolution(t1, t2, phi, 0.0, True)
-    achieved = protocol_propagator(params, sol.protocol()).transfer
-    feasible = bool(candidates) or (two_step_feasible(params, phi) and achieved >= 1.0 - 1e-9)
-    return replace(sol, achieved=achieved, feasible=feasible)
+        g = (-n[2] - c) / r
+        if abs(g) >= 1.0:
+            angles = (0.0 if g > 0.0 else math.pi,)
+        else:
+            angles = (math.acos(g), -math.acos(g))
+        t1 = min(leg_time(axis1, chi, a) for a in angles)
+    switch = bloch_precess(axis1, NORTH, t1)
+    _, _, chi2 = precession_leg(axis2, switch, NORTH.as_array())
+    t2 = leg_time(axis2, chi2, math.pi)
+    sol = TwoStepSolution(t1, t2, phi, 0.0, two_step_feasible(params, phi))
+    return replace(sol, achieved=protocol_propagator(params, sol.protocol()).transfer)
 
 
 @dataclass(frozen=True)
@@ -282,19 +248,23 @@ def feasibility_map(n: int = 64) -> FeasibilityMap:
 
 
 def solve_fraction(params: CouplerParams, phi: float, p: float) -> Protocol:
-    """Shortest truncation of the two-segment solution reaching |a2|^2 = p.
+    """Shortest cut of the two-segment solution reaching |a2|^2 = p.
 
-    The full solution is computed first and cut, in closed form, at the
-    first time its transfer reaches p.  In the first segment the transfer
-    is (kappa0 / W)^2 sin^2(W t); in the second, the Bloch w about
-    axis(phi) is c + r cos(2 W s + chi), so the cut is one asin or one
-    acos.  Requesting more than the protocol can deliver raises
+    The full solution is computed first.  On each of its legs the Bloch
+    w is c + r cos(2 W s + chi), so the first time w falls through
+    1 - 2p is one acos.  Each leg whose circle gets that low gives a cut:
+    the legs before it in full, then this one up to that time.  The
+    shortest cut wins; the phase-0 leg alone counts, even past the
+    switch, so a target one segment can reach needs no switch.  A cut
+    that would pass p early is longer than the cut at that earlier
+    crossing, so the shortest one reaches p first at its end.
+    Requesting more than the protocol can deliver raises
     InfeasibleTransferError carrying the achievable maximum.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("target fraction must lie in [0, 1]")
     sol = solve_two_step(params, phi)
-    if p > sol.achieved + 1e-12:
+    if p > sol.achieved + ACHIEVED_SLACK:
         raise InfeasibleTransferError(
             f"target {p:g} exceeds the two-segment maximum {sol.achieved:.12g} "
             "for this phase",
@@ -302,19 +272,18 @@ def solve_fraction(params: CouplerParams, phi: float, p: float) -> Protocol:
         )
     if p == 0.0:
         return Protocol((CouplingSegment(0.0, 0.0),))
-    if p >= sol.achieved - 1e-12:
+    if p >= sol.achieved - ACHIEVED_SLACK:
         return sol.protocol()
-    w = params.rabi
-    scale = params.kappa0 / w
-    # The first segment peaks at W t = pi/2, or at its end if that comes sooner.
-    peak1 = scale * scale * (math.sin(w * sol.t1) ** 2 if w * sol.t1 < math.pi / 2.0 else 1.0)
-    if p <= peak1:
-        t = math.asin(min(1.0, math.sqrt(p) / scale)) / w
-        return Protocol((CouplingSegment(0.0, t),))
-    c, r, chi = _second_leg(params, phi, sol.t1)
-    # w starts above 1 - 2p, so the first crossing is the falling one at
-    # 2 W s + chi = acos(g); chi is in (-pi, pi], and only rounding can
-    # put acos(g) below it.
-    g = max(-1.0, min(1.0, (1.0 - 2.0 * p - c) / r))
-    s = max(0.0, math.acos(g) - chi) / (2.0 * w)
-    return Protocol((CouplingSegment(0.0, sol.t1), CouplingSegment(phi, s)))
+    level = 1.0 - 2.0 * p
+    legs = sol.protocol().segments
+    start = NORTH
+    cuts = []
+    for i, seg in enumerate(legs):
+        axis = rotation_axis(params, seg.phase)
+        c, r, chi = precession_leg(axis, start, NORTH.as_array())
+        if c - r <= level:
+            # w falls through the level first at 2 W s + chi = acos(g).
+            s = leg_time(axis, chi, math.acos(max(-1.0, min(1.0, (level - c) / r))))
+            cuts.append(Protocol((*legs[:i], CouplingSegment(seg.phase, s))))
+        start = bloch_precess(axis, start, seg.duration)
+    return min(cuts, key=lambda cut: cut.total_duration)

@@ -327,7 +327,7 @@ def test_grid_csv_layout(tmp_path):
     assert body == _grid_lines(tm.t1_axis, tm.t2_axis, tm.values)
 
     # At zero detuning the stage diagonal is real, so the 4x4 sweep hits
-    # exact zeros of both powers: contrast cells of inf, -inf and nan.
+    # exact zeros of one power (inf, -inf) and of both (0, as equal powers).
     out = tmp_path / "iso"
     assert run(["isolator", "--delta", 0, "--grid", 4, "--out", out]) == 0
     params = CouplerParams(0.0, 1.0)
@@ -337,7 +337,9 @@ def test_grid_csv_layout(tmp_path):
     assert body == _grid_lines(
         sweep.delta_thetas, sweep.offsets, sweep.forward, sweep.backward, sweep.contrast_db
     )
-    assert {"inf", "-inf", "nan"} <= {line.rsplit(",", 1)[1] for line in body}
+    assert {"inf", "-inf"} <= {line.rsplit(",", 1)[1] for line in body}
+    assert [line for line in body if line.endswith(",0,0,0")]
+    assert not [line for line in body if "nan" in line]
 
 
 def test_isolator_zero_offset_is_reciprocal(tmp_path):

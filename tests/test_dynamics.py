@@ -178,3 +178,38 @@ def test_mirror_conjugates_propagator(delta, kappa, pairs):
     mm = protocol_propagator(mirrored, remap_phases(protocol, sign=-1.0))
     assert abs(mm.d - m.d.conjugate()) <= 1e-12
     assert abs(mm.o + m.o.conjugate()) <= 1e-12
+
+
+unit_pairs = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(lambda x: sum(v * v for v in x) > 0.01)
+
+
+def _unitary(x) -> TransferMatrix:
+    norm = math.sqrt(sum(v * v for v in x))
+    return TransferMatrix(complex(x[0], x[1]) / norm, complex(x[2], x[3]) / norm)
+
+
+@given(unit_pairs, unit_pairs)
+def test_compose_is_closed_in_su2(a, b):
+    """compose is the 2x2 matrix product and stays unitary."""
+    earlier, later = _unitary(a), _unitary(b)
+    product = compose(later, earlier)
+    assert np.abs(product.as_array() - later.as_array() @ earlier.as_array()).max() <= 1e-12
+    assert product.unitarity_defect <= 1e-12
+
+
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(0.1, 3.0),
+    st.floats(0.0, 2.0 * math.pi),
+    st.floats(0.0, 5.0),
+    st.floats(0.0, 5.0),
+)
+def test_segment_splits_into_consecutive_parts(delta, kappa, phi, t1, t2):
+    """One segment of t1 + t2 equals the same phase held for t1, then t2."""
+    params = CouplerParams(delta, kappa)
+    whole = segment_propagator(params, CouplingSegment(phi, t1 + t2))
+    split = compose(
+        segment_propagator(params, CouplingSegment(phi, t2)),
+        segment_propagator(params, CouplingSegment(phi, t1)),
+    )
+    assert np.abs(whole.as_array() - split.as_array()).max() <= 1e-12

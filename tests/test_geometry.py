@@ -16,7 +16,8 @@ from modeswitch import (
     circle_intersection,
     circle_through,
     cone_floor,
-    precession_duration,
+    leg_time,
+    precession_leg,
     rotation_axis,
     segment_propagator,
     static_max_transfer,
@@ -95,34 +96,42 @@ def test_precession_preserves_axis_component():
         assert float(np.dot(axis.as_array(), moved.as_array())) == pytest.approx(before)
 
 
-def test_precession_duration_quarter_turn():
-    params = CouplerParams(0.0, 1.0)
-    axis = rotation_axis(params, 0.0)  # x axis
-    target = BlochVector(0.0, 1.0, 0.0)
-    t = precession_duration(axis, NORTH, target)
-    assert t == pytest.approx(math.pi / 4.0)  # 2 W t = pi/2 with W = 1
-    # Going on to the south pole takes the half turn.
-    assert precession_duration(axis, NORTH, SOUTH) == pytest.approx(math.pi / 2.0)
+def test_precession_leg_quarter_turn():
+    axis = rotation_axis(CouplerParams(0.0, 1.0), 0.0)  # x axis, W = 1
+    # From the north pole the height along y is sin(2 t) = cos(2 t - pi/2).
+    c, r, chi = precession_leg(axis, NORTH, (0.0, 1.0, 0.0))
+    assert (c, r, chi) == pytest.approx((0.0, 1.0, -math.pi / 2.0), abs=1e-15)
+    t = leg_time(axis, chi, 0.0)
+    assert t == pytest.approx(math.pi / 4.0)  # 2 W t = pi/2
+    assert bloch_precess(axis, NORTH, t).as_array() == pytest.approx([0.0, 1.0, 0.0], abs=1e-15)
 
 
-def test_precession_duration_rejects_off_circle():
-    axis = rotation_axis(CouplerParams(0.0, 1.0), 0.0)
-    # Start sits 90 degrees from the x axis, this target only 45.
-    with pytest.raises(ValueError):
-        precession_duration(axis, NORTH, BlochVector(SQ2, 0.0, SQ2))
+def test_precession_leg_north_to_south_half_turn():
+    params = CouplerParams(0.0, 2.0)
+    axis = rotation_axis(params, 1.3)  # equatorial, W = 2
+    c, r, chi = precession_leg(axis, NORTH, (0.0, 0.0, 1.0))
+    assert (c, r, chi) == pytest.approx((0.0, 1.0, 0.0), abs=1e-15)
+    t = leg_time(axis, chi, math.pi)
+    assert t == pytest.approx(math.pi / 4.0)  # 2 W t = pi
+    assert bloch_precess(axis, NORTH, t).as_array() == pytest.approx(SOUTH.as_array(), abs=1e-15)
+    # A leg rounded just past its target is already there; one further
+    # past needs almost a full turn.
+    assert leg_time(axis, math.pi + 1e-12, math.pi) == 0.0
+    assert leg_time(axis, math.pi + 1e-6, math.pi) == pytest.approx(math.pi / 2.0, abs=1e-6)
 
 
-def test_precession_duration_roundtrip():
+def test_precession_leg_reproduces_the_height():
     rng = np.random.default_rng(5)
     for _ in range(20):
         params = CouplerParams(rng.uniform(-2, 2), rng.uniform(0.3, 2))
         axis = rotation_axis(params, rng.uniform(0, 2 * math.pi))
         p = rng.normal(size=3)
-        p /= np.linalg.norm(p)
-        start = BlochVector.from_array(p)
-        t = rng.uniform(0.01, 0.95) * math.pi / params.rabi
-        end = bloch_precess(axis, start, t)
-        assert precession_duration(axis, start, end) == pytest.approx(t, abs=1e-10)
+        start = BlochVector.from_array(p / np.linalg.norm(p))
+        along = rng.normal(size=3)
+        c, r, chi = precession_leg(axis, start, along)
+        for t in rng.uniform(0.0, 4.0, size=5) / params.rabi:
+            height = float(np.dot(along, bloch_precess(axis, start, t).as_array()))
+            assert abs(c + r * math.cos(2.0 * params.rabi * t + chi) - height) <= 1e-12
 
 
 def test_circle_through_and_pole_radii():

@@ -150,11 +150,17 @@ def test_solve_two_step_infeasible_reports_ceiling():
 
 
 def test_solve_two_step_degenerate_coincident():
-    # delta = 0, phi = 0: both pole circles are the same great circle.
-    params = CouplerParams(0.0, 1.0)
-    sol = solve_two_step(params, 0.0)
-    assert sol.feasible
-    assert sol.achieved == pytest.approx(1.0, abs=1e-12)
+    # axis(phi) parallel to axis(0): delta = 0 at phi = 0 (both pole
+    # circles are the same great circle) and at phi = pi, and any delta at
+    # phi = 0.  The first leg is flat, so the switch comes at once and a
+    # half turn follows.
+    for delta, phi in ((0.0, 0.0), (0.0, math.pi), (0.6, 0.0), (-1.7, 0.0)):
+        params = CouplerParams(delta, 1.0)
+        sol = solve_two_step(params, phi)
+        assert sol.feasible == (delta == 0.0)
+        assert sol.t1 == 0.0
+        assert sol.achieved == pytest.approx(two_step_ceiling(params, phi), abs=1e-12)
+        assert params.rabi * (sol.t1 + sol.t2) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
 def test_transfer_map_values_and_peak_location():

@@ -1,16 +1,19 @@
 """Property tests: the closed-form two-segment solver reaches the ceiling
 cos^2(psi - Theta/2) (1 when the criterion holds), its W*T depends only
 on |delta| / kappa0 and phi up to the mirror (delta, phi) -> (-delta, -phi),
-and solve_fraction cuts at the first time the transfer reaches p."""
+the switch is the first crossing (t1 <= t2), and solve_fraction cuts at
+the first time the transfer reaches p."""
 
 import math
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from modeswitch import (
     CouplerParams,
     ModeState,
+    Protocol,
+    critical_phase,
     propagate,
     protocol_propagator,
     solve_fraction,
@@ -31,6 +34,17 @@ def couplers(draw):
 
 
 phases = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def feasible_draws(draw):
+    """(delta, kappa0, phi) meeting the two-segment criterion, either sign."""
+    kappa = draw(st.floats(0.05, 5.0))
+    ratio = draw(st.floats(0.0, 1.0))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    phi_c = critical_phase(ratio)
+    phi = phi_c + draw(st.floats(0.0, 1.0)) * (2.0 * math.pi - 2.0 * phi_c)
+    return sign * ratio * kappa, kappa, phi
 
 
 def solve_wt(delta: float, kappa: float, phi: float) -> float:
@@ -67,3 +81,15 @@ def test_fraction_cut_hits_target_first(coupler, phi, share):
     assert abs(protocol_propagator(params, cut).transfer - p) <= 1e-12
     for _, state in propagate(params, cut, ModeState.mode1(), 64):
         assert state.transfer <= p + 1e-12
+
+
+@given(feasible_draws())
+def test_switch_is_the_first_crossing(draw):
+    """The two switch points give (t1, t2) and (t2, t1); the earlier one wins."""
+    delta, kappa, phi = draw
+    params = CouplerParams(delta, kappa)
+    assume(two_step_feasible(params, phi))
+    sol = solve_two_step(params, phi)
+    assert sol.t1 <= sol.t2 + 1e-12
+    swapped = Protocol.from_pairs([(0.0, sol.t2), (phi, sol.t1)])
+    assert abs(protocol_propagator(params, swapped).transfer - 1.0) <= 1e-12
