@@ -23,12 +23,8 @@ from .geometry import (
     NORTH,
     SOUTH,
     BlochVector,
-    CircleIntersection,
     RotationAxis,
-    SphericalCircle,
     bloch_precess,
-    circle_intersection,
-    circle_through,
     cone_floor,
     leg_time,
     precession_leg,
@@ -69,8 +65,6 @@ from .planner import (
     min_switches_estimate,
     minimal_plan_search,
     plan_from_protocol,
-    recursive_intersection_ok,
-    staircase_circles,
 )
 from .twostep import (
     FeasibilityMap,

@@ -14,12 +14,10 @@ through the angle -2 W t in the right-hand sense about n (equivalently
 2 W t left-handed).  The sense matters: it is fixed by the amplitude map
 above and is verified against it to 1e-10 in the test suite.
 
-Trajectories under one segment are therefore circles on the sphere.  The
-planner reasons about which circles pass through which points, which is
-classical spherical geometry; this module supplies those primitives with
-explicit tolerance handling.  Along any fixed direction the height of a
-precessing point is one sinusoid in time (precession_leg), so the time
-at which a leg reaches a given height is one acos (leg_time).
+Trajectories under one segment are therefore circles on the sphere.
+Along any fixed direction the height of a precessing point is one
+sinusoid in time (precession_leg), so the time at which a leg reaches a
+given height is one acos (leg_time).
 """
 
 from __future__ import annotations
@@ -31,10 +29,11 @@ import numpy as np
 
 from .dynamics import CouplerParams, ModeState
 
-# Angular comparisons share one absolute tolerance (rad).
+# Absolute angular tolerance (rad): a turn this short of a full circle is
+# rounding of a leg that starts on its target (leg_time).
 ANGLE_TOL = 1e-9
-# Slack on |n| = 1 for axes and circle centers: absorbs the rounding of
-# components computed from trigonometric functions or divisions.
+# Slack on |n| = 1 for axes: absorbs the rounding of components computed
+# from trigonometric functions or divisions.
 UNIT_TOL = 1e-9
 
 
@@ -175,40 +174,6 @@ def leg_time(axis: RotationAxis, chi: float, angle: float) -> float:
     return turn / (2.0 * axis.omega)
 
 
-@dataclass(frozen=True)
-class SphericalCircle:
-    """Circle on the unit sphere: points p with angle(center, p) = radius."""
-
-    center: tuple[float, float, float]
-    radius: float
-
-    def __post_init__(self) -> None:
-        c = tuple(float(x) for x in self.center)
-        if len(c) != 3:
-            raise ValueError("center must have three components")
-        nn = math.sqrt(sum(x * x for x in c))
-        if abs(nn - 1.0) > UNIT_TOL:
-            raise ValueError("circle center must be a unit vector")
-        r = float(self.radius)
-        if not 0.0 <= r <= math.pi:
-            raise ValueError("circle radius must lie in [0, pi]")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", r)
-
-    def center_array(self) -> np.ndarray:
-        return np.array(self.center, dtype=float)
-
-    def contains(self, point: np.ndarray, tol: float = ANGLE_TOL) -> bool:
-        g = float(np.clip(np.dot(self.center_array(), np.asarray(point, dtype=float)), -1.0, 1.0))
-        return abs(math.acos(g) - self.radius) <= tol
-
-
-def circle_through(axis: RotationAxis, point: BlochVector) -> SphericalCircle:
-    """Precession circle traced by a point about an axis."""
-    g = float(np.clip(np.dot(axis.as_array(), point.as_array()), -1.0, 1.0))
-    return SphericalCircle(axis.n, math.acos(g))
-
-
 def cone_floor(params: CouplerParams) -> float:
     """Lowest w reachable from the north pole without switching.
 
@@ -218,78 +183,3 @@ def cone_floor(params: CouplerParams) -> float:
     """
     psi = tilt_angle(params)
     return -math.cos(2.0 * psi)
-
-
-@dataclass(frozen=True)
-class CircleIntersection:
-    """Result of intersecting two spherical circles.
-
-    kind is one of "none", "tangent", "pair", "coincident".  points holds
-    0, 1, or 2 unit vectors; a coincident result carries none because the
-    intersection is the whole circle.
-    """
-
-    kind: str
-    points: tuple[BlochVector, ...]
-
-    @property
-    def count(self):
-        if self.kind == "coincident":
-            return math.inf
-        return len(self.points)
-
-
-def circle_intersection(
-    c1: SphericalCircle, c2: SphericalCircle, tol: float = ANGLE_TOL
-) -> CircleIntersection:
-    """Intersect two circles on the unit sphere.
-
-    The classification compares the center separation d with |r1 - r2|
-    and r1 + r2 exactly as in the planar case, except that everything is
-    angular and the "far side" tangency through d + r1 + r2 = 2 pi also
-    occurs.  Intersection points are built in the orthonormal frame
-    (n1, e_perp, n1 x n2) and renormalized before return.
-    """
-    n1 = c1.center_array()
-    n2 = c2.center_array()
-    r1 = c1.radius
-    r2 = c2.radius
-    g = float(np.clip(np.dot(n1, n2), -1.0, 1.0))
-    d = math.acos(g)
-
-    same_center = d <= tol
-    anti_center = math.pi - d <= tol
-    if same_center and abs(r1 - r2) <= tol:
-        return CircleIntersection("coincident", ())
-    if anti_center and abs((r1 + r2) - math.pi) <= tol:
-        return CircleIntersection("coincident", ())
-    if same_center or anti_center:
-        return CircleIntersection("none", ())
-
-    # Angular triangle inequalities, with the wrap-around upper branch.
-    lo = d - abs(r1 - r2)
-    hi = (r1 + r2) - d
-    wrap = (2.0 * math.pi - d) - (r1 + r2)
-    if lo < -tol or hi < -tol or wrap < -tol:
-        return CircleIntersection("none", ())
-
-    sind = math.sin(d)
-    e_perp = (n2 - g * n1) / sind
-    e3 = np.cross(n1, e_perp)
-    s = (math.cos(r2) - g * math.cos(r1)) / sind
-    base = math.cos(r1) * n1 + s * e_perp
-
-    t_sq = 1.0 - math.cos(r1) ** 2 - s * s
-    if min(lo, hi, wrap) <= tol:
-        p = base / np.linalg.norm(base)
-        return CircleIntersection("tangent", (BlochVector.from_array(p),))
-
-    t = math.sqrt(max(t_sq, 0.0))
-    p_plus = base + t * e3
-    p_minus = base - t * e3
-    p_plus = p_plus / np.linalg.norm(p_plus)
-    p_minus = p_minus / np.linalg.norm(p_minus)
-    return CircleIntersection(
-        "pair",
-        (BlochVector.from_array(p_plus), BlochVector.from_array(p_minus)),
-    )

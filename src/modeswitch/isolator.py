@@ -41,6 +41,9 @@ from .dynamics import (
 
 FORWARD = "forward"
 BACKWARD = "backward"
+# Largest unitarity defect accepted for a stage: absorbs the rounding of a
+# stage multiplied out of segment propagators or built from cos and sin.
+UNITARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ class IsolatorSpec:
     rf_offset: float
 
     def __post_init__(self) -> None:
-        if self.stage.unitarity_defect > 1e-9:
+        if self.stage.unitarity_defect > UNITARY_TOL:
             raise ValueError("stage matrix must be unitary")
         object.__setattr__(self, "theta1", float(self.theta1))
         object.__setattr__(self, "theta2", float(self.theta2))
@@ -183,7 +186,7 @@ class ContrastSweep:
 def contrast_sweep(stage: TransferMatrix, n: int = 64) -> ContrastSweep:
     if n < 2:
         raise ValueError("sweep needs n >= 2")
-    if stage.unitarity_defect > 1e-9:
+    if stage.unitarity_defect > UNITARY_TOL:
         raise ValueError("stage matrix must be unitary")
     dthetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     offsets = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)

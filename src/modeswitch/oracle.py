@@ -31,6 +31,9 @@ from .dynamics import (
 DEFAULT_STEP_FRACTION = 0.001
 MAX_STEP_FRACTION = 0.01
 HARD_STEP_FRACTION = 0.1
+# Relative slack on the step cap: a step given as fraction / W comes back
+# over max_step_fraction by the rounding of the division and product.
+STEP_CAP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class IntegrationConfig:
         w = params.rabi
         if self.step is None:
             return DEFAULT_STEP_FRACTION / w
-        if self.step * w > self.max_step_fraction * (1.0 + 1e-12):
+        if self.step * w > self.max_step_fraction * (1.0 + STEP_CAP_SLACK):
             raise ValueError(
                 f"step * W = {self.step * w:g} exceeds the configured cap "
                 f"{self.max_step_fraction:g}"

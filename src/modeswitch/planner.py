@@ -38,9 +38,6 @@ from .dynamics import (
 from .geometry import (
     NORTH,
     BlochVector,
-    SphericalCircle,
-    circle_intersection,
-    circle_through,
     leg_time,
     precession_leg,
     rotation_axis,
@@ -58,9 +55,6 @@ ESTIMATE_SLACK = 1e-9
 # Slack on the dive's segment arithmetic: k (pi - 2 psi) reaching pi, or
 # 2 psi / (pi - 2 psi) sitting on an integer, up to rounding.
 LANDING_SLACK = 1e-12
-# Angular tolerance for consecutive plan circles to count as meeting:
-# switch points come out of products of propagators, not exact geometry.
-INTERSECTION_TOL = 1e-8
 
 
 def min_switches_estimate(ratio: float) -> int:
@@ -123,26 +117,6 @@ def plan_from_protocol(params: CouplerParams, protocol: Protocol) -> StaircasePl
             points.append(to_bloch(acc.apply(start)))
     achieved = acc.transfer
     return StaircasePlan(protocol, tuple(points), achieved, len(segs) - 1)
-
-
-def staircase_circles(params: CouplerParams, plan: StaircasePlan) -> tuple[SphericalCircle, ...]:
-    """Precession circle of each segment, entered at the previous switch."""
-    entry = NORTH
-    circles: list[SphericalCircle] = []
-    for i, seg in enumerate(plan.protocol.segments):
-        axis = rotation_axis(params, seg.phase)
-        circles.append(circle_through(axis, entry))
-        if i < len(plan.switch_points):
-            entry = plan.switch_points[i]
-    return tuple(circles)
-
-
-def recursive_intersection_ok(circles, tol: float = INTERSECTION_TOL) -> bool:
-    """Check that each consecutive circle pair actually meets."""
-    for a, b in zip(circles, circles[1:]):
-        if circle_intersection(a, b, tol).count < 1:
-            return False
-    return True
 
 
 def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:

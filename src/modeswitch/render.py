@@ -15,6 +15,10 @@ _H = 460
 _R = 170
 _CENTERS = ((215, 225), (625, 225))
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
+# Absolute slack on a sample time reaching a leg boundary: a sample meant
+# to sit on the boundary can come out below the boundary's running sum of
+# durations by rounding, and must still close the leg.
+BOUNDARY_SLACK = 1e-15
 
 
 def _fmt(x: float) -> str:
@@ -98,7 +102,7 @@ def _split_legs(
     bounds = list(boundaries)
     for t, s in samples:
         legs[-1].append(s)
-        if bounds and t >= bounds[0] - 1e-15:
+        if bounds and t >= bounds[0] - BOUNDARY_SLACK:
             legs.append([s])
             bounds.pop(0)
     return [leg for leg in legs if leg]

@@ -3,7 +3,11 @@
 Each check exercises one contract of the package against an independent
 route (grid-and-zoom brute force, the RK4 oracle, scipy's expm, direct
 geometry) and reports a residual against a fixed tolerance.  The battery
-is what the `modeswitch verify` subcommand runs.
+is what the `modeswitch verify` subcommand runs.  precession_leg checks
+the leg-height primitive that times the two-segment switch, the
+fraction cut and the dive landing against the amplitude propagator;
+plan_geometry checks that each planned switch point stays on the circle
+it leaves.
 
 inject_fault=True deliberately corrupts the reference used in the expm
 comparison: each segment's coupling phase is negated, which conjugates
@@ -32,11 +36,12 @@ from .dynamics import (
     static_max_transfer,
 )
 from .geometry import (
+    NORTH,
     BlochVector,
-    SphericalCircle,
     bloch_precess,
-    circle_intersection,
     cone_floor,
+    leg_time,
+    precession_leg,
     rotation_axis,
     to_bloch,
 )
@@ -51,7 +56,7 @@ from .isolator import (
     stage_with_offset,
 )
 from .oracle import IntegrationConfig, expm_propagator, integrate_matrix
-from .planner import minimal_plan_search, recursive_intersection_ok, staircase_circles
+from .planner import minimal_plan_search
 from .twostep import _grid_transfer, pushpull_times, two_step_ceiling, two_step_feasible
 
 
@@ -294,23 +299,28 @@ def check_criterion_vs_brute(n_cells: int = 50) -> CheckResult:
     )
 
 
-def check_circle_intersection(rng, n: int) -> CheckResult:
+def check_precession_leg(rng, n: int) -> CheckResult:
+    """The leg height c + r cos(2 W s + chi), sampled and at leg_time, vs amplitudes."""
     worst = 0.0
     for _ in range(n):
-        n1 = rng.normal(size=3)
-        n1 /= np.linalg.norm(n1)
-        n2 = rng.normal(size=3)
-        n2 /= np.linalg.norm(n2)
-        c1 = SphericalCircle(tuple(n1), rng.uniform(0.05, math.pi - 0.05))
-        c2 = SphericalCircle(tuple(n2), rng.uniform(0.05, math.pi - 0.05))
-        inter = circle_intersection(c1, c2)
-        for p in inter.points:
-            arr = p.as_array()
-            worst = max(worst, abs(np.linalg.norm(arr) - 1.0))
-            for c in (c1, c2):
-                g = float(np.clip(np.dot(c.center_array(), arr), -1.0, 1.0))
-                worst = max(worst, abs(math.acos(g) - c.radius))
-    return _result("circle_intersection", worst, 1e-9, f"{n} random circle pairs")
+        params = _random_params(rng)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        duration = rng.uniform(0.0, 4.0) / params.rabi
+        a = rng.normal(size=4)
+        state = ModeState(complex(a[0], a[1]), complex(a[2], a[3])).normalized()
+        along = rng.normal(size=3)
+        along /= np.linalg.norm(along)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        axis = rotation_axis(params, phase)
+        c, r, chi = precession_leg(axis, to_bloch(state), along)
+        timed = leg_time(axis, chi, angle)
+        for s, predicted in (
+            (duration, c + r * math.cos(2.0 * params.rabi * duration + chi)),
+            (timed, c + r * math.cos(angle)),
+        ):
+            moved = segment_propagator(params, CouplingSegment(phase, s)).apply(state)
+            worst = max(worst, abs(float(np.dot(along, to_bloch(moved).as_array())) - predicted))
+    return _result("precession_leg", worst, 1e-12, f"{n} random legs, sampled and timed")
 
 
 def check_pushpull_identity(rng, n: int) -> CheckResult:
@@ -332,6 +342,13 @@ def check_pushpull_identity(rng, n: int) -> CheckResult:
 
 
 def check_plan_geometry(fast: bool) -> CheckResult:
+    """Each switch point stays on the circle of the segment it leaves.
+
+    A segment precesses its entry state rigidly about its axis, so the
+    angle to the axis where it leaves equals the angle where it enters.
+    The next segment's circle is entered at that same point, so
+    consecutive circles meet there.
+    """
     ratios = (2.0,) if fast else (1.5, 2.5, 4.0)
     worst = 0.0
     details = []
@@ -341,14 +358,12 @@ def check_plan_geometry(fast: bool) -> CheckResult:
         plan = search.plan
         if plan.achieved < 0.99:
             worst = max(worst, 0.99 - plan.achieved)
-        circles = staircase_circles(params, plan)
-        if not recursive_intersection_ok(circles):
-            worst = max(worst, 1.0)
-        for i, p in enumerate(plan.switch_points):
-            arr = p.as_array()
-            for c in (circles[i], circles[i + 1]):
-                g = float(np.clip(np.dot(c.center_array(), arr), -1.0, 1.0))
-                worst = max(worst, abs(math.acos(g) - c.radius))
+        states = (NORTH, *plan.switch_points)
+        for seg, entry, leave in zip(plan.protocol.segments, states, states[1:]):
+            n = rotation_axis(params, seg.phase).as_array()
+            enter_angle = math.acos(float(np.clip(np.dot(n, entry.as_array()), -1.0, 1.0)))
+            leave_angle = math.acos(float(np.clip(np.dot(n, leave.as_array()), -1.0, 1.0)))
+            worst = max(worst, abs(leave_angle - enter_angle))
         details.append(f"ratio {ratio:g}: {len(plan.protocol.segments)} segments")
     return _result("plan_geometry", worst, 1e-8, "; ".join(details))
 
@@ -506,7 +521,7 @@ def run_battery(
         check_cone_floor(rng, scaled(200)),
         check_two_step_ceiling(rng, scaled(60)),
         check_criterion_vs_brute(24 if fast else 50),
-        check_circle_intersection(rng, scaled(300)),
+        check_precession_leg(rng, scaled(300)),
         check_pushpull_identity(rng, scaled(200)),
         check_plan_geometry(fast),
         check_rk4_convergence(rng, scaled(20)),

@@ -362,6 +362,7 @@ def test_verify_fast(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
+    assert len(report["checks"]) == len({c["name"] for c in report["checks"]}) == 19
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("ok") for line in lines)
     assert lines[-1].startswith("verify:")

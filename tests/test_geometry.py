@@ -11,10 +11,7 @@ from modeswitch import (
     CouplingSegment,
     ModeState,
     RotationAxis,
-    SphericalCircle,
     bloch_precess,
-    circle_intersection,
-    circle_through,
     cone_floor,
     leg_time,
     precession_leg,
@@ -134,12 +131,28 @@ def test_precession_leg_reproduces_the_height():
             assert abs(c + r * math.cos(2.0 * params.rabi * t + chi) - height) <= 1e-12
 
 
+def test_precession_leg_check_rejects_the_wrong_sense(monkeypatch):
+    from modeswitch import verify
+
+    def reversed_leg(axis, start, along):
+        # The wrong precession sense: chi negated.
+        c, r, chi = precession_leg(axis, start, along)
+        return c, r, -chi
+
+    assert verify.check_precession_leg(np.random.default_rng(20240817), 20).passed
+    monkeypatch.setattr(verify, "precession_leg", reversed_leg)
+    res = verify.check_precession_leg(np.random.default_rng(20240817), 20)
+    assert not res.passed
+    assert res.residual > 0.1, res.detail
+
+
 def test_circle_through_and_pole_radii():
+    # The circles through the poles sit at angles pi/2 -+ psi from any axis.
     params = CouplerParams(1.0, 1.0)
     psi = tilt_angle(params)
-    axis = rotation_axis(params, 0.3)
-    assert circle_through(axis, NORTH).radius == pytest.approx(math.pi / 2.0 - psi)
-    assert circle_through(axis, SOUTH).radius == pytest.approx(math.pi / 2.0 + psi)
+    n = rotation_axis(params, 0.3).as_array()
+    assert math.acos(float(np.dot(n, NORTH.as_array()))) == pytest.approx(math.pi / 2.0 - psi)
+    assert math.acos(float(np.dot(n, SOUTH.as_array()))) == pytest.approx(math.pi / 2.0 + psi)
 
 
 def test_cone_floor_matches_static_bound():
@@ -147,83 +160,3 @@ def test_cone_floor_matches_static_bound():
         params = CouplerParams(ratio, 1.0)
         floor = cone_floor(params)
         assert (1.0 - floor) / 2.0 == pytest.approx(static_max_transfer(params))
-
-
-def test_circle_validation():
-    with pytest.raises(ValueError):
-        SphericalCircle((0.0, 0.0, 2.0), 1.0)
-    with pytest.raises(ValueError):
-        SphericalCircle((0.0, 0.0, 1.0), -0.1)
-    with pytest.raises(ValueError):
-        SphericalCircle((0.0, 0.0, 1.0), 3.5)
-
-
-def test_intersection_perpendicular_great_circles():
-    c1 = SphericalCircle((0.0, 0.0, 1.0), math.pi / 2.0)
-    c2 = SphericalCircle((1.0, 0.0, 0.0), math.pi / 2.0)
-    inter = circle_intersection(c1, c2)
-    assert inter.kind == "pair"
-    p, q = inter.points
-    assert p.as_array() == pytest.approx(-q.as_array())
-    for point in (p, q):
-        assert abs(point.as_array()[2]) < 1e-12
-        assert abs(point.as_array()[0]) < 1e-12
-
-
-def test_intersection_tangent_and_none():
-    # Centers separated by exactly r1 + r2: externally tangent.
-    r1, r2 = 0.4, 0.35
-    d = r1 + r2
-    c1 = SphericalCircle((0.0, 0.0, 1.0), r1)
-    c2 = SphericalCircle((math.sin(d), 0.0, math.cos(d)), r2)
-    inter = circle_intersection(c1, c2)
-    assert inter.kind == "tangent"
-    assert inter.count == 1
-    (p,) = inter.points
-    assert c1.contains(p.as_array(), 1e-8)
-    assert c2.contains(p.as_array(), 1e-8)
-
-    far = SphericalCircle((math.sin(2.0), 0.0, math.cos(2.0)), 0.3)
-    assert circle_intersection(c1, far).kind == "none"
-    assert circle_intersection(c1, far).count == 0
-
-
-def test_intersection_far_side_tangency():
-    # d + r1 + r2 = 2 pi: the circles touch on the far side of the sphere.
-    r1 = r2 = 2.0
-    d = 2.0 * math.pi - (r1 + r2)
-    c1 = SphericalCircle((0.0, 0.0, 1.0), r1)
-    c2 = SphericalCircle((math.sin(d), 0.0, math.cos(d)), r2)
-    inter = circle_intersection(c1, c2)
-    assert inter.kind == "tangent"
-
-
-def test_intersection_coincident():
-    c1 = SphericalCircle((0.0, 0.0, 1.0), 1.0)
-    inter = circle_intersection(c1, SphericalCircle((0.0, 0.0, 1.0), 1.0))
-    assert inter.kind == "coincident"
-    assert inter.count == math.inf
-    # Same circle described from the antipodal center.
-    c3 = SphericalCircle((0.0, 0.0, -1.0), math.pi - 1.0)
-    assert circle_intersection(c1, c3).kind == "coincident"
-
-
-def test_intersection_concentric_disjoint():
-    c1 = SphericalCircle((0.0, 0.0, 1.0), 0.5)
-    c2 = SphericalCircle((0.0, 0.0, 1.0), 1.2)
-    assert circle_intersection(c1, c2).kind == "none"
-
-
-def test_intersection_points_on_both_circles():
-    rng = np.random.default_rng(12)
-    for _ in range(40):
-        n1 = rng.normal(size=3)
-        n1 /= np.linalg.norm(n1)
-        n2 = rng.normal(size=3)
-        n2 /= np.linalg.norm(n2)
-        c1 = SphericalCircle(tuple(n1), rng.uniform(0.1, math.pi - 0.1))
-        c2 = SphericalCircle(tuple(n2), rng.uniform(0.1, math.pi - 0.1))
-        inter = circle_intersection(c1, c2)
-        for p in inter.points:
-            assert c1.contains(p.as_array(), 1e-9)
-            assert c2.contains(p.as_array(), 1e-9)

@@ -12,9 +12,7 @@ from modeswitch import (
     min_switches_estimate,
     minimal_plan_search,
     propagate,
-    recursive_intersection_ok,
     segment_propagator,
-    staircase_circles,
     static_max_transfer,
     tilt_angle,
     to_bloch,
@@ -94,16 +92,6 @@ def test_dive_plan_zero_detuning_single_segment():
     plan = dive_plan(CouplerParams(0.0, 1.0), 5)
     assert len(plan.protocol.segments) == 1
     assert plan.achieved == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dive_plan_switch_points_on_circles():
-    params = CouplerParams(2.5, 1.0)
-    plan = dive_plan(params, 4)
-    circles = staircase_circles(params, plan)
-    assert recursive_intersection_ok(circles)
-    for i, p in enumerate(plan.switch_points):
-        assert circles[i].contains(p.as_array(), 1e-8)
-        assert circles[i + 1].contains(p.as_array(), 1e-8)
 
 
 def test_dive_plan_descent_is_monotone():
