@@ -147,6 +147,10 @@ def _grid_rows(row_axis, col_axis, *tables):
 # sample list are held in memory, so bigger runs fail before allocating.
 MAX_GRID = 2048
 MAX_SAMPLES = 100_000
+# Largest accepted total W*T (rad) of an explicit protocol: the RK4
+# cross-check takes about W*T / DEFAULT_STEP_FRACTION steps, so longer
+# protocols fail before any integration starts.
+MAX_PROTOCOL_WT = 1e4
 
 
 @dataclass(frozen=True)
@@ -212,6 +216,11 @@ class RunConfig:
                         raise ValueError("protocol entries must be numeric")
                 segs.append((float(phase), float(dur)))
             object.__setattr__(self, "protocol", tuple(segs))
+            wt = self.params.rabi * self.built_protocol().total_duration
+            if wt > MAX_PROTOCOL_WT:
+                raise ValueError(
+                    f"protocol W*T = {wt:g} rad exceeds MAX_PROTOCOL_WT = {MAX_PROTOCOL_WT:g}"
+                )
         for name in ("fast", "inject_fault"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"config field {name!r} must be a boolean")

@@ -8,7 +8,7 @@ text so runs can be diffed byte for byte.
 from __future__ import annotations
 
 from .dynamics import ModeState
-from .geometry import to_bloch
+from .geometry import BlochVector, to_bloch
 
 _W = 840
 _H = 460
@@ -57,7 +57,7 @@ def trajectory_svg(
     Each leg gets its own color, so protocol segments or cascade stages
     stay visually distinct.
     """
-    legs = _split_legs(samples, boundaries)
+    legs = _split_legs([(t, to_bloch(s)) for t, s in samples], boundaries)
     body: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -67,42 +67,38 @@ def trajectory_svg(
     body.extend(_panel_frame(1, "v-w projection"))
     for panel in (0, 1):
         for i, leg in enumerate(legs):
-            if not leg:
-                continue
             color = _COLORS[i % len(_COLORS)]
             pts = " ".join(
-                f"{_fmt(x)},{_fmt(y)}"
-                for x, y in (_project(to_bloch(s), panel) for s in leg)
+                f"{_fmt(x)},{_fmt(y)}" for x, y in (_project(b, panel) for b in leg)
             )
             body.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 'stroke-width="1.5"/>'
             )
-        if legs and legs[0]:
-            x0, y0 = _project(to_bloch(legs[0][0]), panel)
+        if legs:
+            x0, y0 = _project(legs[0][0], panel)
             body.append(
                 f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="4" fill="none" '
                 'stroke="#000" stroke-width="1.5"/>'
             )
-        if legs and legs[-1]:
-            x1, y1 = _project(to_bloch(legs[-1][-1]), panel)
+            x1, y1 = _project(legs[-1][-1], panel)
             body.append(f'<circle cx="{_fmt(x1)}" cy="{_fmt(y1)}" r="4" fill="#000"/>')
     body.append("</svg>")
     return "\n".join(body) + "\n"
 
 
 def _split_legs(
-    samples: list[tuple[float, ModeState]], boundaries: list[float]
-) -> list[list[ModeState]]:
-    """Split (t, state) samples into legs at the given boundary times.
+    samples: list[tuple[float, BlochVector]], boundaries: list[float]
+) -> list[list[BlochVector]]:
+    """Split (t, point) samples into legs at the given boundary times.
 
     The sample at a boundary ends one leg and starts the next.
     """
-    legs: list[list[ModeState]] = [[]]
+    legs: list[list[BlochVector]] = [[]]
     bounds = list(boundaries)
-    for t, s in samples:
-        legs[-1].append(s)
+    for t, b in samples:
+        legs[-1].append(b)
         if bounds and t >= bounds[0] - BOUNDARY_SLACK:
-            legs.append([s])
+            legs.append([b])
             bounds.pop(0)
     return [leg for leg in legs if leg]

@@ -21,6 +21,7 @@ from modeswitch import (
 )
 from modeswitch.cli import (
     MAX_GRID,
+    MAX_PROTOCOL_WT,
     MAX_SAMPLES,
     RunConfig,
     dumps17,
@@ -408,6 +409,23 @@ def test_simulate_rejects_protocol_with_target(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'protocol'" in err and "'target'" in err
     assert not out.exists()
+
+
+def test_simulate_rejects_an_oversized_protocol(tmp_path, capsys):
+    # At delta 0.5, kappa 1 this would ask the RK4 cross-check for about
+    # 1.1e12 steps; validation refuses it before anything is integrated.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"protocol": [[0.0, 1e9]]}))
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", cfg, "--out", out]) == 2
+    assert "MAX_PROTOCOL_WT" in capsys.readouterr().err
+    assert not out.exists()
+    # The cap is on the total W*T over all segments, inclusive.
+    w = CouplerParams(0.5, 1.0).rabi
+    half = MAX_PROTOCOL_WT / w / 2.0
+    RunConfig(protocol=[[0.0, half], [1.0, half]])
+    with pytest.raises(ValueError, match="MAX_PROTOCOL_WT"):
+        RunConfig(protocol=[[0.0, half], [1.0, half * 1.001]])
 
 
 def test_transfer_map_without_coupling_writes_nothing(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modeswitch import (
     CouplerParams,
@@ -158,3 +160,64 @@ def test_coarse_step_norm_drift_is_visible():
     # The default step keeps the same protocol essentially on the sphere.
     tight = integrate(params, protocol, ModeState.mode1())
     assert abs(tight.norm - 1.0) < 1e-11
+
+
+def _staged_rk4(params, protocol, a, step):
+    """Classical RK4 with its four stages as separate m @ a products."""
+    for seg in protocol.segments:
+        if seg.duration == 0.0:
+            continue
+        n = max(1, math.ceil(seg.duration / step))
+        dt = seg.duration / n
+        m = -1j * generator(params, seg.phase)
+        for _ in range(n):
+            k1 = m @ a
+            k2 = m @ (a + 0.5 * dt * k1)
+            k3 = m @ (a + 0.5 * dt * k2)
+            k4 = m @ (a + dt * k3)
+            a = a + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return a
+
+
+@st.composite
+def _couplers(draw):
+    # Both signs of delta, ratios |delta| / kappa0 up to 12, and kappa0 = 0.
+    scale = draw(st.floats(0.2, 3.0))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    ratio = draw(st.one_of(st.just(math.inf), st.floats(0.0, 12.0)))
+    if math.isinf(ratio):
+        return CouplerParams(sign * scale, 0.0)
+    return CouplerParams(sign * ratio * scale, scale)
+
+
+@settings(max_examples=100)
+@given(
+    _couplers(),
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 2.0 * math.pi),
+            st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.floats(0.001, HARD_STEP_FRACTION),
+    st.floats(0.0, math.pi),
+    st.floats(0.0, 2.0 * math.pi),
+)
+def test_collapsed_step_is_staged_rk4(params, wt_pairs, frac, theta, phase):
+    """The one-matrix step a -> a + E a reproduces the four-stage RK4 loop."""
+    w = params.rabi
+    protocol = Protocol.from_pairs([(phi, wt / w) for phi, wt in wt_pairs])
+    cfg = IntegrationConfig(step=frac / w, max_step_fraction=HARD_STEP_FRACTION)
+    step = cfg.resolved_step(params)
+    tilt = complex(math.cos(phase), math.sin(phase))
+    start = ModeState(math.cos(theta / 2), math.sin(theta / 2) * tilt)
+
+    ref = _staged_rk4(params, protocol, np.array([start.a1, start.a2]), step)
+    out = integrate(params, protocol, start, cfg)
+    assert abs(out.a1 - ref[0]) <= 1e-12
+    assert abs(out.a2 - ref[1]) <= 1e-12
+
+    ref_m = _staged_rk4(params, protocol, np.eye(2, dtype=complex), step)
+    assert np.max(np.abs(integrate_matrix(params, protocol, cfg) - ref_m)) <= 1e-12
