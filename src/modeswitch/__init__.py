@@ -51,7 +51,6 @@ from .isolator import (
 from .oracle import (
     IntegrationConfig,
     expm_propagator,
-    expm_protocol,
     generator,
     integrate,
     integrate_matrix,

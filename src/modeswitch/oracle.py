@@ -153,10 +153,3 @@ def expm_propagator(params: CouplerParams, segment: CouplingSegment) -> np.ndarr
     """Segment propagator via scipy's scaling-and-squaring expm."""
     h = generator(params, segment.phase)
     return expm(-1j * h * segment.duration)
-
-
-def expm_protocol(params: CouplerParams, protocol: Protocol) -> np.ndarray:
-    acc = np.eye(2, dtype=complex)
-    for seg in protocol.segments:
-        acc = expm_propagator(params, seg) @ acc
-    return acc

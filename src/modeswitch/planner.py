@@ -15,11 +15,11 @@ south pole exactly, finishing the transfer.
 
 The planner offers that construction directly (dive_plan) and the
 minimal plan it implies (minimal_plan_search): the first segment count
-whose bound reaches the threshold, built by dive_plan.  No numerical
-search is involved.  The landing time comes from the landing leg's
-height c + r cos(2 W s + chi), as the two-segment switch is one acos
-on its first leg's: it is the turn to angle pi, the lowest w of the
-landing circle, which is the south pole.
+whose bound reaches the threshold, built once by dive_plan, with the
+bound below that count as its curve.  No numerical search is involved.
+The landing time comes from the landing leg's height c + r cos(2 W s +
+chi), as the two-segment switch is one acos on its first leg's: it is
+the turn to angle pi, the lowest w of the landing circle, the south pole.
 """
 
 from __future__ import annotations
@@ -106,17 +106,13 @@ class PlanSearchError(RuntimeError):
 
 def plan_from_protocol(params: CouplerParams, protocol: Protocol) -> StaircasePlan:
     """Evaluate a protocol into a StaircasePlan by direct propagation."""
-    acc = None
-    points: list[BlochVector] = []
     start = ModeState.mode1()
-    segs = protocol.segments
-    for i, seg in enumerate(segs):
-        m = segment_propagator(params, seg)
-        acc = m if acc is None else compose(m, acc)
-        if i < len(segs) - 1:
-            points.append(to_bloch(acc.apply(start)))
-    achieved = acc.transfer
-    return StaircasePlan(protocol, tuple(points), achieved, len(segs) - 1)
+    acc = segment_propagator(params, protocol.segments[0])
+    points: list[BlochVector] = []
+    for seg in protocol.segments[1:]:
+        points.append(to_bloch(acc.apply(start)))
+        acc = compose(segment_propagator(params, seg), acc)
+    return StaircasePlan(protocol, tuple(points), acc.transfer, len(points))
 
 
 def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
@@ -141,12 +137,11 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
         raise ValueError("max_segments must be >= 1")
     if params.kappa0 == 0.0:
         raise ValueError("planning requires kappa0 > 0")
-    if params.delta < 0.0:
-        core = dive_plan(CouplerParams(-params.delta, params.kappa0), max_segments)
-        return plan_from_protocol(params, remap_phases(core.protocol, sign=-1.0))
 
+    # The pairs are built on the +|delta| geometry; -delta mirrors them.
+    geometry = CouplerParams(abs(params.delta), params.kappa0)
     half_turn = math.pi / (2.0 * params.rabi)
-    psi = tilt_angle(params)
+    psi = tilt_angle(geometry)
     step = math.pi - 2.0 * psi
     lands = max_segments * step >= math.pi - LANDING_SLACK
     dives = max(0, math.ceil(2.0 * psi / step - LANDING_SLACK)) if lands else max_segments
@@ -164,20 +159,23 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
         landings = []
         for phi in (alpha + dphi, alpha - dphi):
             # The landing circle's lowest w, at angle pi, is the south pole.
-            axis = rotation_axis(params, phi)
+            axis = rotation_axis(geometry, phi)
             _, _, chi = precession_leg(axis, entry, NORTH.as_array())
             landings.append((phi, leg_time(axis, chi, math.pi)))
         pairs.append(min(landings, key=lambda pd: pd[1]))
-    return plan_from_protocol(params, Protocol.from_pairs(pairs))
+    protocol = Protocol.from_pairs(pairs)
+    if params.delta < 0.0:
+        protocol = remap_phases(protocol, sign=-1.0)
+    return plan_from_protocol(params, protocol)
 
 
 @dataclass(frozen=True)
 class PlanSearch:
     """Outcome of minimal_plan_search.
 
-    curve holds (segment_count, achieved) of the dive plan for every
-    count tried, in order; estimate is min_switches_estimate at this
-    ratio.
+    curve holds (segment_count, transfer) in order: descent_bound for
+    every count below the plan's, then the plan's achieved transfer at
+    its own count; estimate is min_switches_estimate at this ratio.
     """
 
     plan: StaircasePlan
@@ -193,32 +191,30 @@ def minimal_plan_search(
     """Smallest segment count whose dive plan reaches the threshold.
 
     dive_plan attains descent_bound at every count, so the minimal count
-    is the first k with descent_bound(k) >= threshold and its dive plan
-    is the answer; every count tried records its dive plan in the curve.
-    Raises PlanSearchError with the deepest plan if the cap comes first.
+    k is the first with descent_bound(k) >= threshold, or max_segments
+    if that comes first, and only dive_plan(k) is built.  Without a cap
+    the bound reaches 1 by the count at which the dive lands.  Raises
+    PlanSearchError with that plan if it falls short of the threshold.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError("threshold must lie in (0, 1]")
     if params.kappa0 == 0.0:
         raise ValueError("planning requires kappa0 > 0")
-    psi = abs(tilt_angle(params))
-    step = math.pi - 2.0 * psi
-    cap = max_segments if max_segments is not None else math.ceil(math.pi / step) + 2
-    if cap < 1:
+    if max_segments is not None and max_segments < 1:
         raise ValueError("max_segments must be >= 1")
+    if max_segments is None and abs(tilt_angle(params)) == math.pi / 2.0:
+        raise ValueError("|delta| / kappa0 too large for any segment to descend")
     estimate = min_switches_estimate(params.ratio) if params.ratio > 0 else 1
 
-    curve: list[tuple[int, float]] = []
-    for k in range(1, cap + 1):
-        plan = dive_plan(params, k)
-        curve.append((k, plan.achieved))
-        if descent_bound(params, k) >= threshold - THRESHOLD_SLACK:
-            break
+    k = 1
+    while descent_bound(params, k) < threshold - THRESHOLD_SLACK and k != max_segments:
+        k += 1
+    plan = dive_plan(params, k)
+    curve = tuple((j, descent_bound(params, j)) for j in range(1, k)) + ((k, plan.achieved),)
     if plan.achieved >= threshold - THRESHOLD_SLACK:
-        return PlanSearch(plan, tuple(curve), estimate)
+        return PlanSearch(plan, curve, estimate)
     raise PlanSearchError(
-        f"no plan reached {threshold:g} within {cap} segments "
-        f"(best {plan.achieved:.6f})",
+        f"no plan reached {threshold:g} within {k} segments (best {plan.achieved:.6f})",
         plan,
-        tuple(curve),
+        curve,
     )

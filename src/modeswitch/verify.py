@@ -56,7 +56,7 @@ from .isolator import (
     stage_with_offset,
 )
 from .oracle import IntegrationConfig, expm_propagator, integrate_matrix
-from .planner import minimal_plan_search
+from .planner import StaircasePlan, minimal_plan_search
 from .twostep import _grid_transfer, pushpull_times, two_step_ceiling, two_step_feasible
 
 
@@ -341,29 +341,30 @@ def check_pushpull_identity(rng, n: int) -> CheckResult:
     )
 
 
-def check_plan_geometry(fast: bool) -> CheckResult:
-    """Each switch point stays on the circle of the segment it leaves.
+def plan_geometry_residual(params: CouplerParams, plan: StaircasePlan) -> float:
+    """Worst change of a segment's angle to its axis from entry to exit,
+    over every segment up to the final state; rigid precession keeps it 0."""
+    final = to_bloch(protocol_propagator(params, plan.protocol).apply(ModeState.mode1()))
+    states = (NORTH, *plan.switch_points, final)
+    worst = 0.0
+    for seg, entry, leave in zip(plan.protocol.segments, states, states[1:]):
+        n = rotation_axis(params, seg.phase).as_array()
+        enter_angle = math.acos(float(np.clip(np.dot(n, entry.as_array()), -1.0, 1.0)))
+        leave_angle = math.acos(float(np.clip(np.dot(n, leave.as_array()), -1.0, 1.0)))
+        worst = max(worst, abs(leave_angle - enter_angle))
+    return worst
 
-    A segment precesses its entry state rigidly about its axis, so the
-    angle to the axis where it leaves equals the angle where it enters.
-    The next segment's circle is entered at that same point, so
-    consecutive circles meet there.
-    """
+
+def check_plan_geometry(fast: bool) -> CheckResult:
+    """Each switch point of the minimal plan stays on the circle it leaves,
+    and the plan reaches 0.99: a shortfall counts as residual."""
     ratios = (2.0,) if fast else (1.5, 2.5, 4.0)
     worst = 0.0
     details = []
     for ratio in ratios:
         params = CouplerParams(ratio, 1.0)
-        search = minimal_plan_search(params)
-        plan = search.plan
-        if plan.achieved < 0.99:
-            worst = max(worst, 0.99 - plan.achieved)
-        states = (NORTH, *plan.switch_points)
-        for seg, entry, leave in zip(plan.protocol.segments, states, states[1:]):
-            n = rotation_axis(params, seg.phase).as_array()
-            enter_angle = math.acos(float(np.clip(np.dot(n, entry.as_array()), -1.0, 1.0)))
-            leave_angle = math.acos(float(np.clip(np.dot(n, leave.as_array()), -1.0, 1.0)))
-            worst = max(worst, abs(leave_angle - enter_angle))
+        plan = minimal_plan_search(params).plan
+        worst = max(worst, 0.99 - plan.achieved, plan_geometry_residual(params, plan))
         details.append(f"ratio {ratio:g}: {len(plan.protocol.segments)} segments")
     return _result("plan_geometry", worst, 1e-8, "; ".join(details))
 

@@ -263,6 +263,28 @@ def test_plan_cap_exit_code(tmp_path):
     assert len(payload["curve"]) == 2
 
 
+def test_plan_rejects_an_oversized_plan(tmp_path, capsys):
+    # About 14,700 half turns at the default threshold: refused before
+    # any planning, so no output directory is made.
+    out = tmp_path / "plan"
+    assert run(["plan", "--delta", 1.0, "--kappa", 1e-4, "--out", out]) == 2
+    assert "MAX_PROTOCOL_WT" in capsys.readouterr().err
+    assert not out.exists()
+    # Without coupling the planner's own message decides.
+    assert run(["plan", "--kappa", 0.0, "--out", out]) == 2
+    assert "kappa0 > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_plan_builds_a_long_staircase(tmp_path):
+    out = tmp_path / "plan"
+    args = ["plan", "--delta", 1.0, "--kappa", 0.003, "--threshold", 0.9]
+    assert run(args + ["--out", out]) == 0
+    payload = json.loads((out / "plan.json").read_text())
+    assert payload["threshold_met"] is True
+    assert len(payload["segments"]) == 417
+
+
 def test_plan_threshold_one_at_rounding_case(tmp_path):
     out = tmp_path / "plan"
     args = ["plan", "--delta", -9.206459350378962, "--kappa", 1.5604168390472817]

@@ -12,7 +12,6 @@ from modeswitch import (
     ModeState,
     Protocol,
     expm_propagator,
-    expm_protocol,
     generator,
     integrate,
     integrate_matrix,
@@ -93,14 +92,6 @@ def test_expm_agrees_with_closed_form():
         m = expm_propagator(params, seg)
         exact = segment_propagator(params, seg).as_array()
         assert np.max(np.abs(m - exact)) <= 1e-12
-
-
-def test_expm_protocol_composition():
-    params = CouplerParams(0.4, 1.2)
-    protocol = Protocol.from_pairs([(0.0, 0.8), (math.pi, 1.1), (1.0, 0.3)])
-    m = expm_protocol(params, protocol)
-    exact = protocol_propagator(params, protocol).as_array()
-    assert np.max(np.abs(m - exact)) <= 1e-12
 
 
 def test_zero_duration_is_identity():

@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from modeswitch import planner
 from modeswitch import (
     CouplerParams,
     ModeState,
@@ -129,11 +131,24 @@ def test_minimal_search_ratio_two():
         assert a <= descent_bound(params, k) + 1e-9
 
 
-def test_minimal_search_curve_attains_bound():
-    params = CouplerParams(4.0, 1.0)
-    search = minimal_plan_search(params)
-    for k, a in search.curve[:-1]:
-        assert a == pytest.approx(descent_bound(params, k), abs=1e-9)
+@pytest.mark.parametrize("delta", [1.0, -1.0])
+def test_minimal_search_builds_one_plan(monkeypatch, delta):
+    calls = Counter()
+
+    def spy(name):
+        real = getattr(planner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in ("dive_plan", "plan_from_protocol"):
+        monkeypatch.setattr(planner, name, spy(name))
+    search = minimal_plan_search(CouplerParams(delta, 0.003), 0.9)
+    assert len(search.plan.protocol.segments) == 417
+    assert calls == {"dive_plan": 1, "plan_from_protocol": 1}
 
 
 def test_minimal_search_cap_raises_with_best():
@@ -144,6 +159,12 @@ def test_minimal_search_cap_raises_with_best():
     assert err.best.achieved < 0.99
     assert err.best.achieved == pytest.approx(descent_bound(params, 2), abs=1e-6)
     assert len(err.curve) == 2
+    # psi rounds to pi/2: no count descends, so only a cap ends the search.
+    flat = CouplerParams(1.0, 1e-300)
+    with pytest.raises(ValueError, match="too large"):
+        minimal_plan_search(flat)
+    with pytest.raises(PlanSearchError):
+        minimal_plan_search(flat, max_segments=3)
 
 
 def test_negative_detuning_mirrors():

@@ -1,23 +1,18 @@
-"""Property tests: the minimal plan is minimal, meets its threshold,
-keeps every segment on its precession circle, and its dimensionless
-duration W*T depends only on |delta| / kappa0."""
+"""Property tests: the dive plan attains the descent bound, the minimal
+plan is minimal, meets its threshold, keeps every segment on its
+precession circle, and its dimensionless duration W*T depends only on
+|delta| / kappa0."""
 
-import math
-
-import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from modeswitch import (
-    NORTH,
     CouplerParams,
-    ModeState,
     descent_bound,
+    dive_plan,
     minimal_plan_search,
-    protocol_propagator,
-    rotation_axis,
-    to_bloch,
 )
+from modeswitch.verify import plan_geometry_residual
 
 # At threshold 1.0 this ratio once left every plan short of 1.0 by rounding.
 ROUNDING_CASE = ((-9.206459350378962, 1.5604168390472817), 1.0)
@@ -50,14 +45,18 @@ def test_minimal_plan_meets_threshold_with_fewest_segments(coupler, threshold):
     assert k == 1 or descent_bound(params, k - 1) < threshold
     assert search.plan.achieved >= threshold - 1e-12
     # Each segment leaves its state at the angle to its axis it entered at.
-    plan = search.plan
-    final = to_bloch(protocol_propagator(params, plan.protocol).apply(ModeState.mode1()))
-    states = (NORTH, *plan.switch_points, final)
-    for seg, entry, leave in zip(plan.protocol.segments, states, states[1:]):
-        n = rotation_axis(params, seg.phase).as_array()
-        enter_angle = math.acos(float(np.clip(np.dot(n, entry.as_array()), -1.0, 1.0)))
-        leave_angle = math.acos(float(np.clip(np.dot(n, leave.as_array()), -1.0, 1.0)))
-        assert abs(leave_angle - enter_angle) <= 1e-8
+    assert plan_geometry_residual(params, search.plan) <= 1e-8
+
+
+@given(couplers())
+@example(ROUNDING_CASE[0])
+def test_dive_plan_attains_descent_bound(coupler):
+    # The search's curve below k* holds descent_bound alone, on the
+    # strength of this: the dive plan reaches the bound at every count.
+    params = CouplerParams(*coupler)
+    k_star = minimal_plan_search(params, 1.0).curve[-1][0]
+    for k in range(1, k_star + 1):
+        assert abs(dive_plan(params, k).achieved - descent_bound(params, k)) <= 1e-12
 
 
 @given(couplers(), thresholds, st.floats(0.1, 10.0))
