@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .dynamics import (
     CouplerParams,
@@ -150,6 +149,12 @@ def integrate_matrix(
 
 
 def expm_propagator(params: CouplerParams, segment: CouplingSegment) -> np.ndarray:
-    """Segment propagator via scipy's scaling-and-squaring expm."""
+    """Segment propagator via scipy's scaling-and-squaring expm.
+
+    scipy is imported here, not at module level: only the battery calls
+    this, and every other command starts without loading scipy.linalg.
+    """
+    from scipy.linalg import expm
+
     h = generator(params, segment.phase)
     return expm(-1j * h * segment.duration)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import modeswitch
 from modeswitch import (
@@ -20,14 +22,17 @@ from modeswitch import (
     transfer_map,
 )
 from modeswitch.cli import (
+    GRID_BLOCK,
     MAX_GRID,
     MAX_PROTOCOL_WT,
     MAX_SAMPLES,
     RunConfig,
     dumps17,
     fmt17,
+    _grid_rows,
     load_config,
     main,
+    write_csv,
 )
 from modeswitch import verify
 from modeswitch.verify import CheckResult, check_expm_agreement
@@ -50,6 +55,20 @@ def test_fmt17_round_trips_exactly():
     ]
     for x in values:
         assert float(fmt17(x)) == x
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), st.integers())
+@example(math.nan, 0)
+@example(math.inf, -1)
+@example(-math.inf, 1)
+@example(-0.0, 10**30)
+@example(5e-324, -(10**30))
+@example(2.225073858507201e-308, 2**63)
+@example(1.7976931348623157e308, 0)
+def test_percent_templates_match_fmt17(x, n):
+    # The grid and table templates format cells with %.17g and %d.
+    assert "%.17g" % x == fmt17(x)
+    assert "%d" % n == str(n)
 
 
 def test_dumps17_structure():
@@ -119,22 +138,35 @@ def test_main_exit_2_on_bad_input(tmp_path):
     assert not (tmp_path / "big").exists()
 
 
-def test_cli_import_skips_scipy_optimize():
-    # Start-up cost: neither the CLI nor the battery's brute-force
-    # references (grid and zoom on the closed-form transfer) load it.
+def test_cli_import_skips_scipy_optimize_and_linalg(tmp_path):
+    # Start-up cost: neither the CLI commands nor the battery's brute-force
+    # references (grid and zoom on the closed-form transfer) load
+    # scipy.optimize, and only the battery's expm reference loads
+    # scipy.linalg.
     src = str(Path(modeswitch.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, numpy, modeswitch.cli\n"
+        "out = sys.argv[1]\n"
+        "assert modeswitch.cli.main(['simulate', '--out', out + '/sim']) == 0\n"
+        "assert modeswitch.cli.main(['plan', '--delta', '3', '--out', out + '/plan']) == 0\n"
+        "linalg = 'scipy.linalg' in sys.modules\n"
         "from modeswitch.verify import check_criterion_vs_brute, check_two_step_ceiling\n"
         "assert check_two_step_ceiling(numpy.random.default_rng(1), 3).passed\n"
         "assert check_criterion_vs_brute(4).passed\n"
-        "print('scipy.optimize' in sys.modules)"
+        "optimize = 'scipy.optimize' in sys.modules\n"
+        "from modeswitch.verify import check_expm_agreement\n"
+        "assert check_expm_agreement(numpy.random.default_rng(1), 2, False).passed\n"
+        "print(linalg, optimize, 'scipy.linalg' in sys.modules)"
     )
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.stdout.splitlines()[-1] == "False False True"
 
 
 def test_simulate_outputs(tmp_path):
@@ -337,32 +369,78 @@ def _grid_lines(row_axis, col_axis, *tables):
     ]
 
 
-def test_grid_csv_layout(tmp_path):
-    assert run(["feasibility", "--grid", 5, "--out", tmp_path / "feas"]) == 0
-    fm = feasibility_map(5)
-    body = (tmp_path / "feas" / "feasibility.csv").read_text().splitlines()[1:]
-    assert body == _grid_lines(fm.ratios, fm.phis, fm.feasible)
-    assert {line.rsplit(",", 1)[1] for line in body} == {"0", "1"}
+def _isolator_sweep(delta, n):
+    params = CouplerParams(delta, 1.0)
+    segment = CouplingSegment(0.0, pushpull_times(params).t1)
+    return contrast_sweep(protocol_propagator(params, Protocol((segment,))), n)
 
-    assert run(["transfer-map", "--grid", 4, "--out", tmp_path / "map"]) == 0
-    tm = transfer_map(CouplerParams(0.5, 1.0), math.pi, 4)
-    body = (tmp_path / "map" / "transfer_map.csv").read_text().splitlines()[1:]
-    assert body == _grid_lines(tm.t1_axis, tm.t2_axis, tm.values)
+
+def _body(path):
+    return path.read_text().splitlines()[1:]
+
+
+def test_grid_csv_layout(tmp_path):
+    # GRID_BLOCK + 3 columns end on a partial block of templates.
+    for grid in (5, GRID_BLOCK + 3):
+        assert run(["feasibility", "--grid", grid, "--out", tmp_path / "feas"]) == 0
+        fm = feasibility_map(grid)
+        body = _body(tmp_path / "feas" / "feasibility.csv")
+        assert body == _grid_lines(fm.ratios, fm.phis, fm.feasible)
+        assert {line.rsplit(",", 1)[1] for line in body} == {"0", "1"}
+
+        assert run(["transfer-map", "--grid", grid, "--out", tmp_path / "map"]) == 0
+        tm = transfer_map(CouplerParams(0.5, 1.0), math.pi, grid)
+        body = _body(tmp_path / "map" / "transfer_map.csv")
+        assert body == _grid_lines(tm.t1_axis, tm.t2_axis, tm.values)
+
+        out = tmp_path / "iso"
+        assert run(["isolator", "--delta", 0.5, "--grid", grid, "--out", out]) == 0
+        sweep = _isolator_sweep(0.5, grid)
+        tables = (sweep.forward, sweep.backward, sweep.contrast_db)
+        assert _body(out / "sweep.csv") == _grid_lines(sweep.delta_thetas, sweep.offsets, *tables)
 
     # At zero detuning the stage diagonal is real, so the 4x4 sweep hits
     # exact zeros of one power (inf, -inf) and of both (0, as equal powers).
-    out = tmp_path / "iso"
+    out = tmp_path / "iso0"
     assert run(["isolator", "--delta", 0, "--grid", 4, "--out", out]) == 0
-    params = CouplerParams(0.0, 1.0)
-    segment = CouplingSegment(0.0, pushpull_times(params).t1)
-    sweep = contrast_sweep(protocol_propagator(params, Protocol((segment,))), 4)
-    body = (out / "sweep.csv").read_text().splitlines()[1:]
+    sweep = _isolator_sweep(0.0, 4)
+    body = _body(out / "sweep.csv")
     assert body == _grid_lines(
         sweep.delta_thetas, sweep.offsets, sweep.forward, sweep.backward, sweep.contrast_db
     )
     assert {"inf", "-inf"} <= {line.rsplit(",", 1)[1] for line in body}
     assert [line for line in body if line.endswith(",0,0,0")]
     assert not [line for line in body if "nan" in line]
+
+
+def test_grid_rows_of_a_single_cell(tmp_path):
+    # The CLI needs grid >= 2; a 1x1 corner of each map exercises one
+    # template of one column.
+    fm = feasibility_map(4)
+    tm = transfer_map(CouplerParams(0.5, 1.0), math.pi, 4)
+    sweep = _isolator_sweep(0.0, 4)
+    for axes, tables in (
+        ((fm.ratios, fm.phis), (fm.feasible,)),
+        ((tm.t1_axis, tm.t2_axis), (tm.values,)),
+        ((sweep.delta_thetas, sweep.offsets), (sweep.forward, sweep.backward, sweep.contrast_db)),
+    ):
+        axes = tuple(a[:1] for a in axes)
+        tables = tuple(t[:1, :1] for t in tables)
+        write_csv(tmp_path / "one.csv", ["r", "c"], _grid_rows(*axes, *tables))
+        assert _body(tmp_path / "one.csv") == _grid_lines(*axes, *tables)
+
+
+def test_grid_chunks_stay_under_8k():
+    # Chunks of a whole 512-point row kept more heap resident while the
+    # sweep file was read back; each chunk holds one block of columns.
+    sweep = _isolator_sweep(0.5, 512)
+    chunks = list(
+        _grid_rows(
+            sweep.delta_thetas, sweep.offsets, sweep.forward, sweep.backward, sweep.contrast_db
+        )
+    )
+    assert max(len(c) for c in chunks) <= 8192
+    assert sum(c.count("\n") for c in chunks) == 512 * 512
 
 
 def test_isolator_zero_offset_is_reciprocal(tmp_path):
