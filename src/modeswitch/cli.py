@@ -35,7 +35,7 @@ from .dynamics import (
     protocol_propagator,
     static_max_transfer,
 )
-from .geometry import tilt_angle, to_bloch
+from .geometry import to_bloch
 from .isolator import (
     BACKWARD,
     FORWARD,
@@ -49,7 +49,7 @@ from .isolator import (
     optimal_phases,
 )
 from .oracle import IntegrationConfig, integrate
-from .planner import PlanSearchError, minimal_plan_search
+from .planner import PlanSearchError, minimal_plan_search, minimal_plan_wt
 from .render import trajectory_svg
 from .twostep import (
     critical_phase,
@@ -173,7 +173,7 @@ MAX_GRID = 2048
 MAX_SAMPLES = 100_000
 # Largest accepted total W*T (rad) of an explicit protocol or a plan: the
 # RK4 cross-check takes about W*T / DEFAULT_STEP_FRACTION steps and a plan
-# about W*T / (pi/2) segments, so longer ones fail before any work starts.
+# at least W*T / (pi/2) segments, so longer ones fail before any work starts.
 MAX_PROTOCOL_WT = 1e4
 
 
@@ -434,17 +434,9 @@ def _plan_payload(cfg: RunConfig, search, met: bool) -> dict:
 def cmd_plan(cfg: RunConfig) -> int:
     params = cfg.params
     out = Path(cfg.out)
-    # Each segment but the last is a half turn (W*t = pi/2); the descent
-    # bound needs acos(1 - 2 threshold) / (pi - 2 psi) of them, or
-    # max_segments.  kappa0 = 0 is left to the planner, which names it.
-    if params.kappa0 > 0.0:
-        step = math.pi - 2.0 * abs(tilt_angle(params))
-        count = math.acos(1.0 - 2.0 * cfg.threshold) / step if step > 0.0 else math.inf
-        wt = (min(count, cfg.max_segments or math.inf) - 1.0) * math.pi / 2.0
-        if wt > MAX_PROTOCOL_WT:
-            raise ValueError(
-                f"plan W*T >= {wt:g} rad exceeds MAX_PROTOCOL_WT = {MAX_PROTOCOL_WT:g}"
-            )
+    wt = minimal_plan_wt(params, cfg.threshold, cfg.max_segments)
+    if wt > MAX_PROTOCOL_WT:
+        raise ValueError(f"plan W*T = {wt:g} rad exceeds MAX_PROTOCOL_WT = {MAX_PROTOCOL_WT:g}")
     try:
         search = minimal_plan_search(
             params,

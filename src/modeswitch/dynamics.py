@@ -127,16 +127,13 @@ class Protocol:
         return tuple(s.duration for s in self.segments)
 
 
-def remap_phases(protocol: Protocol, sign: float = 1.0, shift: float = 0.0) -> Protocol:
-    """Same durations with every phase phi replaced by sign * phi - shift.
+def remap_phases(protocol: Protocol, shift: float) -> Protocol:
+    """Same durations with every phase phi replaced by phi - shift.
 
-    sign -1 mirrors a protocol for -delta onto one for +delta; shift
-    re-drives it with all phases offset, which multiplies the
+    Re-driving a protocol with all phases offset multiplies the
     off-diagonal element of its propagator by exp(-i shift).
     """
-    return Protocol(
-        tuple(CouplingSegment(sign * s.phase - shift, s.duration) for s in protocol.segments)
-    )
+    return Protocol(tuple(CouplingSegment(s.phase - shift, s.duration) for s in protocol.segments))
 
 
 @dataclass(frozen=True)

@@ -1,25 +1,25 @@
 """Multi-segment descent planning for ratios beyond the two-segment regime.
 
-Every precession axis sits at polar angle pi/2 - psi, psi = arctan(delta /
-kappa0), so one segment can deepen the polar angle of the state by at most
-pi - 2 psi.  That single fact gives both a rigorous per-count transfer
-bound,
+Every precession axis sits at polar angle pi/2 - psi, psi = arctan(|delta|
+/ kappa0), so one segment can deepen the polar angle of the state by at
+most pi - 2 psi.  That gives a rigorous per-count transfer bound,
 
     max |a2|^2 with k segments  <=  (1 - cos(min(k (pi - 2 psi), pi))) / 2,
 
-and a constructive plan that attains it: enter each circle at its shallow
-point, precess half a turn to its deepest point, and switch to the axis
-whose azimuth is antipodal to the exit point.  Once the state is at polar
-angle >= 2 psi a final axis azimuth exists whose circle passes through the
-south pole exactly, finishing the transfer.
+and closed-form plans that attain it (dive_plan).  Below the landing
+count, where k (pi - 2 psi) < pi, push-pull half turns at phases 0 and pi
+deepen the state by the full step each.  At the landing count k, k
+equal segments with a constant phase step dphi land on the south pole:
+the protocol is V^k up to a turn about z, V = R_z(-dphi) U(tau) with U
+the phase-0 segment, and for
 
-The planner offers that construction directly (dive_plan) and the
-minimal plan it implies (minimal_plan_search): the first segment count
-whose bound reaches the threshold, built once by dive_plan, with the
-bound below that count as its curve.  No numerical search is involved.
-The landing time comes from the landing leg's height c + r cos(2 W s +
-chi), as the two-segment switch is one acos on its first leg's: it is
-the turn to angle pi, the lowest w of the landing circle, the south pole.
+    W tau = asin(sin(pi / 2k) / cos psi),   dphi = -sign(delta) 2 atan(sin psi tan(W tau))
+
+V turns by pi / k about a horizontal axis, so V^k carries the north
+pole to the south pole.  The asin exists exactly when k (pi - 2 psi) >=
+pi.  minimal_plan_search builds the fewest segments whose bound reaches
+the threshold, and minimal_plan_wt gives that plan's W*T before it is
+built.  No numerical search is involved.
 """
 
 from __future__ import annotations
@@ -32,18 +32,9 @@ from .dynamics import (
     ModeState,
     Protocol,
     compose,
-    remap_phases,
     segment_propagator,
 )
-from .geometry import (
-    NORTH,
-    BlochVector,
-    leg_time,
-    precession_leg,
-    rotation_axis,
-    tilt_angle,
-    to_bloch,
-)
+from .geometry import BlochVector, tilt_angle, to_bloch
 
 # Slack on threshold comparisons: a plan that lands on the south pole
 # reaches |a2|^2 = 1 only up to rounding, so threshold 1.0 taken exactly
@@ -115,58 +106,42 @@ def plan_from_protocol(params: CouplerParams, protocol: Protocol) -> StaircasePl
     return StaircasePlan(protocol, tuple(points), acc.transfer, len(points))
 
 
+def _segment_wt(psi: float, k: int) -> float:
+    """W tau of each of k equal segments that land on the south pole.
+
+    asin(sin(pi / 2k) / cos psi), clamped at a half turn, pi / 2, which
+    is also the segment of a dive that k segments cannot land.
+    """
+    return math.asin(min(1.0, math.sin(math.pi / (2.0 * k)) / math.cos(psi)))
+
+
 def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
-    """Half-turn descent plan, the constructive optimum per segment count.
+    """Plan attaining descent_bound at max_segments, in closed form.
 
-    Alternating push-pull half turns walk the state down one maximal
-    polar step per segment.  If max_segments suffices to bring the state
-    within reach of a pole circle, the last segment lands on the south
-    pole exactly and the plan may use fewer segments than allowed;
-    otherwise every segment is a half turn and the plan stops on the
-    deepest reachable circle bottom, attaining descent_bound.
-
-    Everything is closed form.  Phases 0 and pi put every axis in the u-w
-    plane, so half turn j leaves the state in that plane at polar angle
-    exactly j (pi - 2 psi), on the +u side for odd j.  From polar angle
-    theta and azimuth alpha the circle about axis(phi) passes through the
-    south pole iff cos(phi - alpha) = -tan(psi) / tan(theta / 2), which
-    has a solution once theta >= 2 psi; of the two such phases the one
-    with the shorter turn down to the south pole lands.
+    If max_segments (pi - 2 psi) >= pi it lands on the south pole with
+    the fewest segments that can, k = 1 + ceil(2 psi / (pi - 2 psi)),
+    possibly fewer than allowed: k equal segments, segment j at phase
+    j dphi (module docstring).  Otherwise it is max_segments half turns
+    at phases 0 and pi alternating, which keep every axis in the u-w
+    plane, so half turn j ends at polar angle exactly j (pi - 2 psi) at
+    either sign of delta.
     """
     if max_segments < 1:
         raise ValueError("max_segments must be >= 1")
     if params.kappa0 == 0.0:
         raise ValueError("planning requires kappa0 > 0")
 
-    # The pairs are built on the +|delta| geometry; -delta mirrors them.
-    geometry = CouplerParams(abs(params.delta), params.kappa0)
-    half_turn = math.pi / (2.0 * params.rabi)
-    psi = tilt_angle(geometry)
+    psi = abs(tilt_angle(params))
     step = math.pi - 2.0 * psi
-    lands = max_segments * step >= math.pi - LANDING_SLACK
-    dives = max(0, math.ceil(2.0 * psi / step - LANDING_SLACK)) if lands else max_segments
-    pairs = [(math.pi * (j % 2), half_turn) for j in range(dives)]
-    if lands and dives == 0:
-        # delta ~ 0: one half turn carries the north pole to the south pole.
-        pairs.append((0.0, half_turn))
-    elif lands:
-        theta = dives * step
-        alpha = 0.0 if dives % 2 else math.pi
-        entry = BlochVector(math.sin(theta) * math.cos(alpha), 0.0, math.cos(theta))
-        # Clamped: at the tangent count theta sits on 2 psi up to rounding.
-        x = -math.tan(psi) / math.tan(theta / 2.0)
-        dphi = math.acos(max(-1.0, min(1.0, x)))
-        landings = []
-        for phi in (alpha + dphi, alpha - dphi):
-            # The landing circle's lowest w, at angle pi, is the south pole.
-            axis = rotation_axis(geometry, phi)
-            _, _, chi = precession_leg(axis, entry, NORTH.as_array())
-            landings.append((phi, leg_time(axis, chi, math.pi)))
-        pairs.append(min(landings, key=lambda pd: pd[1]))
-    protocol = Protocol.from_pairs(pairs)
-    if params.delta < 0.0:
-        protocol = remap_phases(protocol, sign=-1.0)
-    return plan_from_protocol(params, protocol)
+    if max_segments * step < math.pi - LANDING_SLACK:
+        half_turn = math.pi / (2.0 * params.rabi)
+        pairs = [(math.pi * (j % 2), half_turn) for j in range(max_segments)]
+    else:
+        k = 1 + max(0, math.ceil(2.0 * psi / step - LANDING_SLACK))
+        wt = _segment_wt(psi, k)
+        dphi = -math.copysign(2.0 * math.atan(math.sin(psi) * math.tan(wt)), params.delta)
+        pairs = [(j * dphi, wt / params.rabi) for j in range(k)]
+    return plan_from_protocol(params, Protocol.from_pairs(pairs))
 
 
 @dataclass(frozen=True)
@@ -183,6 +158,45 @@ class PlanSearch:
     estimate: int
 
 
+def _minimal_count(params: CouplerParams, threshold: float, max_segments: int | None) -> int:
+    """First count k with descent_bound(k) >= threshold, or max_segments.
+
+    Starts at the closed form ceil(acos(1 - 2 threshold) / (pi - 2 psi))
+    and steps to the first count whose bound reaches the threshold less
+    THRESHOLD_SLACK, so rounding in the quotient cannot move the count
+    and no loop runs over every count.  Validates the search's inputs.
+    """
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("threshold must lie in (0, 1]")
+    if params.kappa0 == 0.0:
+        raise ValueError("planning requires kappa0 > 0")
+    if max_segments is not None and max_segments < 1:
+        raise ValueError("max_segments must be >= 1")
+    step = math.pi - 2.0 * abs(tilt_angle(params))
+    if step == 0.0:
+        if max_segments is None:
+            raise ValueError("|delta| / kappa0 too large for any segment to descend")
+        return max_segments
+    target = threshold - THRESHOLD_SLACK
+    k = max(1, math.ceil(math.acos(1.0 - 2.0 * threshold) / step))
+    while k > 1 and descent_bound(params, k - 1) >= target:
+        k -= 1
+    while descent_bound(params, k) < target:
+        k += 1
+    return k if max_segments is None else min(k, max_segments)
+
+
+def minimal_plan_wt(params: CouplerParams, threshold: float, max_segments: int | None) -> float:
+    """W*T of the plan minimal_plan_search builds, without building it.
+
+    k _segment_wt(psi, k) at the plan's count k: half turns below the
+    landing count, equal landing segments at it.  Equals the built
+    plan's W*T up to rounding, and raises the search's ValueErrors.
+    """
+    k = _minimal_count(params, threshold, max_segments)
+    return k * _segment_wt(abs(tilt_angle(params)), k)
+
+
 def minimal_plan_search(
     params: CouplerParams,
     threshold: float = 0.99,
@@ -196,19 +210,8 @@ def minimal_plan_search(
     the bound reaches 1 by the count at which the dive lands.  Raises
     PlanSearchError with that plan if it falls short of the threshold.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must lie in (0, 1]")
-    if params.kappa0 == 0.0:
-        raise ValueError("planning requires kappa0 > 0")
-    if max_segments is not None and max_segments < 1:
-        raise ValueError("max_segments must be >= 1")
-    if max_segments is None and abs(tilt_angle(params)) == math.pi / 2.0:
-        raise ValueError("|delta| / kappa0 too large for any segment to descend")
+    k = _minimal_count(params, threshold, max_segments)
     estimate = min_switches_estimate(params.ratio) if params.ratio > 0 else 1
-
-    k = 1
-    while descent_bound(params, k) < threshold - THRESHOLD_SLACK and k != max_segments:
-        k += 1
     plan = dive_plan(params, k)
     curve = tuple((j, descent_bound(params, j)) for j in range(1, k)) + ((k, plan.achieved),)
     if plan.achieved >= threshold - THRESHOLD_SLACK:

@@ -4,10 +4,9 @@ Each check exercises one contract of the package against an independent
 route (grid-and-zoom brute force, the RK4 oracle, scipy's expm, direct
 geometry) and reports a residual against a fixed tolerance.  The battery
 is what the `modeswitch verify` subcommand runs.  precession_leg checks
-the leg-height primitive that times the two-segment switch, the
-fraction cut and the dive landing against the amplitude propagator;
-plan_geometry checks that each planned switch point stays on the circle
-it leaves.
+the leg-height primitive that times the two-segment switch and the
+fraction cut against the amplitude propagator; plan_geometry checks
+that each planned switch point stays on the circle it leaves.
 
 inject_fault=True deliberately corrupts the reference used in the expm
 comparison: each segment's coupling phase is negated, which conjugates
@@ -131,13 +130,15 @@ def check_segment_splitting(rng, n: int) -> CheckResult:
 
 
 def check_static_peak(rng, n: int) -> CheckResult:
+    """static_max_transfer vs the peak of the closed-form one-segment
+    transfer on a grid of W t, and W t = pi/2 as its position."""
     grid = np.linspace(0.0, math.pi, 2001)
     worst = 0.0
     worst_pos = 0.0
     for _ in range(n):
         params = _random_params(rng)
         bound = static_max_transfer(params)
-        values = (params.kappa0 / params.rabi) ** 2 * np.sin(grid) ** 2
+        values = _grid_transfer(params, 0.0, grid, np.zeros(1))[:, 0]
         peak = float(values.max())
         worst = max(worst, abs(peak - bound))
         worst_pos = max(worst_pos, abs(grid[int(values.argmax())] - math.pi / 2.0))

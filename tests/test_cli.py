@@ -317,6 +317,18 @@ def test_plan_builds_a_long_staircase(tmp_path):
     assert len(payload["segments"]) == 417
 
 
+def test_plan_lands_just_under_the_wt_cap(tmp_path):
+    # 6,386 equal landing segments take W*T 9,940 rad; 6,385 half turns
+    # alone would exceed MAX_PROTOCOL_WT.
+    out = tmp_path / "plan"
+    args = ["plan", "--delta", 1.0, "--kappa", 0.000246, "--threshold", 1.0]
+    assert run(args + ["--out", out]) == 0
+    payload = json.loads((out / "plan.json").read_text())
+    assert payload["threshold_met"] is True
+    assert len(payload["segments"]) == 6386
+    assert CouplerParams(1.0, 0.000246).rabi * payload["total_duration"] <= MAX_PROTOCOL_WT
+
+
 def test_plan_threshold_one_at_rounding_case(tmp_path):
     out = tmp_path / "plan"
     args = ["plan", "--delta", -9.206459350378962, "--kappa", 1.5604168390472817]

@@ -16,10 +16,10 @@ from modeswitch import (
     compose,
     propagate,
     protocol_propagator,
-    remap_phases,
     segment_propagator,
     static_max_transfer,
 )
+from modeswitch import verify
 from modeswitch.oracle import generator
 
 
@@ -33,6 +33,14 @@ def test_static_max_transfer_values():
     assert static_max_transfer(CouplerParams(1.0, 1.0)) == pytest.approx(0.5)
     assert static_max_transfer(CouplerParams(0.5, 1.0)) == pytest.approx(0.8)
     assert static_max_transfer(CouplerParams(0.0, 2.0)) == pytest.approx(1.0)
+
+
+def test_static_peak_check_reads_the_transfer(monkeypatch):
+    # The check must read the package's transfer, not restate its formula.
+    real = verify._grid_transfer
+    assert verify.check_static_peak(np.random.default_rng(20240817), 20).passed
+    monkeypatch.setattr(verify, "_grid_transfer", lambda *args: real(*args) / 2.0)
+    assert not verify.check_static_peak(np.random.default_rng(20240817), 20).passed
 
 
 def test_params_validation():
@@ -175,7 +183,8 @@ def test_mirror_conjugates_propagator(delta, kappa, pairs):
         assert mm.d == m.d.conjugate()
         assert abs(mm.o + m.o.conjugate()) <= 1e-12
     m = protocol_propagator(params, protocol)
-    mm = protocol_propagator(mirrored, remap_phases(protocol, sign=-1.0))
+    mirror = Protocol.from_pairs((-seg.phase, seg.duration) for seg in protocol.segments)
+    mm = protocol_propagator(mirrored, mirror)
     assert abs(mm.d - m.d.conjugate()) <= 1e-12
     assert abs(mm.o + m.o.conjugate()) <= 1e-12
 

@@ -167,6 +167,38 @@ def test_minimal_search_cap_raises_with_best():
         minimal_plan_search(flat, max_segments=3)
 
 
+@pytest.mark.parametrize(
+    "ratio, wt",
+    [(0.5, 1.8235), (1.5, 3.3689), (2.0, 4.1077), (3.0, 6.7842), (5.5, 11.9540)],
+)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_threshold_one_plans_are_equal_segments(ratio, wt, sign):
+    # W*T of k equal segments with a constant phase step; at ratios 1.5, 2
+    # and 3 a constrained numerical search found no shorter k-segment plan.
+    params = CouplerParams(sign * ratio, 1.0)
+    protocol = minimal_plan_search(params, 1.0).plan.protocol
+    assert params.rabi * protocol.total_duration == pytest.approx(wt, abs=1e-4)
+    assert max(protocol.durations) - min(protocol.durations) <= 1e-15
+    steps = np.diff(protocol.phases) % (2.0 * math.pi)
+    assert np.ptp(np.cos(steps)) <= 1e-12 and np.ptp(np.sin(steps)) <= 1e-12
+
+
+def test_minimal_plan_wt_before_the_plan_is_built():
+    # delta 1, kappa0 0.000246: 6,386 equal landing segments take W*T
+    # 9,940, though 6,385 half turns alone would take 10,030.
+    params = CouplerParams(1.0, 0.000246)
+    plan = minimal_plan_search(params, 1.0).plan
+    wt = params.rabi * plan.protocol.total_duration
+    assert planner.minimal_plan_wt(params, 1.0, None) == pytest.approx(wt, rel=1e-12)
+    assert 9940.0 < wt < 9941.0
+    # A cap sets the count; with a flat tilt only a cap gives one.
+    assert planner.minimal_plan_wt(CouplerParams(3.0, 1.0), 0.99, 2) == pytest.approx(math.pi)
+    flat = CouplerParams(1.0, 1e-300)
+    assert planner.minimal_plan_wt(flat, 0.9, 3) == pytest.approx(1.5 * math.pi)
+    with pytest.raises(ValueError, match="too large"):
+        planner.minimal_plan_wt(flat, 0.9, None)
+
+
 def test_negative_detuning_mirrors():
     pos = minimal_plan_search(CouplerParams(2.0, 1.0))
     neg = minimal_plan_search(CouplerParams(-2.0, 1.0))

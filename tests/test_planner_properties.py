@@ -1,9 +1,13 @@
 """Property tests: the dive plan attains the descent bound, the minimal
 plan is minimal, meets its threshold, keeps every segment on its
 precession circle, and its dimensionless duration W*T depends only on
-|delta| / kappa0."""
+|delta| / kappa0, is known before the plan is built, and at two
+segments is the shortest on a grid of phases."""
 
-from hypothesis import example, given
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from modeswitch import (
@@ -11,7 +15,10 @@ from modeswitch import (
     descent_bound,
     dive_plan,
     minimal_plan_search,
+    solve_two_step,
+    two_step_feasible,
 )
+from modeswitch.planner import minimal_plan_wt
 from modeswitch.verify import plan_geometry_residual
 
 # At threshold 1.0 this ratio once left every plan short of 1.0 by rounding.
@@ -44,6 +51,8 @@ def test_minimal_plan_meets_threshold_with_fewest_segments(coupler, threshold):
     assert search.curve[-1][0] == k
     assert k == 1 or descent_bound(params, k - 1) < threshold
     assert search.plan.achieved >= threshold - 1e-12
+    wt = params.rabi * search.plan.protocol.total_duration
+    assert abs(minimal_plan_wt(params, threshold, None) - wt) <= 1e-12 * wt
     # Each segment leaves its state at the angle to its axis it entered at.
     assert plan_geometry_residual(params, search.plan) <= 1e-8
 
@@ -67,3 +76,23 @@ def test_plan_duration_is_sign_and_scale_invariant(coupler, threshold, scale):
     wt = plan_wt(delta, kappa, threshold)
     assert abs(plan_wt(-delta, kappa, threshold) - wt) <= 1e-12
     assert abs(plan_wt(scale * delta, scale * kappa, threshold) - wt) <= 1e-12
+
+
+@given(st.floats(0.05, 0.99), st.sampled_from((1.0, -1.0)), st.floats(0.3, 3.0))
+@settings(max_examples=12)
+@example(0.99, -1.0, 1.0)
+def test_two_segment_plan_is_shortest_on_a_phase_grid(ratio, sign, kappa):
+    # At ratio < 1 the threshold-1 plan has two segments.  No feasible
+    # phase on a 1000-point grid gives solve_two_step a shorter protocol,
+    # and the best grid phase is within one grid step's W*T change.
+    params = CouplerParams(sign * ratio * kappa, kappa)
+    protocol = minimal_plan_search(params, 1.0).plan.protocol
+    assert len(protocol.segments) == 2
+    wt = params.rabi * protocol.total_duration
+    grid = [
+        params.rabi * solve_two_step(params, phi).protocol().total_duration
+        for phi in np.linspace(0.0, 2.0 * math.pi, 1000, endpoint=False)
+        if two_step_feasible(params, phi)
+    ]
+    assert wt <= min(grid) + 1e-12
+    assert min(grid) - wt <= np.abs(np.diff(grid)).max()
