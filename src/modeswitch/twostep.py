@@ -141,10 +141,14 @@ def pushpull_times(params: CouplerParams) -> TwoStepSolution:
 def _grid_transfer(
     params: CouplerParams, phi: float, wt1: np.ndarray, wt2: np.ndarray
 ) -> np.ndarray:
-    """Transfer |a2|^2 from mode 1 with W t1 = wt1[i] and W t2 = wt2[j].
+    """Transfer |a2|^2 from mode 1 with W t1 = wt1[..., i] and W t2 = wt2[..., j].
 
-    Returns the table values[i, j].  The map is pi-periodic in each
-    duration, so axes in [0, pi] cover everything.
+    Returns the table values[..., i, j].  The map is pi-periodic in each
+    duration, so axes in [0, pi] cover everything.  For a batch of cells,
+    params.delta, params.kappa0, params.rabi and phi are (cells, 1)
+    columns and wt1, wt2 are shared axes or (cells, n) rows; the table
+    then has a leading cell axis, each cell computed element for element
+    as it would be alone.
     """
     w = params.rabi
     dr = params.delta / w
@@ -157,7 +161,7 @@ def _grid_transfer(
     d1, o1 = entries(wt1)
     d2, o2 = entries(wt2)
     o2 = o2 * np.exp(1j * phi)
-    oc = d2[None, :] * o1[:, None] + o2[None, :] * np.conj(d1)[:, None]
+    oc = d2[..., None, :] * o1[..., :, None] + o2[..., None, :] * np.conj(d1)[..., :, None]
     return np.abs(oc) ** 2
 
 

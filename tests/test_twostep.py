@@ -102,12 +102,12 @@ def test_axis_separation_and_ceiling():
 
 
 def test_ceiling_matches_brute_force_at_negative_detuning():
-    from modeswitch.verify import _brute_two_step_max
+    from modeswitch.verify import _brute_two_step_maxima
 
     phi = 1.0
     for delta in (0.6, -0.6):
         params = CouplerParams(delta, 1.0)
-        brute = _brute_two_step_max(params, phi)
+        brute = _brute_two_step_maxima([params], [phi])[0]
         assert brute == pytest.approx(0.98643, abs=1e-5)
         assert two_step_ceiling(params, phi) == pytest.approx(brute, abs=1e-7)
 

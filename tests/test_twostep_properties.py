@@ -21,7 +21,7 @@ from modeswitch import (
     two_step_ceiling,
     two_step_feasible,
 )
-from modeswitch.verify import _brute_two_step_max
+from modeswitch.verify import _brute_two_step_maxima
 
 
 @st.composite
@@ -58,7 +58,8 @@ def test_solver_reaches_the_ceiling(coupler, phi):
     params = CouplerParams(*coupler)
     sol = solve_two_step(params, phi)
     assert abs(sol.achieved - two_step_ceiling(params, phi)) <= 1e-12
-    assert abs(_brute_two_step_max(params, phi) - two_step_ceiling(params, phi)) <= 1e-12
+    brute = _brute_two_step_maxima([params], [phi])[0]
+    assert abs(brute - two_step_ceiling(params, phi)) <= 1e-12
     assert abs(protocol_propagator(params, sol.protocol()).transfer - sol.achieved) <= 1e-12
     if two_step_feasible(params, phi):
         assert sol.feasible
