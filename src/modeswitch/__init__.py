@@ -63,7 +63,6 @@ from .planner import (
     dive_plan,
     min_switches_estimate,
     minimal_plan_search,
-    plan_from_protocol,
 )
 from .twostep import (
     FeasibilityMap,

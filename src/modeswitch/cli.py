@@ -275,8 +275,6 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         data.update(raw)
     data.update({k: v for k, v in overrides.items() if v is not None})
-    if "protocol" in data and data["protocol"] is not None:
-        data["protocol"] = tuple(tuple(p) for p in data["protocol"])
     return RunConfig(**data)
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,8 +48,12 @@ class CouplerParams:
             raise ValueError("coupler parameters must be finite")
         if self.kappa0 < 0.0:
             raise ValueError("coupling magnitude kappa0 must be nonnegative")
-        if self.delta == 0.0 and self.kappa0 == 0.0:
-            raise ValueError("delta and kappa0 cannot both be zero")
+        # Every duration is a phase over W: a W that overflows, vanishes or
+        # is subnormal has no usable reciprocal.
+        if not sys.float_info.min <= self.rabi < math.inf:
+            raise ValueError(
+                f"W = hypot(delta, kappa0) = {self.rabi!r} must be a normal finite float"
+            )
 
     @property
     def rabi(self) -> float:

@@ -95,17 +95,6 @@ class PlanSearchError(RuntimeError):
         self.curve = curve
 
 
-def plan_from_protocol(params: CouplerParams, protocol: Protocol) -> StaircasePlan:
-    """Evaluate a protocol into a StaircasePlan by direct propagation."""
-    start = ModeState.mode1()
-    acc = segment_propagator(params, protocol.segments[0])
-    points: list[BlochVector] = []
-    for seg in protocol.segments[1:]:
-        points.append(to_bloch(acc.apply(start)))
-        acc = compose(segment_propagator(params, seg), acc)
-    return StaircasePlan(protocol, tuple(points), acc.transfer, len(points))
-
-
 def _segment_wt(psi: float, k: int) -> float:
     """W tau of each of k equal segments that land on the south pole.
 
@@ -141,7 +130,15 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
         wt = _segment_wt(psi, k)
         dphi = -math.copysign(2.0 * math.atan(math.sin(psi) * math.tan(wt)), params.delta)
         pairs = [(j * dphi, wt / params.rabi) for j in range(k)]
-    return plan_from_protocol(params, Protocol.from_pairs(pairs))
+    # Switch points and transfer by direct propagation from mode 1.
+    protocol = Protocol.from_pairs(pairs)
+    start = ModeState.mode1()
+    acc = segment_propagator(params, protocol.segments[0])
+    points: list[BlochVector] = []
+    for seg in protocol.segments[1:]:
+        points.append(to_bloch(acc.apply(start)))
+        acc = compose(segment_propagator(params, seg), acc)
+    return StaircasePlan(protocol, tuple(points), acc.transfer, len(points))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,11 @@ the leg-height primitive that times the two-segment switch and the
 fraction cut against the amplitude propagator; plan_geometry checks
 that each planned switch point stays on the circle it leaves.
 
+A check whose contract is a formula over one case keeps that formula in
+a pure `<check>_residual(case...) -> float`.  check_<check> only draws
+its cases from the battery's rng and keeps the worst residual; the
+property tests call the same residual on cases of their own.
+
 inject_fault=True deliberately corrupts the reference used in the expm
 comparison: each segment's coupling phase is negated, which conjugates
 the Hamiltonian.  The propagator_vs_expm check must then fail; this
@@ -16,9 +21,11 @@ guards against the battery itself going soft.
 
 from __future__ import annotations
 
+import cmath
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +46,7 @@ from .dynamics import (
 from .geometry import (
     NORTH,
     BlochVector,
+    RotationAxis,
     bloch_precess,
     cone_floor,
     leg_time,
@@ -74,19 +82,36 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckRe
     return CheckResult(name, bool(residual <= tol), float(residual), float(tol), detail)
 
 
+def _worst(name: str, residuals: Iterable[float], tol: float, detail: str) -> CheckResult:
+    """Result at the largest residual, or 0 if none is positive."""
+    return _result(name, reduce(max, residuals, 0.0), tol, detail)
+
+
 def _random_params(rng) -> CouplerParams:
     return CouplerParams(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0))
 
 
+def _random_segment(rng, max_wt: float) -> tuple[CouplerParams, CouplingSegment]:
+    params = _random_params(rng)
+    seg = CouplingSegment(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, max_wt) / params.rabi)
+    return params, seg
+
+
 def _random_protocol(
-    rng, params: CouplerParams, max_segments: int = 8, min_frac: float = 0.05
-) -> Protocol:
+    rng, max_segments: int = 8, min_frac: float = 0.05
+) -> tuple[CouplerParams, Protocol]:
+    params = _random_params(rng)
     n = int(rng.integers(1, max_segments + 1))
     w = params.rabi
-    return Protocol.from_pairs(
+    return params, Protocol.from_pairs(
         (rng.uniform(0.0, 2.0 * math.pi), rng.uniform(min_frac, 1.2) * math.pi / w)
         for _ in range(n)
     )
+
+
+def _random_state(rng) -> ModeState:
+    a = rng.normal(size=4)
+    return ModeState(complex(a[0], a[1]), complex(a[2], a[3])).normalized()
 
 
 def _matrix_mismatch(a: np.ndarray, b: np.ndarray) -> float:
@@ -94,145 +119,141 @@ def _matrix_mismatch(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def check_segment_unitarity(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        seg = CouplingSegment(
-            rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 4.0) / params.rabi
-        )
-        worst = max(worst, segment_propagator(params, seg).unitarity_defect)
-    return _result("segment_unitarity", worst, 1e-12, f"{n} random segments")
+    defects = (segment_propagator(*_random_segment(rng, 4.0)).unitarity_defect for _ in range(n))
+    return _worst("segment_unitarity", defects, 1e-12, f"{n} random segments")
 
 
 def check_norm_conservation(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        protocol = _random_protocol(rng, params)
-        a = rng.normal(size=4)
-        state = ModeState(complex(a[0], a[1]), complex(a[2], a[3])).normalized()
-        for _, s in propagate(params, protocol, state, 32):
-            worst = max(worst, abs(s.norm - 1.0))
-    return _result("norm_conservation", worst, 1e-12, f"{n} random protocols")
+    def residuals():
+        for _ in range(n):
+            params, protocol = _random_protocol(rng)
+            state = _random_state(rng)
+            yield from (abs(s.norm - 1.0) for _, s in propagate(params, protocol, state, 32))
+
+    return _worst("norm_conservation", residuals(), 1e-12, f"{n} random protocols")
+
+
+def segment_splitting_residual(params: CouplerParams, phase: float, t1: float, t2: float) -> float:
+    """One segment of t1 + t2 against the same phase held for t1, then t2."""
+    whole = segment_propagator(params, CouplingSegment(phase, t1 + t2))
+    split = compose(
+        segment_propagator(params, CouplingSegment(phase, t2)),
+        segment_propagator(params, CouplingSegment(phase, t1)),
+    )
+    return _matrix_mismatch(whole.as_array(), split.as_array())
 
 
 def check_segment_splitting(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        t1, t2 = rng.uniform(0.0, 2.0, size=2) / params.rabi
-        whole = segment_propagator(params, CouplingSegment(phase, t1 + t2))
-        split = compose(
-            segment_propagator(params, CouplingSegment(phase, t2)),
-            segment_propagator(params, CouplingSegment(phase, t1)),
-        )
-        worst = max(worst, _matrix_mismatch(whole.as_array(), split.as_array()))
-    return _result("segment_splitting", worst, 1e-12, f"{n} random splits")
+    def residuals():
+        for _ in range(n):
+            params = _random_params(rng)
+            phase = rng.uniform(0.0, 2.0 * math.pi)
+            t1, t2 = rng.uniform(0.0, 2.0, size=2) / params.rabi
+            yield segment_splitting_residual(params, phase, t1, t2)
+
+    return _worst("segment_splitting", residuals(), 1e-12, f"{n} random splits")
 
 
 def check_static_peak(rng, n: int) -> CheckResult:
     """static_max_transfer vs the peak of the closed-form one-segment
     transfer on a grid of W t, and W t = pi/2 as its position."""
     grid = np.linspace(0.0, math.pi, 2001)
-    worst = 0.0
-    worst_pos = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        bound = static_max_transfer(params)
-        values = _grid_transfer(params, 0.0, grid, np.zeros(1))[:, 0]
-        peak = float(values.max())
-        worst = max(worst, abs(peak - bound))
-        worst_pos = max(worst_pos, abs(grid[int(values.argmax())] - math.pi / 2.0))
-    residual = max(worst, 0.0 if worst_pos <= grid[1] * 1.5 else worst_pos)
-    return _result(
-        "static_peak_bound",
-        residual,
-        1e-9,
-        f"peak at W t = pi/2 within {grid[1]:.2e} rad on {n} parameter draws",
-    )
+
+    def residuals():
+        for _ in range(n):
+            params = _random_params(rng)
+            values = _grid_transfer(params, 0.0, grid, np.zeros(1))[:, 0]
+            yield abs(float(values.max()) - static_max_transfer(params))
+            off_peak = abs(grid[int(values.argmax())] - math.pi / 2.0)
+            yield 0.0 if off_peak <= grid[1] * 1.5 else off_peak
+
+    detail = f"peak at W t = pi/2 within {grid[1]:.2e} rad on {n} parameter draws"
+    return _worst("static_peak_bound", residuals(), 1e-9, detail)
+
+
+def propagator_vs_rk4_residual(params: CouplerParams, protocol: Protocol) -> float:
+    """Closed-form protocol propagator against the RK4 oracle at its default step."""
+    exact = protocol_propagator(params, protocol).as_array()
+    return _matrix_mismatch(exact, integrate_matrix(params, protocol, IntegrationConfig()))
 
 
 def check_rk4_agreement(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        protocol = _random_protocol(rng, params)
-        exact = protocol_propagator(params, protocol).as_array()
-        rk4 = integrate_matrix(params, protocol, IntegrationConfig())
-        worst = max(worst, _matrix_mismatch(exact, rk4))
-    return _result("propagator_vs_rk4", worst, 1e-8, f"{n} random protocols")
+    residuals = (propagator_vs_rk4_residual(*_random_protocol(rng)) for _ in range(n))
+    return _worst("propagator_vs_rk4", residuals, 1e-8, f"{n} random protocols")
+
+
+def propagator_vs_expm_residual(params: CouplerParams, seg: CouplingSegment) -> float:
+    """Closed-form segment propagator against scipy's expm of its Hamiltonian."""
+    exact = segment_propagator(params, seg).as_array()
+    return _matrix_mismatch(exact, expm_propagator(params, seg))
 
 
 def check_expm_agreement(rng, n: int, inject_fault: bool) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        seg = CouplingSegment(
-            rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 3.0) / params.rabi
-        )
+    def conjugated_reference(params: CouplerParams, seg: CouplingSegment) -> float:
         # Deliberate corruption used to prove the battery can fail.
-        ref_seg = CouplingSegment(-seg.phase, seg.duration) if inject_fault else seg
-        ref = expm_propagator(params, ref_seg)
-        worst = max(
-            worst, _matrix_mismatch(segment_propagator(params, seg).as_array(), ref)
-        )
+        ref = expm_propagator(params, CouplingSegment(-seg.phase, seg.duration))
+        return _matrix_mismatch(segment_propagator(params, seg).as_array(), ref)
+
+    residual = conjugated_reference if inject_fault else propagator_vs_expm_residual
+    residuals = (residual(*_random_segment(rng, 3.0)) for _ in range(n))
     detail = f"{n} random segments" + (" [fault injected]" if inject_fault else "")
-    return _result("propagator_vs_expm", worst, 1e-10, detail)
+    return _worst("propagator_vs_expm", residuals, 1e-10, detail)
+
+
+def bloch_consistency_residual(
+    params: CouplerParams, protocol: Protocol, state: ModeState
+) -> float:
+    """Amplitudes against the Bloch vector precessed about each segment's axis."""
+    bloch = to_bloch(state)
+    for seg in protocol.segments:
+        state = segment_propagator(params, seg).apply(state)
+        bloch = bloch_precess(rotation_axis(params, seg.phase), bloch, seg.duration)
+    return float(np.abs(to_bloch(state).as_array() - bloch.as_array()).max())
 
 
 def check_bloch_consistency(rng, n: int) -> CheckResult:
+    residuals = (
+        bloch_consistency_residual(*_random_protocol(rng, max_segments=5), _random_state(rng))
+        for _ in range(n)
+    )
+    return _worst("bloch_consistency", residuals, 1e-10, f"{n} random protocols")
+
+
+def precession_rigidity_residual(axis: RotationAxis, start: BlochVector, times) -> float:
+    """Norm and axis component of a unit point precessed for each of the times."""
+    n = axis.as_array()
+    axial0 = float(np.dot(n, start.as_array()))
     worst = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        protocol = _random_protocol(rng, params, max_segments=5)
-        a = rng.normal(size=4)
-        state = ModeState(complex(a[0], a[1]), complex(a[2], a[3])).normalized()
-        bloch = to_bloch(state)
-        acc = state
-        for seg in protocol.segments:
-            acc = segment_propagator(params, seg).apply(acc)
-            bloch = bloch_precess(rotation_axis(params, seg.phase), bloch, seg.duration)
-        diff = np.abs(to_bloch(acc).as_array() - bloch.as_array()).max()
-        worst = max(worst, float(diff))
-    return _result("bloch_consistency", worst, 1e-10, f"{n} random protocols")
+    for t in times:
+        moved = bloch_precess(axis, start, float(t))
+        worst = max(worst, abs(moved.norm - 1.0), abs(float(np.dot(n, moved.as_array())) - axial0))
+    return worst
 
 
 def check_precession_rigidity(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        axis = rotation_axis(params, rng.uniform(0.0, 2.0 * math.pi))
-        p = rng.normal(size=3)
-        p /= np.linalg.norm(p)
-        start = BlochVector.from_array(p)
-        axial0 = float(np.dot(axis.as_array(), p))
-        for t in rng.uniform(0.0, 5.0 / params.rabi, size=5):
-            moved = bloch_precess(axis, start, float(t))
-            worst = max(worst, abs(moved.norm - 1.0))
-            worst = max(
-                worst, abs(float(np.dot(axis.as_array(), moved.as_array())) - axial0)
-            )
-    return _result("precession_rigidity", worst, 1e-12, f"{n} random axes")
+    def residuals():
+        for _ in range(n):
+            params = _random_params(rng)
+            axis = rotation_axis(params, rng.uniform(0.0, 2.0 * math.pi))
+            p = rng.normal(size=3)
+            start = BlochVector.from_array(p / np.linalg.norm(p))
+            times = rng.uniform(0.0, 5.0 / params.rabi, size=5)
+            yield precession_rigidity_residual(axis, start, times)
+
+    return _worst("precession_rigidity", residuals(), 1e-12, f"{n} random axes")
 
 
 def check_cone_floor(rng, n: int) -> CheckResult:
-    worst = -1.0
-    for _ in range(n):
-        params = _random_params(rng)
-        floor = cone_floor(params)
-        w = params.rabi
-        seg_duration = math.pi / w  # half period covers the full circle depth
-        samples = propagate(
-            params,
-            Protocol((CouplingSegment(rng.uniform(0.0, 2.0 * math.pi), seg_duration),)),
-            ModeState.mode1(),
-            128,
-        )
-        min_w = min(to_bloch(s).w for _, s in samples)
-        worst = max(worst, floor - min_w - 0.0)
-    # min_w may sit above the floor (sampling), but never below it.
-    return _result("cone_floor", max(worst, 0.0), 1e-9, f"{n} static trajectories")
+    def residuals():
+        for _ in range(n):
+            params = _random_params(rng)
+            # A half period covers the full circle depth.
+            seg = CouplingSegment(rng.uniform(0.0, 2.0 * math.pi), math.pi / params.rabi)
+            samples = propagate(params, Protocol((seg,)), ModeState.mode1(), 128)
+            yield cone_floor(params) - min(to_bloch(s).w for _, s in samples)
+
+    # The sampled minimum may sit above the floor, but never below it.
+    return _worst("cone_floor", residuals(), 1e-9, f"{n} static trajectories")
 
 
 _SEED_AXIS = np.linspace(0.0, math.pi, 48)
@@ -316,10 +337,11 @@ def check_two_step_ceiling(rng, n: int) -> CheckResult:
     draws = [(rng.uniform(0.05, 1.2), rng.uniform(0.0, math.pi)) for _ in range(n)]
     params = [CouplerParams(-r if k % 2 else r, 1.0) for k, (r, _) in enumerate(draws)]
     phis = [phi for _, phi in draws]
-    worst = 0.0
-    for p, phi, achieved in zip(params, phis, _brute_two_step_maxima(params, phis)):
-        worst = max(worst, abs(achieved - two_step_ceiling(p, phi)))
-    return _result("two_step_ceiling", worst, 1e-7, f"{n} random (delta, phi) draws, both signs")
+    residuals = (
+        abs(achieved - two_step_ceiling(p, phi))
+        for p, phi, achieved in zip(params, phis, _brute_two_step_maxima(params, phis))
+    )
+    return _worst("two_step_ceiling", residuals, 1e-7, f"{n} random (delta, phi) draws, both signs")
 
 
 def check_criterion_vs_brute(n_cells: int = 50) -> CheckResult:
@@ -348,45 +370,50 @@ def check_criterion_vs_brute(n_cells: int = 50) -> CheckResult:
     )
 
 
-def check_precession_leg(rng, n: int) -> CheckResult:
-    """The leg height c + r cos(2 W s + chi), sampled and at leg_time, vs amplitudes."""
+def precession_leg_residual(
+    params: CouplerParams, seg: CouplingSegment, state: ModeState, along, angle: float
+) -> float:
+    """The leg height c + r cos(2 W s + chi) along `along`, at the end of
+    seg and at leg_time for `angle`, against the amplitude propagator."""
+    axis = rotation_axis(params, seg.phase)
+    c, r, chi = precession_leg(axis, to_bloch(state), along)
     worst = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        phase = rng.uniform(0.0, 2.0 * math.pi)
-        duration = rng.uniform(0.0, 4.0) / params.rabi
-        a = rng.normal(size=4)
-        state = ModeState(complex(a[0], a[1]), complex(a[2], a[3])).normalized()
-        along = rng.normal(size=3)
-        along /= np.linalg.norm(along)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        axis = rotation_axis(params, phase)
-        c, r, chi = precession_leg(axis, to_bloch(state), along)
-        timed = leg_time(axis, chi, angle)
-        for s, predicted in (
-            (duration, c + r * math.cos(2.0 * params.rabi * duration + chi)),
-            (timed, c + r * math.cos(angle)),
-        ):
-            moved = segment_propagator(params, CouplingSegment(phase, s)).apply(state)
-            worst = max(worst, abs(float(np.dot(along, to_bloch(moved).as_array())) - predicted))
-    return _result("precession_leg", worst, 1e-12, f"{n} random legs, sampled and timed")
+    for s, predicted in (
+        (seg.duration, c + r * math.cos(2.0 * params.rabi * seg.duration + chi)),
+        (leg_time(axis, chi, angle), c + r * math.cos(angle)),
+    ):
+        moved = segment_propagator(params, CouplingSegment(seg.phase, s)).apply(state)
+        worst = max(worst, abs(float(np.dot(along, to_bloch(moved).as_array())) - predicted))
+    return worst
+
+
+def check_precession_leg(rng, n: int) -> CheckResult:
+    def residuals():
+        for _ in range(n):
+            params, seg = _random_segment(rng, 4.0)
+            state = _random_state(rng)
+            along = rng.normal(size=3)
+            along /= np.linalg.norm(along)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            yield precession_leg_residual(params, seg, state, along, angle)
+
+    return _worst("precession_leg", residuals(), 1e-12, f"{n} random legs, sampled and timed")
+
+
+def pushpull_identity_residual(params: CouplerParams) -> float:
+    """|D| of the push-pull composite, and its first segment's distance from 50:50."""
+    sol = pushpull_times(params)
+    composite = protocol_propagator(params, sol.protocol())
+    half = segment_propagator(params, CouplingSegment(0.0, sol.t1))
+    return max(abs(composite.d), abs(half.transfer - 0.5))
 
 
 def check_pushpull_identity(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        ratio = rng.uniform(0.0, 0.98)
-        params = CouplerParams(ratio, 1.0)
-        sol = pushpull_times(params)
-        m = protocol_propagator(params, sol.protocol())
-        worst = max(worst, abs(m.d))
-        half = segment_propagator(params, CouplingSegment(0.0, sol.t1))
-        worst = max(worst, abs(half.transfer - 0.5))
-    return _result(
-        "pushpull_identity",
-        worst,
-        1e-9,
-        f"|D|=0 and a balanced first segment on {n} ratios",
+    residuals = (
+        pushpull_identity_residual(CouplerParams(rng.uniform(0.0, 0.98), 1.0)) for _ in range(n)
+    )
+    return _worst(
+        "pushpull_identity", residuals, 1e-9, f"|D|=0 and a balanced first segment on {n} ratios"
     )
 
 
@@ -425,8 +452,7 @@ def check_rk4_convergence(rng, n: int) -> CheckResult:
     # sqrt(err(0.08) / err(0.02)).
     lo, hi = math.inf, 0.0
     for _ in range(n):
-        params = _random_params(rng)
-        protocol = _random_protocol(rng, params, max_segments=8, min_frac=0.3)
+        params, protocol = _random_protocol(rng, max_segments=8, min_frac=0.3)
         for seg in protocol.segments:
             exact = segment_propagator(params, seg).as_array()
             errs = []
@@ -446,65 +472,77 @@ def check_rk4_convergence(rng, n: int) -> CheckResult:
     )
 
 
+def isolator_identity_residual(spec: IsolatorSpec) -> float:
+    """closed_form_powers against the cascade's matrix product, both directions."""
+    closed = closed_form_powers(spec.stage, spec.delta_theta, spec.rf_offset)
+    return max(abs(cross_power(spec, d) - p) for d, p in zip((FORWARD, BACKWARD), closed))
+
+
 def check_isolator_identity(rng, n: int) -> CheckResult:
-    worst = 0.0
-    for _ in range(n):
-        alpha = rng.uniform(0.0, math.pi / 2.0)
-        d = math.cos(alpha) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-        o = math.sin(alpha) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-        stage = TransferMatrix(complex(d), complex(o))
-        spec = IsolatorSpec(
-            stage,
-            rng.uniform(0.0, 2.0 * math.pi),
-            rng.uniform(0.0, 2.0 * math.pi),
-            rng.uniform(0.0, 2.0 * math.pi),
-        )
-        closed = closed_form_powers(stage, spec.delta_theta, spec.rf_offset)
-        for direction, power in zip((FORWARD, BACKWARD), closed):
-            worst = max(worst, abs(cross_power(spec, direction) - power))
-    # Reciprocity zeros: offset 0, and effective differential phase 0.
-    stage = TransferMatrix(math.sqrt(0.5), 1j * math.sqrt(0.5))
-    worst = max(worst, reciprocity_defect(IsolatorSpec(stage, 1.3, 0.4, 0.0)))
-    worst = max(worst, reciprocity_defect(IsolatorSpec(stage, 0.0, 0.0, 2.1)))
-    return _result("isolator_identity", worst, 1e-12, f"{n} random cascades")
+    def residuals():
+        for _ in range(n):
+            alpha = rng.uniform(0.0, math.pi / 2.0)
+            d = math.cos(alpha) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            o = math.sin(alpha) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+            stage = TransferMatrix(complex(d), complex(o))
+            thetas = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(3)]
+            yield isolator_identity_residual(IsolatorSpec(stage, *thetas))
+        # Reciprocity zeros: offset 0, and effective differential phase 0.
+        stage = TransferMatrix(math.sqrt(0.5), 1j * math.sqrt(0.5))
+        yield reciprocity_defect(IsolatorSpec(stage, 1.3, 0.4, 0.0))
+        yield reciprocity_defect(IsolatorSpec(stage, 0.0, 0.0, 2.1))
+
+    return _worst("isolator_identity", residuals(), 1e-12, f"{n} random cascades")
+
+
+def isolator_offset_realization_residual(
+    params: CouplerParams, protocol: Protocol, offset: float
+) -> float:
+    """The offset stage against the protocol with every phase shifted by offset."""
+    direct = stage_with_offset(protocol_propagator(params, protocol), offset)
+    shifted = protocol_propagator(params, remap_phases(protocol, shift=offset))
+    return _matrix_mismatch(direct.as_array(), shifted.as_array())
 
 
 def check_isolator_offset_realization(rng, n: int) -> CheckResult:
     """Shifting all drive phases reproduces the offset stage exactly."""
-    worst = 0.0
-    for _ in range(n):
-        params = _random_params(rng)
-        protocol = _random_protocol(rng, params, max_segments=4)
-        offset = rng.uniform(0.0, 2.0 * math.pi)
-        direct = stage_with_offset(protocol_propagator(params, protocol), offset)
-        shifted = protocol_propagator(params, remap_phases(protocol, shift=offset))
-        worst = max(worst, _matrix_mismatch(direct.as_array(), shifted.as_array()))
-    return _result("isolator_offset_realization", worst, 1e-12, f"{n} random stages")
+    residuals = (
+        isolator_offset_realization_residual(
+            *_random_protocol(rng, max_segments=4), rng.uniform(0.0, 2.0 * math.pi)
+        )
+        for _ in range(n)
+    )
+    return _worst("isolator_offset_realization", residuals, 1e-12, f"{n} random stages")
+
+
+def _isolating_cascade(params: CouplerParams) -> tuple[Protocol, IsolatorSpec]:
+    """The push-pull first segment as the stage, with offset pi/2 and the
+    phase that transmits fully forward: delta_theta + 2 arg D + offset = 0."""
+    protocol = Protocol((CouplingSegment(0.0, pushpull_times(params).t1),))
+    stage = protocol_propagator(params, protocol)
+    offset = math.pi / 2.0
+    theta1 = (-offset - 2.0 * cmath.phase(stage.d)) % (2.0 * math.pi)
+    return protocol, IsolatorSpec(stage, theta1, 0.0, offset)
+
+
+def isolator_endpoints_residual(params: CouplerParams, sample_count: int) -> float:
+    """Forward lands on mode 2 and backward returns to mode 1, in the cross
+    powers and at the ends of the sampled trajectories."""
+    protocol, spec = _isolating_cascade(params)
+    fwd_final = cascade_trajectory(params, protocol, spec, FORWARD, sample_count)[-1][1]
+    bwd_final = cascade_trajectory(params, protocol, spec, BACKWARD, sample_count)[-1][1]
+    return max(
+        abs(cross_power(spec, FORWARD) - 1.0),
+        cross_power(spec, BACKWARD),
+        abs(to_bloch(fwd_final).w + 1.0),
+        abs(to_bloch(bwd_final).w - 1.0),
+    )
 
 
 def check_isolator_endpoints() -> CheckResult:
-    params = CouplerParams(0.5, 1.0)
-    sol = pushpull_times(params)
-    stage_protocol = Protocol((CouplingSegment(0.0, sol.t1),))
-    stage = protocol_propagator(params, stage_protocol)
-    import cmath
-
-    arg_d = cmath.phase(stage.d)
-    offset = math.pi / 2.0
-    # Full transmission forward: delta_theta + 2 arg D + offset = 0 (mod 2 pi).
-    theta1 = (-offset - 2.0 * arg_d) % (2.0 * math.pi)
-    spec = IsolatorSpec(stage, theta1, 0.0, offset)
-    worst = abs(cross_power(spec, FORWARD) - 1.0)
-    worst = max(worst, cross_power(spec, BACKWARD))
-    fwd_final = cascade_trajectory(params, stage_protocol, spec, FORWARD, 64)[-1][1]
-    bwd_final = cascade_trajectory(params, stage_protocol, spec, BACKWARD, 64)[-1][1]
-    worst = max(worst, abs(to_bloch(fwd_final).w + 1.0))
-    worst = max(worst, abs(to_bloch(bwd_final).w - 1.0))
+    residual = isolator_endpoints_residual(CouplerParams(0.5, 1.0), 64)
     return _result(
-        "isolator_endpoints",
-        worst,
-        1e-6,
-        "forward lands on mode 2, backward returns to mode 1",
+        "isolator_endpoints", residual, 1e-6, "forward lands on mode 2, backward returns to mode 1"
     )
 
 

@@ -135,6 +135,18 @@ def test_main_exit_2_on_bad_input(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(json.dumps({"samples": MAX_SAMPLES + 1}))
     assert run(["simulate", "--config", big, "--out", tmp_path / "big"]) == 2
+    # A protocol that is not a list of pairs fails in RunConfig's validation.
+    for protocol in (5, [1, 2]):
+        big.write_text(json.dumps({"protocol": protocol}))
+        assert run(["simulate", "--config", big, "--out", tmp_path / "big"]) == 2
+    # W = hypot(delta, kappa) must be a normal finite float.
+    for command, delta, kappa in (
+        ("transfer-map", 1e-320, 1e-320),
+        ("transfer-map", 1.5e308, 1.5e308),
+        ("isolator", 1e-320, 2e-320),
+        ("isolator", 1e308, 1.7e308),
+    ):
+        assert run([command, "--delta", delta, "--kappa", kappa, "--out", tmp_path / "big"]) == 2
     assert not (tmp_path / "big").exists()
 
 

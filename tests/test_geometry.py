@@ -2,27 +2,40 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from modeswitch import (
     NORTH,
     SOUTH,
-    BlochVector,
     CouplerParams,
     CouplingSegment,
     ModeState,
+    Protocol,
     RotationAxis,
     bloch_precess,
     cone_floor,
     leg_time,
     precession_leg,
     rotation_axis,
-    segment_propagator,
     static_max_transfer,
     tilt_angle,
     to_bloch,
+    verify,
 )
 
 SQ2 = math.sqrt(0.5)
+
+
+def _nonzero(size: int, bound: float = 1.0):
+    return st.tuples(*[st.floats(-bound, bound)] * size).filter(
+        lambda x: sum(v * v for v in x) > 0.01
+    )
+
+
+couplers = st.builds(CouplerParams, st.floats(-3.0, 3.0), st.floats(0.1, 3.0))
+states = _nonzero(4).map(lambda z: ModeState(complex(z[0], z[1]), complex(z[2], z[3])).normalized())
+phases = st.floats(0.0, 2.0 * math.pi)
 
 
 def test_to_bloch_cardinal_states():
@@ -61,36 +74,23 @@ def test_precession_sense_matches_amplitudes():
     This is the pinned convention every geometric routine depends on, so
     it is checked directly against the amplitude propagator.
     """
-    params = CouplerParams(0.7, 1.3)
-    phi, t = 0.9, 0.8
     state = ModeState(0.8 + 0.1j, -0.3 + 0.5j).normalized()
-    evolved = segment_propagator(params, CouplingSegment(phi, t)).apply(state)
-    rotated = bloch_precess(rotation_axis(params, phi), to_bloch(state), t)
-    assert to_bloch(evolved).as_array() == pytest.approx(rotated.as_array(), abs=1e-12)
+    protocol = Protocol((CouplingSegment(0.9, 0.8),))
+    assert verify.bloch_consistency_residual(CouplerParams(0.7, 1.3), protocol, state) <= 1e-12
 
 
-def test_precession_sense_random(seeded_cases=25):
-    rng = np.random.default_rng(3)
-    for _ in range(seeded_cases):
-        params = CouplerParams(rng.uniform(-2, 2), rng.uniform(0.2, 2))
-        phi = rng.uniform(0, 2 * math.pi)
-        t = rng.uniform(0, 4) / params.rabi
-        z = rng.normal(size=4)
-        state = ModeState(complex(z[0], z[1]), complex(z[2], z[3])).normalized()
-        evolved = segment_propagator(params, CouplingSegment(phi, t)).apply(state)
-        rotated = bloch_precess(rotation_axis(params, phi), to_bloch(state), t)
-        assert np.abs(to_bloch(evolved).as_array() - rotated.as_array()).max() < 1e-10
+@given(couplers, st.lists(st.tuples(phases, st.floats(0.0, 4.0)), min_size=1, max_size=5), states)
+def test_precession_sense_random(params, wt_pairs, state):
+    """Amplitudes and Bloch precession agree segment by segment."""
+    protocol = Protocol.from_pairs((phi, wt / params.rabi) for phi, wt in wt_pairs)
+    assert verify.bloch_consistency_residual(params, protocol, state) < 1e-10
 
 
-def test_precession_preserves_axis_component():
-    params = CouplerParams(0.4, 1.1)
-    axis = rotation_axis(params, 2.0)
-    p = BlochVector(0.3, -0.5, math.sqrt(1 - 0.09 - 0.25))
-    before = float(np.dot(axis.as_array(), p.as_array()))
-    for t in (0.1, 0.7, 3.0):
-        moved = bloch_precess(axis, p, t)
-        assert abs(moved.norm - 1.0) < 1e-12
-        assert float(np.dot(axis.as_array(), moved.as_array())) == pytest.approx(before)
+@given(couplers, phases, states, st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5))
+def test_precession_preserves_axis_component(params, phase, state, wts):
+    """Precession keeps the norm and the component along the axis."""
+    axis, times = rotation_axis(params, phase), [wt / params.rabi for wt in wts]
+    assert verify.precession_rigidity_residual(axis, to_bloch(state), times) < 1e-12
 
 
 def test_precession_leg_quarter_turn():
@@ -117,23 +117,14 @@ def test_precession_leg_north_to_south_half_turn():
     assert leg_time(axis, math.pi + 1e-6, math.pi) == pytest.approx(math.pi / 2.0, abs=1e-6)
 
 
-def test_precession_leg_reproduces_the_height():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        params = CouplerParams(rng.uniform(-2, 2), rng.uniform(0.3, 2))
-        axis = rotation_axis(params, rng.uniform(0, 2 * math.pi))
-        p = rng.normal(size=3)
-        start = BlochVector.from_array(p / np.linalg.norm(p))
-        along = rng.normal(size=3)
-        c, r, chi = precession_leg(axis, start, along)
-        for t in rng.uniform(0.0, 4.0, size=5) / params.rabi:
-            height = float(np.dot(along, bloch_precess(axis, start, t).as_array()))
-            assert abs(c + r * math.cos(2.0 * params.rabi * t + chi) - height) <= 1e-12
+@given(couplers, phases, st.floats(0.0, 4.0), states, _nonzero(3, bound=4.0), phases)
+def test_precession_leg_reproduces_the_height(params, phase, wt, state, along, angle):
+    """The leg height c + r cos(2 W t + chi), sampled and at leg_time."""
+    seg = CouplingSegment(phase, wt / params.rabi)
+    assert verify.precession_leg_residual(params, seg, state, along, angle) <= 1e-12
 
 
 def test_precession_leg_check_rejects_the_wrong_sense(monkeypatch):
-    from modeswitch import verify
-
     def reversed_leg(axis, start, along):
         # The wrong precession sense: chi negated.
         c, r, chi = precession_leg(axis, start, along)

@@ -144,11 +144,12 @@ def test_minimal_search_builds_one_plan(monkeypatch, delta):
 
         return counted
 
-    for name in ("dive_plan", "plan_from_protocol"):
+    for name in ("dive_plan", "segment_propagator"):
         monkeypatch.setattr(planner, name, spy(name))
     search = minimal_plan_search(CouplerParams(delta, 0.003), 0.9)
     assert len(search.plan.protocol.segments) == 417
-    assert calls == {"dive_plan": 1, "plan_from_protocol": 1}
+    # One plan, propagated once: one propagator per segment.
+    assert calls == {"dive_plan": 1, "segment_propagator": 417}
 
 
 def test_minimal_search_cap_raises_with_best():
