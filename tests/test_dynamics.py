@@ -70,6 +70,14 @@ def test_protocol_validation():
     assert prot.phases == (0.0, math.pi)
 
 
+def test_segment_propagator_matches_expm():
+    rng = np.random.default_rng(7)
+    for _ in range(50):
+        params = CouplerParams(rng.uniform(-2, 2), rng.uniform(0.2, 2.5))
+        seg = CouplingSegment(rng.uniform(0, 2 * math.pi), rng.uniform(0, 3))
+        assert verify.propagator_vs_expm_residual(params, seg) < 1e-12
+
+
 def test_propagator_is_unitary_su2():
     params = CouplerParams(0.7, 1.3)
     m = segment_propagator(params, CouplingSegment(1.1, 0.9))

@@ -60,6 +60,21 @@ def test_generator_structure():
     assert np.allclose(h, h.conj().T)
 
 
+def test_integrate_matches_closed_form():
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        params = CouplerParams(rng.uniform(-2, 2), rng.uniform(0.3, 2.0))
+        segs = tuple(
+            CouplingSegment(rng.uniform(0, 2 * math.pi), rng.uniform(0.3, 2.5))
+            for _ in range(rng.integers(1, 4))
+        )
+        protocol = Protocol(segs)
+        exact = protocol_propagator(params, protocol).apply(ModeState.mode1())
+        approx = integrate(params, protocol, ModeState.mode1())
+        assert abs(approx.a1 - exact.a1) <= 1e-10
+        assert abs(approx.a2 - exact.a2) <= 1e-10
+
+
 phases = st.floats(0.0, 2.0 * math.pi)
 
 
