@@ -11,6 +11,7 @@ from .dynamics import (
     CouplingSegment,
     ModeState,
     Protocol,
+    Trajectory,
     TransferMatrix,
     compose,
     propagate,

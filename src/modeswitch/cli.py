@@ -19,20 +19,22 @@ identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
+
+import numpy as np
 
 from .dynamics import (
     CouplerParams,
-    CouplingSegment,
     ModeState,
     Protocol,
+    abs2,
     propagate,
-    protocol_propagator,
     static_max_transfer,
 )
 from .geometry import to_bloch
@@ -47,6 +49,7 @@ from .isolator import (
     cross_power,
     effective_differential_phase,
     optimal_phases,
+    pushpull_stage,
 )
 from .oracle import IntegrationConfig, integrate
 from .planner import PlanSearchError, minimal_plan_search, minimal_plan_wt
@@ -54,7 +57,6 @@ from .render import trajectory_svg
 from .twostep import (
     critical_phase,
     feasibility_map,
-    pushpull_times,
     solve_two_step,
     transfer_map,
     two_step_ceiling,
@@ -165,6 +167,16 @@ def _grid_rows(row_axis, col_axis, *tables):
             for k, values in enumerate(rows, 1):
                 buf[k::width] = values[lo:hi]
             yield template % tuple(buf)
+
+
+def _table_rows(*columns):
+    """Lines of equal-length float columns at %.17g (equal to fmt17), written
+    GRID_BLOCK lines per chunk from one % template."""
+    table = np.column_stack(columns)
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    for lo in range(0, len(table), GRID_BLOCK):
+        block = table[lo : lo + GRID_BLOCK]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 # Largest accepted grid side and sample count: grid^2 cells and the
@@ -309,37 +321,22 @@ def cmd_simulate(cfg: RunConfig) -> int:
         else:
             protocol = solve_two_step(params, cfg.phi).protocol()
             source = "solve_two_step"
-    samples = propagate(params, protocol, ModeState.mode1(), cfg.samples)
-    final = samples[-1][1]
+    traj = propagate(params, protocol, ModeState.mode1(), cfg.samples)
+    final = traj.final
     rk4_final = integrate(params, protocol, ModeState.mode1(), IntegrationConfig())
     out = Path(cfg.out)
 
-    line = ",".join(["%.17g"] * 10) + "\n"
-    rows = []
-    for t, s in samples:
-        b = to_bloch(s)
-        rows.append(
-            line
-            % (
-                t,
-                s.a1.real,
-                s.a1.imag,
-                s.a2.real,
-                s.a2.imag,
-                abs(s.a1) ** 2,
-                abs(s.a2) ** 2,
-                b.u,
-                b.v,
-                b.w,
-            )
-        )
+    a1, a2, b = traj.a1, traj.a2, to_bloch(traj)
     write_csv(
         out / "trajectory.csv",
         ["t", "re_a1", "im_a1", "re_a2", "im_a2", "p1", "p2", "u", "v", "w"],
-        rows,
+        _table_rows(
+            traj.t, a1.real, a1.imag, a2.real, a2.imag,
+            abs2(a1.real, a1.imag), abs2(a2.real, a2.imag), b.u, b.v, b.w,
+        ),
     )
     boundaries = list(itertools.accumulate(protocol.durations[:-1]))
-    write_text(out / "trajectory.svg", trajectory_svg(samples, boundaries))
+    write_text(out / "trajectory.svg", trajectory_svg(traj.t, b.u, b.v, b.w, boundaries))
     summary = {
         "command": "simulate",
         "params": _params_block(cfg),
@@ -454,9 +451,10 @@ def cmd_plan(cfg: RunConfig) -> int:
         ["segments", "achieved"],
         ["%d,%.17g\n" % (k, a) for k, a in search.curve],
     )
-    samples = propagate(params, plan.protocol, ModeState.mode1(), cfg.samples)
+    traj = propagate(params, plan.protocol, ModeState.mode1(), cfg.samples)
+    b = to_bloch(traj)
     boundaries = list(itertools.accumulate(plan.protocol.durations[:-1]))
-    write_text(out / "trajectory.svg", trajectory_svg(samples, boundaries))
+    write_text(out / "trajectory.svg", trajectory_svg(traj.t, b.u, b.v, b.w, boundaries))
     print(
         f"plan: {len(plan.protocol.segments)} segments, {plan.switches} switches, "
         f"achieved {plan.achieved:.9f} (estimate {search.estimate})"
@@ -468,9 +466,7 @@ def cmd_isolator(cfg: RunConfig) -> int:
     params = cfg.params
     if params.kappa0 == 0 or params.ratio >= 1.0:
         raise ValueError("isolator stage construction needs |delta| < kappa")
-    sol = pushpull_times(params)
-    stage_protocol = Protocol((CouplingSegment(0.0, sol.t1),))
-    stage = protocol_propagator(params, stage_protocol)
+    stage_protocol, stage = pushpull_stage(params)
     spec = IsolatorSpec(stage, cfg.theta1, cfg.theta2, cfg.rf_offset)
     fwd, bwd = cross_power(spec, FORWARD), cross_power(spec, BACKWARD)
     closed_fwd, closed_bwd = closed_form_powers(stage, spec.delta_theta, spec.rf_offset)
@@ -485,8 +481,9 @@ def cmd_isolator(cfg: RunConfig) -> int:
         ),
     )
     for direction in (FORWARD, BACKWARD):
-        samples = cascade_trajectory(params, stage_protocol, spec, direction, cfg.samples)
-        svg = trajectory_svg(samples, [stage_protocol.total_duration])
+        traj = cascade_trajectory(params, stage_protocol, spec, direction, cfg.samples)
+        b = to_bloch(traj)
+        svg = trajectory_svg(traj.t, b.u, b.v, b.w, [stage_protocol.total_duration])
         write_text(out / f"trajectory_{direction}.svg", svg)
     opt_dt, opt_off = optimal_phases(stage)
     summary = {
@@ -532,6 +529,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
+# Built once: a parser is a web of reference cycles that only the cyclic
+# collector frees, so one per call piled up between collections.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modeswitch",

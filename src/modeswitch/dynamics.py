@@ -15,9 +15,10 @@ propagator over a duration t has the closed form
 where W = sqrt(delta**2 + kappa0**2).  Protocols are sequences of such
 constant-coupling segments; their propagators compose by matrix product.
 
-Everything in this module is scalar and exact up to floating point.  The
-numerical integrator that cross-checks these formulas lives in
-:mod:`modeswitch.oracle`.
+Everything in this module is exact up to floating point.  propagate
+computes all samples at once, in arithmetic that reproduces the scalar
+propagators bit for bit (cmul).  The numerical integrator that
+cross-checks these formulas lives in :mod:`modeswitch.oracle`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 TWO_PI = 2.0 * math.pi
 
@@ -212,8 +215,6 @@ class TransferMatrix:
         )
 
     def as_array(self):
-        import numpy as np
-
         return np.array(
             [[self.d, self.o], [-self.o.conjugate(), self.d.conjugate()]],
             dtype=complex,
@@ -252,39 +253,104 @@ def protocol_propagator(params: CouplerParams, protocol: Protocol) -> TransferMa
     return acc
 
 
+def cmul(ar, ai, br, bi):
+    """(ar + i ai) * (br + i bi) as CPython's complex product forms it (a
+    float x enters as (x, 0.0)); numpy's complex multiply can differ in a bit."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def abs2(re, im):
+    """|re + i im|^2 as CPython's abs(z) ** 2 computes it (hypot, then pow)."""
+    return np.float_power(np.hypot(re, im), 2.0)
+
+
+@dataclass(frozen=True)
+class Trajectory:
+    """Sampled states as columns: times t, complex amplitude arrays a1, a2."""
+
+    t: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    @property
+    def final(self) -> ModeState:
+        return ModeState(self.a1[-1], self.a2[-1])
+
+
+def _whole_from(elapsed: float, duration: float) -> float:
+    """Earliest float t with t > elapsed and t - elapsed >= duration."""
+    t = max(elapsed + duration, math.nextafter(elapsed, math.inf))
+    while t - elapsed < duration:
+        t = math.nextafter(t, math.inf)
+    while (below := math.nextafter(t, -math.inf)) > elapsed and below - elapsed >= duration:
+        t = below
+    return t
+
+
 def propagate(
     params: CouplerParams,
     protocol: Protocol,
     initial: ModeState,
     sample_count: int = 256,
-) -> list[tuple[float, ModeState]]:
-    """Sample the state at uniformly spaced times across the protocol.
+) -> Trajectory:
+    """The state at sample_count + 1 uniform times over [0, total_duration].
 
-    Returns sample_count + 1 pairs (t, state) covering [0, total_duration]
-    inclusive.  Zero-total-duration protocols yield constant samples.
-    One pass over the segments: a sample at or past the end uses
-    :func:`protocol_propagator`, so the last state agrees with it bit for
-    bit; any other sample composes its partial segment on top of the
-    product of the whole segments before it, which grows as t advances.
+    A zero-duration protocol yields constant samples.  A sample at or past
+    the end takes the product of all segments, as protocol_propagator
+    does.  Any other composes its partial segment onto the product of the
+    segments whole at t (t > elapsed and t - elapsed >= duration, elapsed
+    the running sum of the durations before).  The partial segments,
+    compose and apply run on all samples at once in cmul's arithmetic,
+    so each sample equals segment_propagator, compose and apply bit for bit.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
     total = protocol.total_duration
-    segments = protocol.segments
-    prefix, elapsed, whole = TransferMatrix.identity(), 0.0, 0
-    out: list[tuple[float, ModeState]] = []
-    for k in range(sample_count + 1):
-        t = total * k / sample_count
-        if t >= total:
-            m = protocol_propagator(params, protocol)
-        else:
-            while whole < len(segments) and t > elapsed and t - elapsed >= segments[whole].duration:
-                prefix = compose(segment_propagator(params, segments[whole]), prefix)
-                elapsed += segments[whole].duration
-                whole += 1
-            m = prefix
-            if whole < len(segments) and t > elapsed:
-                partial = CouplingSegment(segments[whole].phase, t - elapsed)
-                m = compose(segment_propagator(params, partial), prefix)
-        out.append((t, m.apply(initial)))
-    return out
+    t = total * np.arange(sample_count + 1) / sample_count
+    # Per segment j: the product before it (prefix row j; row n: all), its
+    # start, the earliest t at which it and all before it are whole, and
+    # the phase factor of a partial piece (CouplingSegment reduces again).
+    n = len(protocol.segments)
+    prefix = np.empty((n + 1, 4))
+    prefix[0] = 1.0, 0.0, 0.0, 0.0
+    starts, whole_from, turns = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
+    acc, elapsed, latest = TransferMatrix.identity(), 0.0, 0.0
+    for j, seg in enumerate(protocol.segments):
+        acc = compose(segment_propagator(params, seg), acc)
+        prefix[j + 1] = acc.d.real, acc.d.imag, acc.o.real, acc.o.imag
+        latest = max(latest, _whole_from(elapsed, seg.duration))
+        starts[j], whole_from[j] = elapsed, latest
+        turns[j] = cmath.exp(1j * (seg.phase % TWO_PI))
+        elapsed += seg.duration
+    whole = np.searchsorted(whole_from, t, side="right")
+    whole[t >= total] = n
+    d1r, d1i, o1r, o1i = prefix[whole].T
+    piece = np.minimum(whole, n - 1)
+    start, turn = starts[piece], turns[piece]
+    partial = (whole < n) & (t > start)
+    # segment_propagator of the pieces t - start, composed onto the prefix.
+    # Its sin and cos come from math: numpy builds may vectorize their own.
+    w = params.rabi
+    wt = (w * (t - start)).tolist()
+    s = np.fromiter(map(math.sin, wt), float, len(wt))
+    d2r, d2i = np.fromiter(map(math.cos, wt), float, len(wt)), -(params.delta / w) * s
+    lead = -1j * (params.kappa0 / w)
+    o2r, o2i = cmul(*cmul(lead.real, lead.imag, s, 0.0), turn.real, turn.imag)
+    xr, xi = cmul(d2r, d2i, d1r, d1i)
+    yr, yi = cmul(o2r, o2i, o1r, -o1i)
+    dr, di = np.where(partial, (xr - yr, xi - yi), (d1r, d1i))
+    xr, xi = cmul(d2r, d2i, o1r, o1i)
+    yr, yi = cmul(o2r, o2i, d1r, -d1i)
+    o_r, oi = np.where(partial, (xr + yr, xi + yi), (o1r, o1i))
+    # TransferMatrix.apply(initial); a column pair stacks as complex bit for bit.
+    b1r, b1i, b2r, b2i = initial.a1.real, initial.a1.imag, initial.a2.real, initial.a2.imag
+    xr, xi = cmul(dr, di, b1r, b1i)
+    yr, yi = cmul(o_r, oi, b2r, b2i)
+    zr, zi = cmul(-o_r, oi, b1r, b1i)
+    vr, vi = cmul(dr, -di, b2r, b2i)
+    a1 = np.stack((xr + yr, xi + yi), axis=-1).view(complex)[:, 0]
+    a2 = np.stack((zr + vr, zi + vi), axis=-1).view(complex)[:, 0]
+    return Trajectory(t, a1, a2)

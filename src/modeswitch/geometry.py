@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CouplerParams, ModeState
+from .dynamics import CouplerParams, ModeState, Trajectory, abs2, cmul
 
 # Absolute angular tolerance (rad): a turn this short of a full circle is
 # rounding of a leg that starts on its target (leg_time).
@@ -39,14 +39,17 @@ UNIT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class BlochVector:
+    """One point (u, v, w), or the columns of a trajectory's points."""
+
     u: float
     v: float
     w: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
-        object.__setattr__(self, "w", float(self.w))
+        if not isinstance(self.u, np.ndarray):
+            object.__setattr__(self, "u", float(self.u))
+            object.__setattr__(self, "v", float(self.v))
+            object.__setattr__(self, "w", float(self.w))
 
     @classmethod
     def from_array(cls, arr) -> "BlochVector":
@@ -64,18 +67,22 @@ NORTH = BlochVector(0.0, 0.0, 1.0)
 SOUTH = BlochVector(0.0, 0.0, -1.0)
 
 
-def to_bloch(state: ModeState) -> BlochVector:
-    """Map a normalized state to its Bloch vector.
+def to_bloch(state: ModeState | Trajectory) -> BlochVector:
+    """Bloch vector of a state, or the columns of a Trajectory's vectors.
 
-    The input is normalized first; the zero state is rejected.
+    The input is normalized first; the zero state is rejected.  The
+    arithmetic is CPython's complex arithmetic on real parts (cmul,
+    abs2), so a column entry equals its sample's vector bit for bit.
     """
-    s = state.normalized()
-    cross = s.a1 * s.a2.conjugate()
-    return BlochVector(
-        2.0 * cross.real,
-        2.0 * cross.imag,
-        abs(s.a1) ** 2 - abs(s.a2) ** 2,
-    )
+    r1, i1, r2, i2 = state.a1.real, state.a1.imag, state.a2.real, state.a2.imag
+    n = np.sqrt(abs2(r1, i1) + abs2(r2, i2))
+    if (n == 0.0).any():
+        raise ValueError("cannot normalize the zero state")
+    # a / n divides by n + 0j: CPython's quotient adds a zero product to each part.
+    r1, i1 = (r1 + i1 * 0.0) / n, (i1 - r1 * 0.0) / n
+    r2, i2 = (r2 + i2 * 0.0) / n, (i2 - r2 * 0.0) / n
+    cross_r, cross_i = cmul(r1, i1, r2, -i2)
+    return BlochVector(2.0 * cross_r, 2.0 * cross_i, abs2(r1, i1) - abs2(r2, i2))
 
 
 @dataclass(frozen=True)

@@ -31,13 +31,17 @@ import numpy as np
 
 from .dynamics import (
     CouplerParams,
+    CouplingSegment,
     ModeState,
     Protocol,
+    Trajectory,
     TransferMatrix,
     compose,
     propagate,
+    protocol_propagator,
     remap_phases,
 )
+from .twostep import pushpull_times
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -194,31 +198,38 @@ def contrast_sweep(stage: TransferMatrix, n: int = 64) -> ContrastSweep:
     return ContrastSweep(dthetas, offsets, fwd, bwd)
 
 
+def pushpull_stage(params: CouplerParams) -> tuple[Protocol, TransferMatrix]:
+    """The push-pull first segment, a 50:50 stage, and its propagator."""
+    protocol = Protocol((CouplingSegment(0.0, pushpull_times(params).t1),))
+    return protocol, protocol_propagator(params, protocol)
+
+
 def cascade_trajectory(
     params: CouplerParams,
     stage_protocol: Protocol,
     spec: IsolatorSpec,
     direction: str,
     sample_count: int = 256,
-) -> list[tuple[float, ModeState]]:
+) -> Trajectory:
     """Time-resolved state through the cascade, starting from mode 1.
 
-    The static section acts instantaneously at the stage boundary; both
-    stages contribute sample_count samples each.  The offset stage is
-    realized as the stage protocol with all drive phases shifted by
-    -rf_offset, which reproduces stage_with_offset exactly.
+    The static section acts instantaneously at the stage boundary, whose
+    time appears before and after the jump; both stages contribute
+    sample_count samples each.  The offset stage is realized as the stage
+    protocol with all drive phases shifted by -rf_offset, which
+    reproduces stage_with_offset exactly.
     """
     first, second = _in_order(
         direction, stage_protocol, remap_phases(stage_protocol, shift=spec.rf_offset)
     )
     leg1 = propagate(params, first, ModeState.mode1(), sample_count)
-    t_mid, end = leg1[-1]
+    t_mid, end = leg1.t[-1], leg1.final
     mid = ModeState(
         end.a1 * cmath.exp(1j * spec.theta1), end.a2 * cmath.exp(1j * spec.theta2)
     )
     leg2 = propagate(params, second, mid, sample_count)
-    out = list(leg1)
-    out.extend((t_mid + t, s) for t, s in leg2[1:])
-    # Keep the post-jump state visible at the boundary time.
-    out.insert(sample_count + 1, (t_mid, mid))
-    return out
+    return Trajectory(
+        np.concatenate((leg1.t, [t_mid], t_mid + leg2.t[1:])),
+        np.concatenate((leg1.a1, [mid.a1], leg2.a1[1:])),
+        np.concatenate((leg1.a2, [mid.a2], leg2.a2[1:])),
+    )

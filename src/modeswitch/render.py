@@ -7,8 +7,7 @@ text so runs can be diffed byte for byte.
 
 from __future__ import annotations
 
-from .dynamics import ModeState
-from .geometry import BlochVector, to_bloch
+import numpy as np
 
 _W = 840
 _H = 460
@@ -19,16 +18,6 @@ _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 # to sit on the boundary can come out below the boundary's running sum of
 # durations by rounding, and must still close the leg.
 BOUNDARY_SLACK = 1e-15
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.3f}"
-
-
-def _project(point, panel: int) -> tuple[float, float]:
-    cx, cy = _CENTERS[panel]
-    h = point.u if panel == 0 else point.v
-    return (cx + _R * h, cy - _R * point.w)
 
 
 def _panel_frame(panel: int, label: str) -> list[str]:
@@ -49,15 +38,15 @@ def _panel_frame(panel: int, label: str) -> list[str]:
     return parts
 
 
-def trajectory_svg(
-    samples: list[tuple[float, ModeState]], boundaries: list[float]
-) -> str:
-    """Render (t, state) samples, split into legs at the boundary times.
+def trajectory_svg(t, u, v, w, boundaries) -> str:
+    """Render a sampled Bloch trajectory, split into legs at the boundary times.
 
-    Each leg gets its own color, so protocol segments or cascade stages
-    stay visually distinct.
+    t, u, v and w are equal-length columns, t nondecreasing, as propagate
+    and to_bloch give them.  Each leg gets its own color, so protocol
+    segments or cascade stages stay visually distinct.  Both projections
+    are computed for all samples at once.
     """
-    legs = _split_legs([(t, to_bloch(s)) for t, s in samples], boundaries)
+    legs = _split_legs(t, boundaries)
     body: list[str] = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
         f'viewBox="0 0 {_W} {_H}">',
@@ -65,40 +54,35 @@ def trajectory_svg(
     ]
     body.extend(_panel_frame(0, "u-w projection"))
     body.extend(_panel_frame(1, "v-w projection"))
-    for panel in (0, 1):
-        for i, leg in enumerate(legs):
+    for (cx, cy), h in zip(_CENTERS, (u, v)):
+        xy = np.column_stack((cx + _R * h, cy - _R * w))
+        for i, (first, last) in enumerate(legs):
             color = _COLORS[i % len(_COLORS)]
-            pts = " ".join(
-                f"{_fmt(x)},{_fmt(y)}" for x, y in (_project(b, panel) for b in leg)
-            )
+            pts = " ".join(["%.3f,%.3f"] * (last + 1 - first))
+            pts %= tuple(xy[first : last + 1].ravel().tolist())
             body.append(
                 f'<polyline points="{pts}" fill="none" stroke="{color}" '
                 'stroke-width="1.5"/>'
             )
         if legs:
-            x0, y0 = _project(legs[0][0], panel)
             body.append(
-                f'<circle cx="{_fmt(x0)}" cy="{_fmt(y0)}" r="4" fill="none" '
-                'stroke="#000" stroke-width="1.5"/>'
+                '<circle cx="%.3f" cy="%.3f" r="4" fill="none" '
+                'stroke="#000" stroke-width="1.5"/>' % tuple(xy[0].tolist())
             )
-            x1, y1 = _project(legs[-1][-1], panel)
-            body.append(f'<circle cx="{_fmt(x1)}" cy="{_fmt(y1)}" r="4" fill="#000"/>')
+            body.append('<circle cx="%.3f" cy="%.3f" r="4" fill="#000"/>' % tuple(xy[-1].tolist()))
     body.append("</svg>")
     return "\n".join(body) + "\n"
 
 
-def _split_legs(
-    samples: list[tuple[float, BlochVector]], boundaries: list[float]
-) -> list[list[BlochVector]]:
-    """Split (t, point) samples into legs at the given boundary times.
+def _split_legs(t, boundaries) -> list[tuple[int, int]]:
+    """Index ranges (first, last) of the legs of nondecreasing sample times t.
 
-    The sample at a boundary ends one leg and starts the next.
+    The first sample at or past the next boundary ends one leg and starts
+    the next; a sample closes at most one boundary, so boundaries closer
+    together than a sample step close on successive samples.
     """
-    legs: list[list[BlochVector]] = [[]]
-    bounds = list(boundaries)
-    for t, b in samples:
-        legs[-1].append(b)
-        if bounds and t >= bounds[0] - BOUNDARY_SLACK:
-            legs.append([b])
-            bounds.pop(0)
-    return [leg for leg in legs if leg]
+    reach = np.searchsorted(t, np.asarray(boundaries, dtype=float) - BOUNDARY_SLACK)
+    order = np.arange(len(reach))
+    closes = np.maximum.accumulate(reach - order) + order
+    cuts = [0, *closes[closes < len(t)].tolist(), len(t) - 1]
+    return list(zip(cuts, cuts[1:])) if len(t) else []

@@ -36,6 +36,7 @@ from .dynamics import (
     ModeState,
     Protocol,
     TransferMatrix,
+    abs2,
     compose,
     propagate,
     protocol_propagator,
@@ -61,6 +62,7 @@ from .isolator import (
     cascade_trajectory,
     closed_form_powers,
     cross_power,
+    pushpull_stage,
     reciprocity_defect,
     stage_with_offset,
 )
@@ -128,7 +130,9 @@ def check_norm_conservation(rng, n: int) -> CheckResult:
         for _ in range(n):
             params, protocol = _random_protocol(rng)
             state = _random_state(rng)
-            yield from (abs(s.norm - 1.0) for _, s in propagate(params, protocol, state, 32))
+            traj = propagate(params, protocol, state, 32)
+            norm = np.sqrt(abs2(traj.a1.real, traj.a1.imag) + abs2(traj.a2.real, traj.a2.imag))
+            yield float(np.abs(norm - 1.0).max())
 
     return _worst("norm_conservation", residuals(), 1e-12, f"{n} random protocols")
 
@@ -249,8 +253,8 @@ def check_cone_floor(rng, n: int) -> CheckResult:
             params = _random_params(rng)
             # A half period covers the full circle depth.
             seg = CouplingSegment(rng.uniform(0.0, 2.0 * math.pi), math.pi / params.rabi)
-            samples = propagate(params, Protocol((seg,)), ModeState.mode1(), 128)
-            yield cone_floor(params) - min(to_bloch(s).w for _, s in samples)
+            traj = propagate(params, Protocol((seg,)), ModeState.mode1(), 128)
+            yield cone_floor(params) - float(to_bloch(traj).w.min())
 
     # The sampled minimum may sit above the floor, but never below it.
     return _worst("cone_floor", residuals(), 1e-9, f"{n} static trajectories")
@@ -518,8 +522,7 @@ def check_isolator_offset_realization(rng, n: int) -> CheckResult:
 def _isolating_cascade(params: CouplerParams) -> tuple[Protocol, IsolatorSpec]:
     """The push-pull first segment as the stage, with offset pi/2 and the
     phase that transmits fully forward: delta_theta + 2 arg D + offset = 0."""
-    protocol = Protocol((CouplingSegment(0.0, pushpull_times(params).t1),))
-    stage = protocol_propagator(params, protocol)
+    protocol, stage = pushpull_stage(params)
     offset = math.pi / 2.0
     theta1 = (-offset - 2.0 * cmath.phase(stage.d)) % (2.0 * math.pi)
     return protocol, IsolatorSpec(stage, theta1, 0.0, offset)
@@ -529,8 +532,8 @@ def isolator_endpoints_residual(params: CouplerParams, sample_count: int) -> flo
     """Forward lands on mode 2 and backward returns to mode 1, in the cross
     powers and at the ends of the sampled trajectories."""
     protocol, spec = _isolating_cascade(params)
-    fwd_final = cascade_trajectory(params, protocol, spec, FORWARD, sample_count)[-1][1]
-    bwd_final = cascade_trajectory(params, protocol, spec, BACKWARD, sample_count)[-1][1]
+    fwd_final = cascade_trajectory(params, protocol, spec, FORWARD, sample_count).final
+    bwd_final = cascade_trajectory(params, protocol, spec, BACKWARD, sample_count).final
     return max(
         abs(cross_power(spec, FORWARD) - 1.0),
         cross_power(spec, BACKWARD),

@@ -19,11 +19,9 @@ from modeswitch import (
     IntegrationConfig,
     IsolatorSpec,
     ModeState,
-    Protocol,
     TransferMatrix,
     cross_power,
     integrate,
-    min_switches_estimate,
     minimal_plan_search,
     optimal_phases,
     protocol_propagator,

@@ -18,6 +18,7 @@ from modeswitch import (
     segment_propagator,
     static_max_transfer,
 )
+from modeswitch.dynamics import abs2
 from modeswitch import verify
 
 
@@ -118,15 +119,15 @@ def test_apply_matches_matrix_vector():
 def test_propagate_endpoints_and_norm():
     params = CouplerParams(0.5, 1.0)
     prot = Protocol.from_pairs([(0.0, 0.9), (math.pi, 2.2), (1.0, 0.4)])
-    samples = propagate(params, prot, ModeState.mode1(), 64)
-    assert len(samples) == 65
-    assert samples[0][0] == 0.0
-    assert samples[0][1].a1 == 1.0 + 0.0j
-    assert samples[-1][0] == pytest.approx(prot.total_duration)
+    traj = propagate(params, prot, ModeState.mode1(), 64)
+    assert len(traj) == 65
+    assert traj.t[0] == 0.0
+    assert traj.a1[0] == 1.0 + 0.0j
+    assert traj.t[-1] == pytest.approx(prot.total_duration)
     final = protocol_propagator(params, prot).apply(ModeState.mode1())
-    assert samples[-1][1].a2 == pytest.approx(final.a2, abs=1e-15)
-    for _, s in samples:
-        assert abs(s.norm - 1.0) < 1e-13
+    assert traj.a2[-1] == pytest.approx(final.a2, abs=1e-15)
+    norm = np.sqrt(abs2(traj.a1.real, traj.a1.imag) + abs2(traj.a2.real, traj.a2.imag))
+    assert np.abs(norm - 1.0).max() < 1e-13
 
 
 def test_propagate_last_sample_is_exact():
@@ -134,9 +135,10 @@ def test_propagate_last_sample_is_exact():
     prot = Protocol.from_pairs([(0.2, 0.8), (2.1, 1.7), (4.0, 0.3)])
     initial = ModeState(0.6, 0.8j)
     final = protocol_propagator(params, prot).apply(initial)
-    t, last = propagate(params, prot, initial, 64)[-1]
+    traj = propagate(params, prot, initial, 64)
+    last = traj.final
     # Same association order, so the results are identical, not just close.
-    assert t == prot.total_duration
+    assert traj.t[-1] == prot.total_duration
     assert last.a1 == final.a1
     assert last.a2 == final.a2
 
@@ -144,17 +146,16 @@ def test_propagate_last_sample_is_exact():
 def test_propagate_mid_segment_samples():
     params = CouplerParams(0.0, 1.0)
     prot = Protocol.from_pairs([(0.0, 1.0), (math.pi, 1.0)])
-    samples = propagate(params, prot, ModeState.mode1(), 8)
+    traj = propagate(params, prot, ModeState.mode1(), 8)
     first = segment_propagator(params, CouplingSegment(0.0, 1.0))
     for k, m in (
         (1, segment_propagator(params, CouplingSegment(0.0, 0.25))),
         (5, compose(segment_propagator(params, CouplingSegment(math.pi, 0.25)), first)),
     ):
-        t, state = samples[k]
         ref = m.apply(ModeState.mode1())
-        assert t == 0.25 * k
-        assert state.a1 == pytest.approx(ref.a1)
-        assert state.a2 == pytest.approx(ref.a2)
+        assert traj.t[k] == 0.25 * k
+        assert traj.a1[k] == pytest.approx(ref.a1)
+        assert traj.a2[k] == pytest.approx(ref.a2)
 
 
 def test_transfer_from_mode1():

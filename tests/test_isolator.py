@@ -224,14 +224,13 @@ def test_cascade_trajectory_endpoints():
     for direction in (FORWARD, BACKWARD):
         traj = cascade_trajectory(params, half, spec, direction, sample_count=128)
         assert len(traj) == 2 * 128 + 2
-        times = [t for t, _ in traj]
-        assert times == sorted(times)
-        assert times[0] == 0.0
-        assert traj[-1][1].norm == pytest.approx(1.0, abs=1e-12)
+        assert (np.diff(traj.t) >= 0.0).all()
+        assert traj.t[0] == 0.0
+        assert traj.final.norm == pytest.approx(1.0, abs=1e-12)
     # The phase jump is visible as a duplicated boundary time.
     traj = cascade_trajectory(params, half, spec, FORWARD, sample_count=128)
-    assert traj[128][0] == traj[129][0]
-    assert traj[129][1].a1 != traj[128][1].a1
+    assert traj.t[128] == traj.t[129]
+    assert traj.a1[129] != traj.a1[128]
 
 
 def test_cascade_rejects_unknown_direction():

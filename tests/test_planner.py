@@ -99,14 +99,14 @@ def test_dive_plan_zero_detuning_single_segment():
 def test_dive_plan_descent_is_monotone():
     params = CouplerParams(3.0, 1.0)
     plan = dive_plan(params, 5)
-    samples = propagate(params, plan.protocol, ModeState.mode1(), 512)
+    traj = propagate(params, plan.protocol, ModeState.mode1(), 512)
     # Per-segment running minima of w must strictly decrease.
     boundaries = np.cumsum([s.duration for s in plan.protocol.segments])
     minima = []
     idx = 0
     current = math.inf
-    for t, s in samples:
-        current = min(current, to_bloch(s).w)
+    for t, w in zip(traj.t.tolist(), to_bloch(traj).w.tolist()):
+        current = min(current, w)
         while idx < len(boundaries) and t >= boundaries[idx] - 1e-12:
             minima.append(current)
             idx += 1
