@@ -27,10 +27,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dynamics import (
     CouplerParams,
     ModeState,
     Protocol,
+    Trajectory,
     compose,
     segment_propagator,
 )
@@ -134,11 +137,20 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
     protocol = Protocol.from_pairs(pairs)
     start = ModeState.mode1()
     acc = segment_propagator(params, protocol.segments[0])
-    points: list[BlochVector] = []
+    states: list[ModeState] = []
     for seg in protocol.segments[1:]:
-        points.append(to_bloch(acc.apply(start)))
+        states.append(acc.apply(start))
         acc = compose(segment_propagator(params, seg), acc)
-    return StaircasePlan(protocol, tuple(points), acc.transfer, len(points))
+    # One to_bloch over the switch states as columns, at the switch times.
+    b = to_bloch(
+        Trajectory(
+            np.cumsum(protocol.durations[:-1]),
+            np.array([s.a1 for s in states], dtype=complex),
+            np.array([s.a2 for s in states], dtype=complex),
+        )
+    )
+    points = tuple(map(BlochVector, b.u.tolist(), b.v.tolist(), b.w.tolist()))
+    return StaircasePlan(protocol, points, acc.transfer, len(points))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from modeswitch import (
     transfer_map,
 )
 from modeswitch.cli import (
+    DISTINCT_PER_ROW,
     GRID_BLOCK,
     MAX_GRID,
     MAX_PROTOCOL_WT,
@@ -29,6 +31,7 @@ from modeswitch.cli import (
     RunConfig,
     dumps17,
     fmt17,
+    _distinct_text,
     _grid_rows,
     load_config,
     main,
@@ -465,6 +468,72 @@ def test_grid_chunks_stay_under_8k():
     )
     assert max(len(c) for c in chunks) <= 8192
     assert sum(c.count("\n") for c in chunks) == 512 * 512
+
+
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 2.225073858507201e-308]
+)
+
+
+@st.composite
+def _grid_case(draw):
+    """Axes and tables of one grid: a float table of at most 8 distinct
+    values (specials included), a bool table, random floats, and, when a
+    row has room, a table at DISTINCT_PER_ROW * rows distinct values or
+    one more."""
+    sides = st.sampled_from([1, 5, GRID_BLOCK + 3])
+    rows, cols = draw(sides), draw(sides)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(draw(st.lists(_SPECIAL | st.floats(), min_size=1, max_size=8)))
+    tables = [
+        rng.choice(pool, size=(rows, cols)),
+        rng.random((rows, cols)) < 0.5,
+        rng.standard_normal((rows, cols)),
+    ]
+    edge = None
+    if cols > DISTINCT_PER_ROW:
+        edge = DISTINCT_PER_ROW * rows + draw(st.integers(0, 1))
+        values = np.arange(edge) + rng.random()
+        cells = np.concatenate([values, rng.choice(values, rows * cols - edge)])
+        tables.append(rng.permutation(cells).reshape(rows, cols))
+    return rng.standard_normal(rows), rng.standard_normal(cols), tables, edge
+
+
+@given(_grid_case())
+def test_grid_rows_match_the_reference_on_both_paths(case):
+    row_axis, col_axis, tables, edge = case
+    assert _distinct_text(tables[0]) is not None
+    assert _distinct_text(tables[1]) is None
+    if edge is not None:
+        assert (_distinct_text(tables[-1]) is None) == (edge > DISTINCT_PER_ROW * len(row_axis))
+    body = "".join(_grid_rows(row_axis, col_axis, *tables)).splitlines()
+    assert body == _grid_lines(row_axis, col_axis, *tables)
+
+
+def test_sweep_powers_take_the_distinct_path():
+    # The powers depend on delta_theta + offset alone; contrast_db and a
+    # transfer map have far more than DISTINCT_PER_ROW values per row.
+    for grid in (64, 256, 512):
+        sweep = _isolator_sweep(0.5, grid)
+        assert _distinct_text(sweep.forward) is not None
+        assert _distinct_text(sweep.backward) is not None
+        assert _distinct_text(sweep.contrast_db) is None
+        assert _distinct_text(transfer_map(CouplerParams(0.5, 1.0), math.pi, grid).values) is None
+
+
+def test_sweep_write_stays_small(tmp_path):
+    # Text is held per distinct value, never per cell: the 512 sweep
+    # (262,144 lines) peaks at the sorted bits of one table plus a row.
+    sweep = _isolator_sweep(0.5, 512)
+    tables = (sweep.forward, sweep.backward, sweep.contrast_db)
+    tracemalloc.start()
+    try:
+        rows = _grid_rows(sweep.delta_thetas, sweep.offsets, *tables)
+        write_csv(tmp_path / "sweep.csv", ["r", "c"], rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_isolator_zero_offset_is_reciprocal(tmp_path):
