@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -579,8 +580,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Switched-coupling transfer protocols for detuned two-mode systems",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # argparse 3.10-3.13 reads "-1e-5" as an option, not a value, unlike "=-1e-5".
+    # Exponents pass here; words such as "-inf" still need the "=" form.
+    negative_number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     for name in ("simulate", "feasibility", "transfer-map", "plan", "isolator", "verify"):
         p = sub.add_parser(name)
+        p._negative_number_matcher = negative_number
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)

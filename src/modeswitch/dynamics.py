@@ -16,9 +16,9 @@ where W = sqrt(delta**2 + kappa0**2).  Protocols are sequences of such
 constant-coupling segments; their propagators compose by matrix product.
 
 Everything in this module is exact up to floating point.  propagate
-computes all samples at once, in arithmetic that reproduces the scalar
-propagators bit for bit (cmul).  The numerical integrator that
-cross-checks these formulas lives in :mod:`modeswitch.oracle`.
+computes all samples at once, bit for bit the scalar propagators (cmul),
+through prefix_products and apply_columns, as planner.dive_plan does.
+The numerical integrator that cross-checks them is modeswitch.oracle.
 """
 
 from __future__ import annotations
@@ -264,6 +264,30 @@ def abs2(re, im):
     return np.float_power(np.hypot(re, im), 2.0)
 
 
+def prefix_products(params: CouplerParams, protocol: Protocol) -> np.ndarray:
+    """Rows (d.real, d.imag, o.real, o.imag): row j the product of the first
+    j segments, by segment_propagator and compose as protocol_propagator."""
+    prefix = [(1.0, 0.0, 0.0, 0.0)]
+    acc = TransferMatrix.identity()
+    for seg in protocol.segments:
+        acc = compose(segment_propagator(params, seg), acc)
+        prefix.append((acc.d.real, acc.d.imag, acc.o.real, acc.o.imag))
+    return np.array(prefix)
+
+
+def apply_columns(dr, di, o_r, oi, state: ModeState) -> tuple[np.ndarray, np.ndarray]:
+    """TransferMatrix.apply(state) on columns of d and o as real and imaginary
+    parts, bit for bit: cmul's products, and a column pair stacks as complex."""
+    b1r, b1i, b2r, b2i = state.a1.real, state.a1.imag, state.a2.real, state.a2.imag
+    xr, xi = cmul(dr, di, b1r, b1i)
+    yr, yi = cmul(o_r, oi, b2r, b2i)
+    zr, zi = cmul(-o_r, oi, b1r, b1i)
+    vr, vi = cmul(dr, -di, b2r, b2i)
+    a1 = np.stack((xr + yr, xi + yi), axis=-1).view(complex)[:, 0]
+    a2 = np.stack((zr + vr, zi + vi), axis=-1).view(complex)[:, 0]
+    return a1, a2
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled states as columns: times t, complex amplitude arrays a1, a2."""
@@ -302,9 +326,9 @@ def propagate(
     the end takes the product of all segments, as protocol_propagator
     does.  Any other composes its partial segment onto the product of the
     segments whole at t (t > elapsed and t - elapsed >= duration, elapsed
-    the running sum of the durations before).  The partial segments,
-    compose and apply run on all samples at once in cmul's arithmetic,
-    so each sample equals segment_propagator, compose and apply bit for bit.
+    the running sum of the durations before), a row of prefix_products.
+    The partial segments, compose and apply_columns run on all samples in
+    cmul's arithmetic: each equals segment_propagator, compose and apply.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -314,20 +338,16 @@ def propagate(
     # start, the earliest t at which it and all before it are whole, and
     # the phase factor of a partial piece (CouplingSegment reduces again).
     n = len(protocol.segments)
-    prefix = np.empty((n + 1, 4))
-    prefix[0] = 1.0, 0.0, 0.0, 0.0
     starts, whole_from, turns = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
-    acc, elapsed, latest = TransferMatrix.identity(), 0.0, 0.0
+    elapsed, latest = 0.0, 0.0
     for j, seg in enumerate(protocol.segments):
-        acc = compose(segment_propagator(params, seg), acc)
-        prefix[j + 1] = acc.d.real, acc.d.imag, acc.o.real, acc.o.imag
         latest = max(latest, _whole_from(elapsed, seg.duration))
         starts[j], whole_from[j] = elapsed, latest
         turns[j] = cmath.exp(1j * (seg.phase % TWO_PI))
         elapsed += seg.duration
     whole = np.searchsorted(whole_from, t, side="right")
     whole[t >= total] = n
-    d1r, d1i, o1r, o1i = prefix[whole].T
+    d1r, d1i, o1r, o1i = prefix_products(params, protocol)[whole].T
     piece = np.minimum(whole, n - 1)
     start, turn = starts[piece], turns[piece]
     partial = (whole < n) & (t > start)
@@ -345,12 +365,4 @@ def propagate(
     xr, xi = cmul(d2r, d2i, o1r, o1i)
     yr, yi = cmul(o2r, o2i, d1r, -d1i)
     o_r, oi = np.where(partial, (xr + yr, xi + yi), (o1r, o1i))
-    # TransferMatrix.apply(initial); a column pair stacks as complex bit for bit.
-    b1r, b1i, b2r, b2i = initial.a1.real, initial.a1.imag, initial.a2.real, initial.a2.imag
-    xr, xi = cmul(dr, di, b1r, b1i)
-    yr, yi = cmul(o_r, oi, b2r, b2i)
-    zr, zi = cmul(-o_r, oi, b1r, b1i)
-    vr, vi = cmul(dr, -di, b2r, b2i)
-    a1 = np.stack((xr + yr, xi + yi), axis=-1).view(complex)[:, 0]
-    a2 = np.stack((zr + vr, zi + vi), axis=-1).view(complex)[:, 0]
-    return Trajectory(t, a1, a2)
+    return Trajectory(t, *apply_columns(dr, di, o_r, oi, initial))

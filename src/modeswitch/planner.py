@@ -34,8 +34,9 @@ from .dynamics import (
     ModeState,
     Protocol,
     Trajectory,
-    compose,
-    segment_propagator,
+    abs2,
+    apply_columns,
+    prefix_products,
 )
 from .geometry import BlochVector, tilt_angle, to_bloch
 
@@ -116,7 +117,7 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
     j dphi (module docstring).  Otherwise it is max_segments half turns
     at phases 0 and pi alternating, which keep every axis in the u-w
     plane, so half turn j ends at polar angle exactly j (pi - 2 psi) at
-    either sign of delta.
+    either sign of delta.  Its states come from prefix_products and apply_columns.
     """
     if max_segments < 1:
         raise ValueError("max_segments must be >= 1")
@@ -133,24 +134,13 @@ def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
         wt = _segment_wt(psi, k)
         dphi = -math.copysign(2.0 * math.atan(math.sin(psi) * math.tan(wt)), params.delta)
         pairs = [(j * dphi, wt / params.rabi) for j in range(k)]
-    # Switch points and transfer by direct propagation from mode 1.
-    protocol = Protocol.from_pairs(pairs)
-    start = ModeState.mode1()
-    acc = segment_propagator(params, protocol.segments[0])
-    states: list[ModeState] = []
-    for seg in protocol.segments[1:]:
-        states.append(acc.apply(start))
-        acc = compose(segment_propagator(params, seg), acc)
     # One to_bloch over the switch states as columns, at the switch times.
-    b = to_bloch(
-        Trajectory(
-            np.cumsum(protocol.durations[:-1]),
-            np.array([s.a1 for s in states], dtype=complex),
-            np.array([s.a2 for s in states], dtype=complex),
-        )
-    )
+    protocol = Protocol.from_pairs(pairs)
+    prefix = prefix_products(params, protocol)
+    states = apply_columns(*prefix[1:-1].T, ModeState.mode1())
+    b = to_bloch(Trajectory(np.cumsum(protocol.durations[:-1]), *states))
     points = tuple(map(BlochVector, b.u.tolist(), b.v.tolist(), b.w.tolist()))
-    return StaircasePlan(protocol, points, acc.transfer, len(points))
+    return StaircasePlan(protocol, points, float(abs2(*prefix[-1, 2:])), len(points))
 
 
 @dataclass(frozen=True)

@@ -138,21 +138,18 @@ def pushpull_times(params: CouplerParams) -> TwoStepSolution:
     return replace(sol, achieved=protocol_propagator(params, sol.protocol()).transfer)
 
 
-def _grid_transfer(
-    params: CouplerParams, phi: float, wt1: np.ndarray, wt2: np.ndarray
-) -> np.ndarray:
+def _grid_transfer(delta, kappa0, w, phi, wt1: np.ndarray, wt2: np.ndarray) -> np.ndarray:
     """Transfer |a2|^2 from mode 1 with W t1 = wt1[..., i] and W t2 = wt2[..., j].
 
-    Returns the table values[..., i, j].  The map is pi-periodic in each
-    duration, so axes in [0, pi] cover everything.  For a batch of cells,
-    params.delta, params.kappa0, params.rabi and phi are (cells, 1)
-    columns and wt1, wt2 are shared axes or (cells, n) rows; the table
-    then has a leading cell axis, each cell computed element for element
-    as it would be alone.
+    delta, kappa0, W = hypot(delta, kappa0) and phi are floats, or (cells, 1)
+    columns with wt1, wt2 shared axes or (cells, n) rows and a leading cell axis
+    on the table, each cell as if alone.  Durations are pi-periodic, so axes in
+    [0, pi] cover everything.  numpy's complex arithmetic stays: in propagate's
+    cmul form transfer_map 512^2 took 26 ms, not 4.4, and moved 37-44% of cells
+    by up to 8.9e-16; shared real-column entries slowed criterion_vs_brute ~40%.
     """
-    w = params.rabi
-    dr = params.delta / w
-    kr = params.kappa0 / w
+    dr = delta / w
+    kr = kappa0 / w
 
     def entries(wt):
         c, s = np.cos(wt), np.sin(wt)
@@ -228,7 +225,8 @@ def transfer_map(params: CouplerParams, phi: float, n: int = 64) -> TransferMap:
         raise ValueError("transfer map needs n >= 2")
     wt = np.linspace(0.0, math.pi, n)
     axis = wt / math.pi
-    return TransferMap(axis, axis.copy(), _grid_transfer(params, phi, wt, wt))
+    values = _grid_transfer(params.delta, params.kappa0, params.rabi, phi, wt, wt)
+    return TransferMap(axis, axis.copy(), values)
 
 
 @dataclass(frozen=True)

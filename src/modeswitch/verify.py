@@ -26,7 +26,6 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -166,7 +165,7 @@ def check_static_peak(rng, n: int) -> CheckResult:
     def residuals():
         for _ in range(n):
             params = _random_params(rng)
-            values = _grid_transfer(params, 0.0, grid, np.zeros(1))[:, 0]
+            values = _grid_transfer(params.delta, params.kappa0, params.rabi, 0.0, grid, [0.0])
             yield abs(float(values.max()) - static_max_transfer(params))
             off_peak = abs(grid[int(values.argmax())] - math.pi / 2.0)
             yield 0.0 if off_peak <= grid[1] * 1.5 else off_peak
@@ -270,24 +269,6 @@ SCREEN_CHUNK = 8
 ZOOM_CHUNK = 128
 
 
-class _Cells(NamedTuple):
-    """Couplers and phases of a batch as (cells, 1) columns, which
-    _grid_transfer reads as it reads one CouplerParams and phi."""
-
-    delta: np.ndarray
-    kappa0: np.ndarray
-    rabi: np.ndarray
-    phi: np.ndarray
-
-    @classmethod
-    def of(cls, params: Sequence[CouplerParams], phis: Sequence[float]) -> _Cells:
-        cols = np.array([(p.delta, p.kappa0, p.rabi, phi) for p, phi in zip(params, phis)])
-        return cls(*cols.reshape(-1, 4).T[:, :, None])
-
-    def take(self, rows) -> _Cells:
-        return _Cells(*(col[rows] for col in self))
-
-
 def _brute_two_step_maxima(
     params: Sequence[CouplerParams], phis: Sequence[float], screen: float = -math.inf
 ) -> np.ndarray:
@@ -302,21 +283,20 @@ def _brute_two_step_maxima(
     greater.  The map is pi-periodic in each duration, so the window
     needs no clipping.  Cells below `screen` keep their seed peak.
     """
-    cells = _Cells.of(params, phis)
-    n = len(cells.phi)
-    best, x1, x2 = np.empty(n), np.empty(n), np.empty(n)
-    for lo in range(0, n, SCREEN_CHUNK):
+    cols = np.array([(p.delta, p.kappa0, p.rabi, phi) for p, phi in zip(params, phis)])
+    cols = cols.reshape(-1, 4).T[:, :, None]
+    best, x1, x2 = np.empty((3, len(params)))
+    for lo in range(0, len(best), SCREEN_CHUNK):
         rows = slice(lo, lo + SCREEN_CHUNK)
-        chunk = cells.take(rows)
-        values = _grid_transfer(chunk, chunk.phi, _SEED_AXIS, _SEED_AXIS)
-        values = values.reshape(len(chunk.phi), -1)
+        chunk = cols[:, rows]
+        values = _grid_transfer(*chunk, _SEED_AXIS, _SEED_AXIS).reshape(chunk.shape[1], -1)
         best[rows] = values.max(axis=1)
         i, j = np.divmod(values.argmax(axis=1), len(_SEED_AXIS))
         x1[rows], x2[rows] = _SEED_AXIS[i], _SEED_AXIS[j]
     zoom = np.flatnonzero(best >= screen)
     for lo in range(0, len(zoom), ZOOM_CHUNK):
         rows = zoom[lo : lo + ZOOM_CHUNK]
-        chunk = cells.take(rows)
+        chunk = cols[:, rows]
         at = np.arange(len(rows))
         top, a1, a2 = best[rows], x1[rows], x2[rows]
         step = _SEED_AXIS[1]
@@ -324,7 +304,7 @@ def _brute_two_step_maxima(
             step /= 4.0
             wt1 = a1[:, None] + step * _ZOOM_OFFSETS
             wt2 = a2[:, None] + step * _ZOOM_OFFSETS
-            values = _grid_transfer(chunk, chunk.phi, wt1, wt2).reshape(len(rows), -1)
+            values = _grid_transfer(*chunk, wt1, wt2).reshape(len(rows), -1)
             k = values.argmax(axis=1)
             peak = values[at, k]
             i, j = np.divmod(k, len(_ZOOM_OFFSETS))

@@ -33,6 +33,7 @@ from modeswitch.cli import (
     fmt17,
     _distinct_text,
     _grid_rows,
+    build_parser,
     load_config,
     main,
     write_csv,
@@ -151,6 +152,22 @@ def test_main_exit_2_on_bad_input(tmp_path):
     ):
         assert run([command, "--delta", delta, "--kappa", kappa, "--out", tmp_path / "big"]) == 2
     assert not (tmp_path / "big").exists()
+
+
+def test_negative_exponent_values_parse_like_the_equals_form(tmp_path):
+    # argparse's own negative-number pattern rejects "-1e-5" as a value.
+    names = ("trajectory.csv", "summary.json", "trajectory.svg")
+    assert run(["simulate", "--delta=-1e-5", "--kappa", 1, "--out", tmp_path / "eq"]) == 0
+    assert run(["simulate", "--delta", "-1e-5", "--kappa", 1, "--out", tmp_path / "sp"]) == 0
+    for name in names:
+        assert (tmp_path / "sp" / name).read_bytes() == (tmp_path / "eq" / name).read_bytes()
+    for command in ("feasibility", "transfer-map", "plan", "isolator", "verify"):
+        args = build_parser().parse_args([command, "--phi", "-2.5E+0"])
+        assert args.phi == -2.5
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--delta", "-inf", "--kappa", 1, "--out", tmp_path / "inf"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "inf").exists()
 
 
 def test_cli_import_skips_scipy_optimize_and_linalg(tmp_path):

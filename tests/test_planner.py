@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from modeswitch import planner
+from modeswitch import dynamics, planner
 from modeswitch import (
     CouplerParams,
     ModeState,
@@ -135,8 +135,8 @@ def test_minimal_search_ratio_two():
 def test_minimal_search_builds_one_plan(monkeypatch, delta):
     calls = Counter()
 
-    def spy(name):
-        real = getattr(planner, name)
+    def spy(module, name):
+        real = getattr(module, name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
@@ -144,8 +144,8 @@ def test_minimal_search_builds_one_plan(monkeypatch, delta):
 
         return counted
 
-    for name in ("dive_plan", "segment_propagator"):
-        monkeypatch.setattr(planner, name, spy(name))
+    for module, name in ((planner, "dive_plan"), (dynamics, "segment_propagator")):
+        monkeypatch.setattr(module, name, spy(module, name))
     search = minimal_plan_search(CouplerParams(delta, 0.003), 0.9)
     assert len(search.plan.protocol.segments) == 417
     # One plan, propagated once: one propagator per segment.

@@ -1,8 +1,9 @@
-"""Property tests: the dive plan attains the descent bound, the minimal
-plan is minimal, meets its threshold, keeps every segment on its
-precession circle, and its dimensionless duration W*T depends only on
-|delta| / kappa0, is known before the plan is built, and at two
-segments is the shortest on a grid of phases."""
+"""Property tests: the dive plan attains the descent bound and equals a
+per-segment propagation bit for bit, the minimal plan is minimal, meets
+its threshold, keeps every segment on its precession circle, and its
+dimensionless duration W*T depends only on |delta| / kappa0, is known
+before the plan is built, and at two segments is the shortest on a grid
+of phases."""
 
 import math
 
@@ -12,10 +13,14 @@ from hypothesis import strategies as st
 
 from modeswitch import (
     CouplerParams,
+    ModeState,
+    compose,
     descent_bound,
     dive_plan,
     minimal_plan_search,
+    segment_propagator,
     solve_two_step,
+    to_bloch,
     two_step_feasible,
 )
 from modeswitch.planner import minimal_plan_wt
@@ -66,6 +71,43 @@ def test_dive_plan_attains_descent_bound(coupler):
     k_star = minimal_plan_search(params, 1.0).curve[-1][0]
     for k in range(1, k_star + 1):
         assert abs(dive_plan(params, k).achieved - descent_bound(params, k)) <= 1e-12
+
+
+def loop_dive(params: CouplerParams, protocol):
+    """Reference: segment_propagator, compose and apply from mode 1, one
+    segment at a time, to_bloch of each switch state, and .transfer."""
+    start = ModeState.mode1()
+    acc = segment_propagator(params, protocol.segments[0])
+    points = []
+    for seg in protocol.segments[1:]:
+        points.append(to_bloch(acc.apply(start)))
+        acc = compose(segment_propagator(params, seg), acc)
+    return points, acc.transfer
+
+
+@st.composite
+def dives(draw):
+    """A coupler and a cap from 1 to k*(1) + 2, k*(1) its landing count."""
+    coupler = draw(couplers())
+    k_land = minimal_plan_search(CouplerParams(*coupler), 1.0).curve[-1][0]
+    return coupler, draw(st.integers(1, k_land + 2))
+
+
+@given(dives())
+@example(((-12.0, 1.0), 21))
+@example(((3.0, 1.0), 4))
+@example(((0.05, 1.0), 3))
+def test_dive_plan_equals_the_per_segment_loop(dive):
+    # Caps below k*(1) give half turns, k*(1) the landing plan, and caps
+    # above it the same landing plan.
+    coupler, count = dive
+    params = CouplerParams(*coupler)
+    plan = dive_plan(params, count)
+    points, achieved = loop_dive(params, plan.protocol)
+    assert plan.achieved.hex() == achieved.hex()
+    assert plan.switches == len(points) == len(plan.protocol.segments) - 1
+    for got, want in zip(plan.switch_points, points):
+        assert [x.hex() for x in (got.u, got.v, got.w)] == [x.hex() for x in (want.u, want.v, want.w)]
 
 
 @given(couplers(), thresholds, st.floats(0.1, 10.0))

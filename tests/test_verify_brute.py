@@ -17,7 +17,6 @@ from modeswitch.verify import (
     SCREEN_CHUNK,
     ZOOM_CHUNK,
     _brute_two_step_maxima,
-    _Cells,
     check_criterion_vs_brute,
     check_two_step_ceiling,
 )
@@ -28,7 +27,8 @@ SEED_AXIS = np.linspace(0.0, math.pi, 48)
 def scalar_brute_max(params: CouplerParams, phi: float, screen: float = -math.inf) -> float:
     """Reference: one cell, a 48-point seed grid, then 30 levels of a
     9 x 9 window, the step shrinking by 4, replaced only if strictly greater."""
-    values = _grid_transfer(params, phi, SEED_AXIS, SEED_AXIS)
+    coupler = params.delta, params.kappa0, params.rabi
+    values = _grid_transfer(*coupler, phi, SEED_AXIS, SEED_AXIS)
     i, j = divmod(int(values.argmax()), len(SEED_AXIS))
     best, x1, x2 = float(values[i, j]), SEED_AXIS[i], SEED_AXIS[j]
     if best < screen:
@@ -38,7 +38,7 @@ def scalar_brute_max(params: CouplerParams, phi: float, screen: float = -math.in
     for _ in range(30):
         step /= 4.0
         wt1, wt2 = x1 + step * offsets, x2 + step * offsets
-        values = _grid_transfer(params, phi, wt1, wt2)
+        values = _grid_transfer(*coupler, phi, wt1, wt2)
         i, j = divmod(int(values.argmax()), len(offsets))
         if values[i, j] > best:
             best, x1, x2 = float(values[i, j]), wt1[i], wt2[j]
@@ -96,7 +96,8 @@ def test_no_cell_reaches_the_screen():
     batched = assert_matches_reference(cells, screen=0.99)
     assert (batched < 0.99).all()
     seed_peaks = [
-        _grid_transfer(CouplerParams(d, k), phi, SEED_AXIS, SEED_AXIS).max() for d, k, phi in cells
+        _grid_transfer(d, k, CouplerParams(d, k).rabi, phi, SEED_AXIS, SEED_AXIS).max()
+        for d, k, phi in cells
     ]
     assert batched.tolist() == seed_peaks
 
@@ -113,8 +114,8 @@ def test_criterion_check_with_no_counted_cell_fails():
 @pytest.mark.parametrize(
     "fault",
     [
-        lambda real, params, phi, wt1, wt2: real(params, phi, wt1, wt2) / 2.0,
-        lambda real, params, phi, wt1, wt2: real(params, 0.0 * phi, wt1, wt2),
+        lambda real, delta, kappa0, w, phi, wt1, wt2: real(delta, kappa0, w, phi, wt1, wt2) / 2.0,
+        lambda real, delta, kappa0, w, phi, wt1, wt2: real(delta, kappa0, w, 0.0 * phi, wt1, wt2),
     ],
     ids=["halved", "phase-dropped"],
 )
@@ -145,8 +146,8 @@ def test_transfer_map_equals_its_cell_in_a_batch(n):
     params = [CouplerParams(0.4, 1.0), CouplerParams(-1.3, 0.7), CouplerParams(0.0, 2.0)]
     phis = [2.1, 0.5, math.pi]
     wt = np.linspace(0.0, math.pi, n)
-    cells = _Cells.of(params, phis)
-    batch = _grid_transfer(cells, cells.phi, wt, wt)
+    cols = np.array([(p.delta, p.kappa0, p.rabi, phi) for p, phi in zip(params, phis)])
+    batch = _grid_transfer(*cols.T[:, :, None], wt, wt)
     for c, (p, phi) in enumerate(zip(params, phis)):
         values = transfer_map(p, phi, n).values
         assert values.shape == (n, n)
