@@ -6,20 +6,23 @@ most pi - 2 psi.  That gives a rigorous per-count transfer bound,
 
     max |a2|^2 with k segments  <=  (1 - cos(min(k (pi - 2 psi), pi))) / 2,
 
-and closed-form plans that attain it (dive_plan).  Below the landing
-count, where k (pi - 2 psi) < pi, push-pull half turns at phases 0 and pi
-deepen the state by the full step each.  At the landing count k, k
-equal segments with a constant phase step dphi land on the south pole:
-the protocol is V^k up to a turn about z, V = R_z(-dphi) U(tau) with U
-the phase-0 segment, and for
+and closed-form plans that attain it (dive_plan).  A transfer p is the
+polar angle theta_p = acos(1 - 2 p).  k equal segments with a constant
+phase step dphi give the protocol V^k up to a turn about z, V =
+R_z(-dphi) U(tau) with U the phase-0 segment, and for
 
-    W tau = asin(sin(pi / 2k) / cos psi),   dphi = -sign(delta) 2 atan(sin psi tan(W tau))
+    W tau = asin(min(1, sin(theta_p / 2k) / cos psi)),
+    dphi  = -sign(delta) 2 atan(sin psi tan(W tau))
 
-V turns by pi / k about a horizontal axis, so V^k carries the north
-pole to the south pole.  The asin exists exactly when k (pi - 2 psi) >=
-pi.  minimal_plan_search builds the fewest segments whose bound reaches
-the threshold, and minimal_plan_wt gives that plan's W*T before it is
-built.  No numerical search is involved.
+V turns by theta_p / k about a horizontal axis, so V^k carries the
+north pole to polar angle theta_p: the plan reaches p.  The asin exists
+exactly when k (pi - 2 psi) >= theta_p, the bound's own condition.
+Below that count the clamp gives half turns, W tau = pi / 2 and dphi =
+-+pi (phases 0 and pi), which keep every axis in the u-w plane, so segment j ends at polar
+angle exactly j (pi - 2 psi): the bound again.  minimal_plan_search
+builds the fewest segments whose bound reaches the threshold, and
+minimal_plan_wt gives that plan's W*T before it is built.  No
+numerical search is involved.
 """
 
 from __future__ import annotations
@@ -40,16 +43,13 @@ from .dynamics import (
 )
 from .geometry import BlochVector, tilt_angle, to_bloch
 
-# Slack on threshold comparisons: a plan that lands on the south pole
-# reaches |a2|^2 = 1 only up to rounding, so threshold 1.0 taken exactly
-# would be unreachable in floating point.
+# Slack on threshold comparisons: a plan reaches its aim only up to
+# rounding, so it aims this far above the threshold (capped at 1, where
+# threshold 1.0 taken exactly would be unreachable in floating point).
 THRESHOLD_SLACK = 1e-12
 # Keeps an exact integer quotient in min_switches_estimate (ratio 1 gives
 # exactly 1) from rounding up through the last digit of pi / atan.
 ESTIMATE_SLACK = 1e-9
-# Slack on the dive's segment arithmetic: k (pi - 2 psi) reaching pi, or
-# 2 psi / (pi - 2 psi) sitting on an integer, up to rounding.
-LANDING_SLACK = 1e-12
 
 
 def min_switches_estimate(ratio: float) -> int:
@@ -99,43 +99,38 @@ class PlanSearchError(RuntimeError):
         self.curve = curve
 
 
-def _segment_wt(psi: float, k: int) -> float:
-    """W tau of each of k equal segments that land on the south pole.
+def _segment_wt(psi: float, k: int, threshold: float) -> float:
+    """W tau of each of k equal segments that reach the threshold.
 
-    asin(sin(pi / 2k) / cos psi), clamped at a half turn, pi / 2, which
-    is also the segment of a dive that k segments cannot land.
+    asin(sin(theta_p / 2k) / cos psi) at p = threshold + THRESHOLD_SLACK
+    (at most 1), clamped at a half turn, pi / 2, when k segments cannot
+    reach p.
     """
-    return math.asin(min(1.0, math.sin(math.pi / (2.0 * k)) / math.cos(psi)))
+    theta = math.acos(1.0 - 2.0 * min(1.0, threshold + THRESHOLD_SLACK))
+    return math.asin(min(1.0, math.sin(theta / (2.0 * k)) / math.cos(psi)))
 
 
-def dive_plan(params: CouplerParams, max_segments: int) -> StaircasePlan:
-    """Plan attaining descent_bound at max_segments, in closed form.
+def dive_plan(params: CouplerParams, k: int, threshold: float) -> StaircasePlan:
+    """k equal segments, segment j at phase j dphi, in closed form.
 
-    If max_segments (pi - 2 psi) >= pi it lands on the south pole with
-    the fewest segments that can, k = 1 + ceil(2 psi / (pi - 2 psi)),
-    possibly fewer than allowed: k equal segments, segment j at phase
-    j dphi (module docstring).  Otherwise it is max_segments half turns
-    at phases 0 and pi alternating, which keep every axis in the u-w
-    plane, so half turn j ends at polar angle exactly j (pi - 2 psi) at
-    either sign of delta.  Its states come from prefix_products and apply_columns.
+    They reach the threshold if descent_bound(k) does, and otherwise
+    are half turns at phases 0 and pi alternating, which attain
+    descent_bound(k) (module docstring).  The switch states come from
+    prefix_products and apply_columns.
     """
-    if max_segments < 1:
-        raise ValueError("max_segments must be >= 1")
+    if k < 1:
+        raise ValueError("segment count must be >= 1")
     if params.kappa0 == 0.0:
         raise ValueError("planning requires kappa0 > 0")
 
     psi = abs(tilt_angle(params))
-    step = math.pi - 2.0 * psi
-    if max_segments * step < math.pi - LANDING_SLACK:
-        half_turn = math.pi / (2.0 * params.rabi)
-        pairs = [(math.pi * (j % 2), half_turn) for j in range(max_segments)]
-    else:
-        k = 1 + max(0, math.ceil(2.0 * psi / step - LANDING_SLACK))
-        wt = _segment_wt(psi, k)
-        dphi = -math.copysign(2.0 * math.atan(math.sin(psi) * math.tan(wt)), params.delta)
-        pairs = [(j * dphi, wt / params.rabi) for j in range(k)]
+    wt = _segment_wt(psi, k, threshold)
+    dphi = -math.copysign(2.0 * math.atan(math.sin(psi) * math.tan(wt)), params.delta)
+    # At the clamp dphi = -+pi, and j dphi drifts an ulp from 0 or pi
+    # (mod 2 pi) at odd j >= 3, so half turns take their phases exactly.
+    phases = [math.pi * (j % 2) if wt == math.pi / 2 else j * dphi for j in range(k)]
     # One to_bloch over the switch states as columns, at the switch times.
-    protocol = Protocol.from_pairs(pairs)
+    protocol = Protocol.from_pairs((phase, wt / params.rabi) for phase in phases)
     prefix = prefix_products(params, protocol)
     states = apply_columns(*prefix[1:-1].T, ModeState.mode1())
     b = to_bloch(Trajectory(np.cumsum(protocol.durations[:-1]), *states))
@@ -188,12 +183,11 @@ def _minimal_count(params: CouplerParams, threshold: float, max_segments: int | 
 def minimal_plan_wt(params: CouplerParams, threshold: float, max_segments: int | None) -> float:
     """W*T of the plan minimal_plan_search builds, without building it.
 
-    k _segment_wt(psi, k) at the plan's count k: half turns below the
-    landing count, equal landing segments at it.  Equals the built
-    plan's W*T up to rounding, and raises the search's ValueErrors.
+    k _segment_wt at the plan's count k.  Equals the built plan's W*T
+    up to rounding, and raises the search's ValueErrors.
     """
     k = _minimal_count(params, threshold, max_segments)
-    return k * _segment_wt(abs(tilt_angle(params)), k)
+    return k * _segment_wt(abs(tilt_angle(params)), k, threshold)
 
 
 def minimal_plan_search(
@@ -205,13 +199,12 @@ def minimal_plan_search(
 
     dive_plan attains descent_bound at every count, so the minimal count
     k is the first with descent_bound(k) >= threshold, or max_segments
-    if that comes first, and only dive_plan(k) is built.  Without a cap
-    the bound reaches 1 by the count at which the dive lands.  Raises
+    if that comes first, and only dive_plan(k) is built.  Raises
     PlanSearchError with that plan if it falls short of the threshold.
     """
     k = _minimal_count(params, threshold, max_segments)
     estimate = min_switches_estimate(params.ratio) if params.ratio > 0 else 1
-    plan = dive_plan(params, k)
+    plan = dive_plan(params, k, threshold)
     curve = tuple((j, descent_bound(params, j)) for j in range(1, k)) + ((k, plan.achieved),)
     if plan.achieved >= threshold - THRESHOLD_SLACK:
         return PlanSearch(plan, curve, estimate)

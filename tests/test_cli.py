@@ -316,20 +316,28 @@ def test_plan_roundtrip(tmp_path):
 
 
 def test_plan_cap_exit_code(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"delta": 3.0, "max_segments": 2}))
-    out = tmp_path / "plan"
-    assert run(["plan", "--config", cfg, "--out", out]) == 3
-    payload = json.loads((out / "plan.json").read_text())
-    assert payload["threshold_met"] is False
-    assert payload["switch_estimate"] is None
-    assert payload["achieved"] < 0.99
-    assert len(payload["curve"]) == 2
+    for delta in (3.0, -3.0):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"delta": delta, "max_segments": 2}))
+        out = tmp_path / f"plan{delta:+g}"
+        assert run(["plan", "--config", cfg, "--out", out]) == 3
+        payload = json.loads((out / "plan.json").read_text())
+        assert payload["threshold_met"] is False
+        assert payload["switch_estimate"] is None
+        assert payload["achieved"] < 0.99
+        assert len(payload["curve"]) == 2
+        # The capped plan is two half turns, at phases exactly 0 and pi.
+        half_turn = math.pi / 2.0 / CouplerParams(delta, 1.0).rabi
+        assert payload["segments"] == [
+            {"phase": 0.0, "duration": half_turn},
+            {"phase": math.pi, "duration": half_turn},
+        ]
 
 
 def test_plan_rejects_an_oversized_plan(tmp_path, capsys):
-    # About 14,700 half turns at the default threshold: refused before
-    # any planning, so no output directory is made.
+    # 14,707 segments, W*T about 22,957 rad, at the default threshold;
+    # even the speed limit asin(sqrt(0.99)) / cos(psi) is about 14,706
+    # rad.  Refused before any planning, so no output directory is made.
     out = tmp_path / "plan"
     assert run(["plan", "--delta", 1.0, "--kappa", 1e-4, "--out", out]) == 2
     assert "MAX_PROTOCOL_WT" in capsys.readouterr().err

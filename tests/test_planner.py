@@ -61,7 +61,7 @@ def test_descent_bound_first_step_is_static_max():
 def test_dive_plan_attains_bound():
     for ratio, k in ((2.0, 2), (3.0, 3), (6.0, 5)):
         params = CouplerParams(ratio, 1.0)
-        plan = dive_plan(params, k)
+        plan = dive_plan(params, k, 1.0)
         assert len(plan.protocol.segments) == k
         assert plan.achieved == pytest.approx(descent_bound(params, k), abs=1e-12)
 
@@ -71,34 +71,34 @@ def test_dive_plan_exact_landing():
         params = CouplerParams(ratio, 1.0)
         psi = abs(tilt_angle(params))
         k_full = math.ceil(math.pi / (math.pi - 2.0 * psi))
-        plan = dive_plan(params, k_full)
+        plan = dive_plan(params, k_full, 1.0)
         assert plan.achieved == pytest.approx(1.0, abs=1e-12)
         assert len(plan.protocol.segments) == k_full
 
 
 def test_greedy_reproduces_two_step():
     params = CouplerParams(0.5, 1.0)
-    plan = dive_plan(params, 2)
+    plan = dive_plan(params, 2, 1.0)
     assert len(plan.protocol.segments) == 2
     assert plan.achieved == pytest.approx(1.0, abs=1e-6)
 
 
 def test_greedy_exact_at_ratio_two():
     params = CouplerParams(2.0, 1.0)
-    plan = dive_plan(params, 4)
+    plan = dive_plan(params, 4, 1.0)
     assert plan.achieved == pytest.approx(1.0, abs=1e-9)
     assert plan.switches == 3
 
 
 def test_dive_plan_zero_detuning_single_segment():
-    plan = dive_plan(CouplerParams(0.0, 1.0), 5)
+    plan = minimal_plan_search(CouplerParams(0.0, 1.0), 1.0, max_segments=5).plan
     assert len(plan.protocol.segments) == 1
     assert plan.achieved == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dive_plan_descent_is_monotone():
     params = CouplerParams(3.0, 1.0)
-    plan = dive_plan(params, 5)
+    plan = dive_plan(params, 5, 1.0)
     traj = propagate(params, plan.protocol, ModeState.mode1(), 512)
     # Per-segment running minima of w must strictly decrease.
     boundaries = np.cumsum([s.duration for s in plan.protocol.segments])
@@ -153,13 +153,18 @@ def test_minimal_search_builds_one_plan(monkeypatch, delta):
 
 
 def test_minimal_search_cap_raises_with_best():
-    params = CouplerParams(3.0, 1.0)
-    with pytest.raises(PlanSearchError) as exc:
-        minimal_plan_search(params, max_segments=2)
-    err = exc.value
-    assert err.best.achieved < 0.99
-    assert err.best.achieved == pytest.approx(descent_bound(params, 2), abs=1e-6)
-    assert len(err.curve) == 2
+    for delta, cap in ((3.0, 2), (-3.0, 2), (5.5, 3), (-5.5, 3)):
+        params = CouplerParams(delta, 1.0)
+        with pytest.raises(PlanSearchError) as exc:
+            minimal_plan_search(params, max_segments=cap)
+        err = exc.value
+        assert err.best.achieved < 0.99
+        assert err.best.achieved == pytest.approx(descent_bound(params, cap), abs=1e-12)
+        assert len(err.curve) == cap
+        # The capped plan is half turns at phases exactly 0 and pi.
+        protocol = err.best.protocol
+        assert protocol.phases == tuple(math.pi * (j % 2) for j in range(cap))
+        assert protocol.durations == (math.pi / 2.0 / params.rabi,) * cap
     # psi rounds to pi/2: no count descends, so only a cap ends the search.
     flat = CouplerParams(1.0, 1e-300)
     with pytest.raises(ValueError, match="too large"):
@@ -168,17 +173,36 @@ def test_minimal_search_cap_raises_with_best():
         minimal_plan_search(flat, max_segments=3)
 
 
+EQUAL_SEGMENT_PLANS = [
+    (0.5, 1.0, 1.8235),
+    (1.5, 1.0, 3.3689),
+    (2.0, 1.0, 4.1077),
+    (3.0, 1.0, 6.7842),
+    (5.5, 1.0, 11.9540),
+    (0.5, 0.9, 1.4250),
+    (2.0, 0.99, 3.7340),
+    (3.0, 0.9, 5.3257),
+    (5.5, 0.99, 10.2764),
+]
+
+
 @pytest.mark.parametrize(
-    "ratio, wt",
-    [(0.5, 1.8235), (1.5, 3.3689), (2.0, 4.1077), (3.0, 6.7842), (5.5, 11.9540)],
+    "ratio, threshold, wt",
+    EQUAL_SEGMENT_PLANS,
+    ids=[f"{r}-{wt}" if p == 1.0 else f"{r}-{p}-{wt}" for r, p, wt in EQUAL_SEGMENT_PLANS],
 )
 @pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_threshold_one_plans_are_equal_segments(ratio, wt, sign):
+def test_threshold_one_plans_are_equal_segments(ratio, threshold, wt, sign):
     # W*T of k equal segments with a constant phase step; at ratios 1.5, 2
-    # and 3 a constrained numerical search found no shorter k-segment plan.
+    # and 3 (threshold 1) and at ratio 2 (threshold 0.99) a constrained
+    # numerical search found no shorter k-segment plan.
     params = CouplerParams(sign * ratio, 1.0)
-    protocol = minimal_plan_search(params, 1.0).plan.protocol
+    plan = minimal_plan_search(params, threshold).plan
+    protocol = plan.protocol
     assert params.rabi * protocol.total_duration == pytest.approx(wt, abs=1e-4)
+    if threshold < 1.0:
+        # Below 1 the plan reaches the threshold, not mode 2.
+        assert threshold <= plan.achieved <= threshold + 1e-11
     assert max(protocol.durations) - min(protocol.durations) <= 1e-15
     steps = np.diff(protocol.phases) % (2.0 * math.pi)
     assert np.ptp(np.cos(steps)) <= 1e-12 and np.ptp(np.sin(steps)) <= 1e-12
@@ -209,7 +233,7 @@ def test_negative_detuning_mirrors():
 
 def test_plan_switch_points_match_propagation():
     params = CouplerParams(1.5, 1.0)
-    plan = dive_plan(params, 3)
+    plan = dive_plan(params, 3, 1.0)
     acc_state = ModeState.mode1()
     for seg, point in zip(plan.protocol.segments, plan.switch_points):
         acc_state = segment_propagator(params, seg).apply(acc_state)

@@ -70,7 +70,7 @@ def test_dive_plan_attains_descent_bound(coupler):
     params = CouplerParams(*coupler)
     k_star = minimal_plan_search(params, 1.0).curve[-1][0]
     for k in range(1, k_star + 1):
-        assert abs(dive_plan(params, k).achieved - descent_bound(params, k)) <= 1e-12
+        assert abs(dive_plan(params, k, 1.0).achieved - descent_bound(params, k)) <= 1e-12
 
 
 def loop_dive(params: CouplerParams, protocol):
@@ -87,7 +87,7 @@ def loop_dive(params: CouplerParams, protocol):
 
 @st.composite
 def dives(draw):
-    """A coupler and a cap from 1 to k*(1) + 2, k*(1) its landing count."""
+    """A coupler and a count from 1 to k*(1) + 2, k*(1) its landing count."""
     coupler = draw(couplers())
     k_land = minimal_plan_search(CouplerParams(*coupler), 1.0).curve[-1][0]
     return coupler, draw(st.integers(1, k_land + 2))
@@ -98,11 +98,11 @@ def dives(draw):
 @example(((3.0, 1.0), 4))
 @example(((0.05, 1.0), 3))
 def test_dive_plan_equals_the_per_segment_loop(dive):
-    # Caps below k*(1) give half turns, k*(1) the landing plan, and caps
-    # above it the same landing plan.
+    # Counts below k*(1) give half turns, and counts from k*(1) on equal
+    # segments that land on mode 2.
     coupler, count = dive
     params = CouplerParams(*coupler)
-    plan = dive_plan(params, count)
+    plan = dive_plan(params, count, 1.0)
     points, achieved = loop_dive(params, plan.protocol)
     assert plan.achieved.hex() == achieved.hex()
     assert plan.switches == len(points) == len(plan.protocol.segments) - 1
