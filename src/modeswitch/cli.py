@@ -58,6 +58,7 @@ from .render import trajectory_svg
 from .twostep import (
     critical_phase,
     feasibility_map,
+    solve_fraction,
     solve_two_step,
     transfer_map,
     two_step_ceiling,
@@ -71,33 +72,19 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        if math.isfinite(obj):
-            return _Raw(fmt17(obj))
-        # JSON has no Infinity/NaN literals; emit them as strings.
-        return str(obj)
-    raise TypeError(f"not serializable: {type(obj)!r}")
-
-
-class _Raw:
-    def __init__(self, text: str):
-        self.text = text
-
-
 def dumps17(obj) -> str:
-    """JSON text with floats at 17 significant digits, keys kept in order."""
+    """JSON text with floats at 17 significant digits, keys kept in order.
+
+    One walk over the payload: floats (numpy float64 too) as fmt17, and
+    non-finite ones as the strings "inf", "-inf" and "nan", since JSON has
+    no literals for them; tuples as lists; bool, int, str and None through
+    json.dumps.  Any other type raises TypeError.
+    """
 
     def render(x, indent: int) -> str:
+        if isinstance(x, float):
+            return fmt17(x) if math.isfinite(x) else json.dumps(str(x))
         pad = "  " * indent
-        if isinstance(x, _Raw):
-            return x.text
         if isinstance(x, dict):
             if not x:
                 return "{}"
@@ -105,14 +92,16 @@ def dumps17(obj) -> str:
                 f'{pad}  "{k}": {render(v, indent + 1)}' for k, v in x.items()
             )
             return "{\n" + inner + "\n" + pad + "}"
-        if isinstance(x, list):
+        if isinstance(x, (list, tuple)):
             if not x:
                 return "[]"
             inner = ",\n".join(f"{pad}  {render(v, indent + 1)}" for v in x)
             return "[\n" + inner + "\n" + pad + "]"
-        return json.dumps(x)
+        if x is None or isinstance(x, (int, str)):
+            return json.dumps(x)
+        raise TypeError(f"not serializable: {type(x)!r}")
 
-    return render(_to_jsonable(obj), 0) + "\n"
+    return render(obj, 0) + "\n"
 
 
 def _create(path: Path):
@@ -356,8 +345,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
     source = "config"
     if protocol is None:
         if cfg.target is not None:
-            from .twostep import solve_fraction
-
             protocol = solve_fraction(params, cfg.phi, cfg.target)
             source = "solve_fraction"
         else:

@@ -17,7 +17,7 @@ constant-coupling segments; their propagators compose by matrix product.
 
 Everything in this module is exact up to floating point.  propagate
 computes all samples at once, bit for bit the scalar propagators (cmul),
-through prefix_products and apply_columns, as planner.dive_plan does.
+from the rows of prefix_products, which planner.dive_plan reads too.
 The numerical integrator that cross-checks them is modeswitch.oracle.
 """
 
@@ -275,19 +275,6 @@ def prefix_products(params: CouplerParams, protocol: Protocol) -> np.ndarray:
     return np.array(prefix)
 
 
-def apply_columns(dr, di, o_r, oi, state: ModeState) -> tuple[np.ndarray, np.ndarray]:
-    """TransferMatrix.apply(state) on columns of d and o as real and imaginary
-    parts, bit for bit: cmul's products, and a column pair stacks as complex."""
-    b1r, b1i, b2r, b2i = state.a1.real, state.a1.imag, state.a2.real, state.a2.imag
-    xr, xi = cmul(dr, di, b1r, b1i)
-    yr, yi = cmul(o_r, oi, b2r, b2i)
-    zr, zi = cmul(-o_r, oi, b1r, b1i)
-    vr, vi = cmul(dr, -di, b2r, b2i)
-    a1 = np.stack((xr + yr, xi + yi), axis=-1).view(complex)[:, 0]
-    a2 = np.stack((zr + vr, zi + vi), axis=-1).view(complex)[:, 0]
-    return a1, a2
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled states as columns: times t, complex amplitude arrays a1, a2."""
@@ -327,7 +314,7 @@ def propagate(
     does.  Any other composes its partial segment onto the product of the
     segments whole at t (t > elapsed and t - elapsed >= duration, elapsed
     the running sum of the durations before), a row of prefix_products.
-    The partial segments, compose and apply_columns run on all samples in
+    The partial segments, compose and apply run on all samples at once in
     cmul's arithmetic: each equals segment_propagator, compose and apply.
     """
     if sample_count < 1:
@@ -365,4 +352,13 @@ def propagate(
     xr, xi = cmul(d2r, d2i, o1r, o1i)
     yr, yi = cmul(o2r, o2i, d1r, -d1i)
     o_r, oi = np.where(partial, (xr + yr, xi + yi), (o1r, o1i))
-    return Trajectory(t, *apply_columns(dr, di, o_r, oi, initial))
+    # TransferMatrix.apply(initial) in cmul's products; each real and
+    # imaginary column pair stacks as complex.
+    b1r, b1i, b2r, b2i = initial.a1.real, initial.a1.imag, initial.a2.real, initial.a2.imag
+    xr, xi = cmul(dr, di, b1r, b1i)
+    yr, yi = cmul(o_r, oi, b2r, b2i)
+    zr, zi = cmul(-o_r, oi, b1r, b1i)
+    vr, vi = cmul(dr, -di, b2r, b2i)
+    a1 = np.stack((xr + yr, xi + yi), axis=-1).view(complex)[:, 0]
+    a2 = np.stack((zr + vr, zi + vi), axis=-1).view(complex)[:, 0]
+    return Trajectory(t, a1, a2)

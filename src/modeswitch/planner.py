@@ -32,15 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    CouplerParams,
-    ModeState,
-    Protocol,
-    Trajectory,
-    abs2,
-    apply_columns,
-    prefix_products,
-)
+from .dynamics import CouplerParams, Protocol, Trajectory, abs2, prefix_products
 from .geometry import BlochVector, tilt_angle, to_bloch
 
 # Slack on threshold comparisons: a plan reaches its aim only up to
@@ -99,6 +91,14 @@ class PlanSearchError(RuntimeError):
         self.curve = curve
 
 
+def _check_plan_inputs(params: CouplerParams, threshold: float) -> None:
+    """The threshold and coupler checks of dive_plan and the search."""
+    if not 0.0 < threshold <= 1.0:
+        raise ValueError("threshold must lie in (0, 1]")
+    if params.kappa0 == 0.0:
+        raise ValueError("planning requires kappa0 > 0")
+
+
 def _segment_wt(psi: float, k: int, threshold: float) -> float:
     """W tau of each of k equal segments that reach the threshold.
 
@@ -115,13 +115,12 @@ def dive_plan(params: CouplerParams, k: int, threshold: float) -> StaircasePlan:
 
     They reach the threshold if descent_bound(k) does, and otherwise
     are half turns at phases 0 and pi alternating, which attain
-    descent_bound(k) (module docstring).  The switch states come from
-    prefix_products and apply_columns.
+    descent_bound(k) (module docstring).  From mode 1 the state after j
+    segments is the first column (d, -conj o) of prefix_products row j.
     """
     if k < 1:
         raise ValueError("segment count must be >= 1")
-    if params.kappa0 == 0.0:
-        raise ValueError("planning requires kappa0 > 0")
+    _check_plan_inputs(params, threshold)
 
     psi = abs(tilt_angle(params))
     wt = _segment_wt(psi, k, threshold)
@@ -132,8 +131,8 @@ def dive_plan(params: CouplerParams, k: int, threshold: float) -> StaircasePlan:
     # One to_bloch over the switch states as columns, at the switch times.
     protocol = Protocol.from_pairs((phase, wt / params.rabi) for phase in phases)
     prefix = prefix_products(params, protocol)
-    states = apply_columns(*prefix[1:-1].T, ModeState.mode1())
-    b = to_bloch(Trajectory(np.cumsum(protocol.durations[:-1]), *states))
+    d, o = prefix[1:-1].view(complex).T
+    b = to_bloch(Trajectory(np.cumsum(protocol.durations[:-1]), d, -o.conj()))
     points = tuple(map(BlochVector, b.u.tolist(), b.v.tolist(), b.w.tolist()))
     return StaircasePlan(protocol, points, float(abs2(*prefix[-1, 2:])), len(points))
 
@@ -160,10 +159,7 @@ def _minimal_count(params: CouplerParams, threshold: float, max_segments: int | 
     THRESHOLD_SLACK, so rounding in the quotient cannot move the count
     and no loop runs over every count.  Validates the search's inputs.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError("threshold must lie in (0, 1]")
-    if params.kappa0 == 0.0:
-        raise ValueError("planning requires kappa0 > 0")
+    _check_plan_inputs(params, threshold)
     if max_segments is not None and max_segments < 1:
         raise ValueError("max_segments must be >= 1")
     step = math.pi - 2.0 * abs(tilt_angle(params))

@@ -529,7 +529,7 @@ def check_isolator_endpoints() -> CheckResult:
     )
 
 
-def check_output_determinism(tmp_base: str | None = None) -> CheckResult:
+def check_output_determinism() -> CheckResult:
     import contextlib
     import io
     import tempfile
@@ -537,7 +537,7 @@ def check_output_determinism(tmp_base: str | None = None) -> CheckResult:
 
     from .cli import main as cli_main
 
-    with tempfile.TemporaryDirectory(dir=tmp_base) as tmp:
+    with tempfile.TemporaryDirectory() as tmp:
         outs = []
         for sub in ("a", "b"):
             out = Path(tmp) / sub

@@ -90,6 +90,37 @@ def test_dumps17_nonfinite_floats_become_strings():
     assert data["q"] == "nan"
 
 
+_KEYS = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", max_size=6)
+_LEAVES = st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+
+
+def _trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_KEYS, children, max_size=4),
+        max_leaves=20,
+    )
+
+
+def _as_lists(x):
+    if isinstance(x, dict):
+        return {k: _as_lists(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_as_lists(v) for v in x]
+    return x
+
+
+@given(_trees(_LEAVES), _trees(_LEAVES | st.floats(allow_nan=False, allow_infinity=False)))
+def test_dumps17_layout_is_json_dumps_indent_2(tree, float_tree):
+    # Without floats the layout is json.dumps's two-space indent exactly.
+    assert dumps17(tree) == json.dumps(tree, indent=2) + "\n"
+    # With finite floats it loads back to the same values (-0.0 is
+    # written "-0", which loads as the equal integer 0).
+    assert json.loads(dumps17(float_tree)) == _as_lists(float_tree)
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "cfg.json"
     for key in ("bogus", "restarts", "direction"):

@@ -90,6 +90,17 @@ def test_greedy_exact_at_ratio_two():
     assert plan.switches == 3
 
 
+@pytest.mark.parametrize("threshold", [1.5, -0.5, 0.0, math.nan])
+def test_dive_plan_rejects_thresholds_outside_the_unit_interval(threshold):
+    # The same check as the search: no silent clamp to 1, no bare
+    # "math domain error" from acos, no plan for a threshold of 0.
+    params = CouplerParams(3.0, 1.0)
+    with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\]"):
+        dive_plan(params, 4, threshold)
+    with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\]"):
+        minimal_plan_search(params, threshold)
+
+
 def test_dive_plan_zero_detuning_single_segment():
     plan = minimal_plan_search(CouplerParams(0.0, 1.0), 1.0, max_segments=5).plan
     assert len(plan.protocol.segments) == 1

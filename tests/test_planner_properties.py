@@ -97,9 +97,14 @@ def dives(draw):
 @example(((-12.0, 1.0), 21))
 @example(((3.0, 1.0), 4))
 @example(((0.05, 1.0), 3))
+@example(((3.0, 1.0), 2))
+@example(((-3.0, 1.0), 2))
 def test_dive_plan_equals_the_per_segment_loop(dive):
     # Counts below k*(1) give half turns, and counts from k*(1) on equal
-    # segments that land on mode 2.
+    # segments that land on mode 2.  At the capped half turns (delta +-3,
+    # count 2) row 1's o.real is +0.0, so dive_plan's switch state
+    # (d, -conj o) has a2.real -0.0 where apply gives +0.0; the Bloch
+    # vectors must still match bit for bit.
     coupler, count = dive
     params = CouplerParams(*coupler)
     plan = dive_plan(params, count, 1.0)
