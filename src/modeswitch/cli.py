@@ -52,7 +52,7 @@ from .isolator import (
     optimal_phases,
     pushpull_stage,
 )
-from .oracle import IntegrationConfig, integrate
+from .oracle import integrate
 from .planner import PlanSearchError, minimal_plan_search, minimal_plan_wt
 from .render import trajectory_svg
 from .twostep import (
@@ -352,7 +352,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             source = "solve_two_step"
     traj = propagate(params, protocol, ModeState.mode1(), cfg.samples)
     final = traj.final
-    rk4_final = integrate(params, protocol, ModeState.mode1(), IntegrationConfig())
+    rk4_final = integrate(params, protocol, ModeState.mode1())
     out = Path(cfg.out)
 
     a1, a2, b = traj.a1, traj.a2, to_bloch(traj)

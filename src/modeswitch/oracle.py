@@ -33,53 +33,32 @@ from .dynamics import (
     Protocol,
 )
 
-# Default resolution: step * W, and the loudest value still accepted.
+# Default resolution: step * W, and the largest value accepted.  RK4
+# error grows like (step * W)^4; results past the cap are not meaningful.
 DEFAULT_STEP_FRACTION = 0.001
-MAX_STEP_FRACTION = 0.01
 HARD_STEP_FRACTION = 0.1
-# Relative slack on the step cap: a step given as fraction / W comes back
-# over max_step_fraction by the rounding of the division and product.
-STEP_CAP_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """Fixed-step RK4 configuration.
+    """Fixed-step RK4 configuration: the step as a fraction of 1 / W.
 
-    step: time step in seconds, or None to use DEFAULT_STEP_FRACTION / W.
-    max_step_fraction: largest allowed step * W.  Raising it above
-    HARD_STEP_FRACTION is rejected outright; RK4 error grows like
-    (step * W)^4 and results past that point are not meaningful.
+    step_fraction is step * W and must lie in (0, HARD_STEP_FRACTION].
     """
 
-    step: float | None = None
-    max_step_fraction: float = MAX_STEP_FRACTION
+    step_fraction: float = DEFAULT_STEP_FRACTION
 
     def __post_init__(self) -> None:
-        if self.step is not None:
-            step = float(self.step)
-            if not math.isfinite(step) or step <= 0.0:
-                raise ValueError("integration step must be positive")
-            object.__setattr__(self, "step", step)
-        frac = float(self.max_step_fraction)
-        if frac <= 0.0:
-            raise ValueError("max_step_fraction must be positive")
-        if frac > HARD_STEP_FRACTION:
+        frac = float(self.step_fraction)
+        if not 0.0 < frac <= HARD_STEP_FRACTION:
             raise ValueError(
-                f"max_step_fraction {frac:g} exceeds the hard cap {HARD_STEP_FRACTION:g}"
+                f"step_fraction {frac:g} must lie in (0, {HARD_STEP_FRACTION:g}]"
             )
-        object.__setattr__(self, "max_step_fraction", frac)
+        object.__setattr__(self, "step_fraction", frac)
 
     def resolved_step(self, params: CouplerParams) -> float:
-        w = params.rabi
-        if self.step is None:
-            return DEFAULT_STEP_FRACTION / w
-        if self.step * w > self.max_step_fraction * (1.0 + STEP_CAP_SLACK):
-            raise ValueError(
-                f"step * W = {self.step * w:g} exceeds the configured cap "
-                f"{self.max_step_fraction:g}"
-            )
-        return self.step
+        """The step in seconds."""
+        return self.step_fraction / params.rabi
 
 
 def generator(params: CouplerParams, phi: float) -> np.ndarray:

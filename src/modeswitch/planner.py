@@ -18,11 +18,14 @@ V turns by theta_p / k about a horizontal axis, so V^k carries the
 north pole to polar angle theta_p: the plan reaches p.  The asin exists
 exactly when k (pi - 2 psi) >= theta_p, the bound's own condition.
 Below that count the clamp gives half turns, W tau = pi / 2 and dphi =
--+pi (phases 0 and pi), which keep every axis in the u-w plane, so segment j ends at polar
-angle exactly j (pi - 2 psi): the bound again.  minimal_plan_search
-builds the fewest segments whose bound reaches the threshold, and
-minimal_plan_wt gives that plan's W*T before it is built.  No
-numerical search is involved.
+-+pi (phases 0 and pi), which keep every axis in the u-w plane, so
+segment j ends at polar angle exactly j (pi - 2 psi): the bound again.
+minimal_plan_search builds the fewest segments whose bound reaches the
+threshold, and minimal_plan_wt gives that plan's W*T before it is
+built.  At threshold 1 that count is k*(1) = ceil(pi / (pi - 2 psi)),
+and min_switches_estimate, the paper's lower bound on switching events,
+is ceil(k*(1) / 2) full modulation periods.  No numerical search is
+involved.
 """
 
 from __future__ import annotations
@@ -39,23 +42,6 @@ from .geometry import BlochVector, tilt_angle, to_bloch
 # rounding, so it aims this far above the threshold (capped at 1, where
 # threshold 1.0 taken exactly would be unreachable in floating point).
 THRESHOLD_SLACK = 1e-12
-# Keeps an exact integer quotient in min_switches_estimate (ratio 1 gives
-# exactly 1) from rounding up through the last digit of pi / atan.
-ESTIMATE_SLACK = 1e-9
-
-
-def min_switches_estimate(ratio: float) -> int:
-    """Quick switch-count scale for a given |delta| / kappa0.
-
-    Returns ceil(pi / (4 arctan(1 / ratio))).  This counts full
-    modulation periods rather than raw segment boundaries; minimal
-    plans need roughly twice as many segments, one per half period.
-    ESTIMATE_SLACK keeps exact integer values from rounding up.
-    """
-    if ratio <= 0.0 or not math.isfinite(ratio):
-        raise ValueError("ratio must be positive and finite")
-    value = math.pi / (4.0 * math.atan(1.0 / ratio))
-    return math.ceil(value - ESTIMATE_SLACK)
 
 
 def descent_bound(params: CouplerParams, k: int) -> float:
@@ -143,7 +129,8 @@ class PlanSearch:
 
     curve holds (segment_count, transfer) in order: descent_bound for
     every count below the plan's, then the plan's achieved transfer at
-    its own count; estimate is min_switches_estimate at this ratio.
+    its own count; estimate is min_switches_estimate, the paper's
+    switch bound in full periods.
     """
 
     plan: StaircasePlan
@@ -176,6 +163,19 @@ def _minimal_count(params: CouplerParams, threshold: float, max_segments: int | 
     return k if max_segments is None else min(k, max_segments)
 
 
+def min_switches_estimate(params: CouplerParams) -> int:
+    """The paper's lower bound on switching events, in full periods.
+
+    ceil(k*(1) / 2), with k*(1) the plan's count at threshold 1: one
+    modulation period holds two segments.  Since pi - 2 psi = 2
+    arctan(kappa0 / |delta|), this is ceil(pi / (4 arctan(kappa0 /
+    |delta|))) in exact arithmetic; taking it from the count keeps the
+    bound from exceeding what the plan needs by rounding.  Raises the
+    search's ValueErrors.
+    """
+    return math.ceil(_minimal_count(params, 1.0, None) / 2)
+
+
 def minimal_plan_wt(params: CouplerParams, threshold: float, max_segments: int | None) -> float:
     """W*T of the plan minimal_plan_search builds, without building it.
 
@@ -199,11 +199,10 @@ def minimal_plan_search(
     PlanSearchError with that plan if it falls short of the threshold.
     """
     k = _minimal_count(params, threshold, max_segments)
-    estimate = min_switches_estimate(params.ratio) if params.ratio > 0 else 1
     plan = dive_plan(params, k, threshold)
     curve = tuple((j, descent_bound(params, j)) for j in range(1, k)) + ((k, plan.achieved),)
     if plan.achieved >= threshold - THRESHOLD_SLACK:
-        return PlanSearch(plan, curve, estimate)
+        return PlanSearch(plan, curve, min_switches_estimate(params))
     raise PlanSearchError(
         f"no plan reached {threshold:g} within {k} segments (best {plan.achieved:.6f})",
         plan,

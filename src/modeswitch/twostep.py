@@ -122,7 +122,10 @@ def pushpull_times(params: CouplerParams) -> TwoStepSolution:
 
     Requires |delta| < kappa0.  With W t1 = arctan(W / sqrt(kappa0^2 -
     delta^2)) and W t2 = pi - W t1 the composite diagonal vanishes
-    identically, so the transfer is exact.
+    identically, so the transfer is exact.  kappa0, delta and W are
+    first scaled by the power of two that brings kappa0 into [1/2, 1),
+    which is exact and leaves the quotient as it is, so the squares can
+    neither overflow nor underflow.
     """
     if abs(params.delta) >= params.kappa0:
         raise InfeasibleTransferError(
@@ -131,7 +134,9 @@ def pushpull_times(params: CouplerParams) -> TwoStepSolution:
             achievable=two_step_ceiling(params, math.pi),
         )
     w = params.rabi
-    wt1 = math.atan(w / math.sqrt(params.kappa0**2 - params.delta**2))
+    e = math.frexp(params.kappa0)[1]
+    kappa, delta = math.ldexp(params.kappa0, -e), math.ldexp(params.delta, -e)
+    wt1 = math.atan(math.ldexp(w, -e) / math.sqrt(kappa**2 - delta**2))
     t1 = wt1 / w
     t2 = (math.pi - wt1) / w
     sol = TwoStepSolution(t1, t2, math.pi, 0.0, True)

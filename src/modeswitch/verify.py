@@ -177,7 +177,7 @@ def check_static_peak(rng, n: int) -> CheckResult:
 def propagator_vs_rk4_residual(params: CouplerParams, protocol: Protocol) -> float:
     """Closed-form protocol propagator against the RK4 oracle at its default step."""
     exact = protocol_propagator(params, protocol).as_array()
-    return _matrix_mismatch(exact, integrate_matrix(params, protocol, IntegrationConfig()))
+    return _matrix_mismatch(exact, integrate_matrix(params, protocol))
 
 
 def check_rk4_agreement(rng, n: int) -> CheckResult:
@@ -441,8 +441,7 @@ def check_rk4_convergence(rng, n: int) -> CheckResult:
             exact = segment_propagator(params, seg).as_array()
             errs = []
             for frac in (0.08, 0.04, 0.02):
-                cfg = IntegrationConfig(step=frac / params.rabi, max_step_fraction=0.1)
-                rk4 = integrate_matrix(params, Protocol((seg,)), cfg)
+                rk4 = integrate_matrix(params, Protocol((seg,)), IntegrationConfig(frac))
                 errs.append(_matrix_mismatch(exact, rk4))
             factor = math.sqrt(errs[0] / errs[2])
             lo = min(lo, factor)

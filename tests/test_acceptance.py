@@ -187,8 +187,11 @@ def test_staircase_switch_scaling(capsys):
         step = math.pi - 2.0 * abs(tilt_angle(params))
         expected = math.ceil(target_angle / step - 1e-9)
         cycles = math.ceil(segments / 2)
+        # The estimate is the paper's bound for full transfer, so at
+        # threshold 1 the plan's periods equal it exactly.
+        full = math.ceil(len(minimal_plan_search(params, 1.0).plan.protocol.segments) / 2)
         rows.append(
-            (ratio, segments, expected, cycles, search.estimate, search.plan.achieved)
+            (ratio, segments, expected, cycles, search.estimate, search.plan.achieved, full)
         )
     elapsed = time.perf_counter() - t0
 
@@ -200,6 +203,7 @@ def test_staircase_switch_scaling(capsys):
         and seg_counts == sorted(seg_counts)
         and cyc_counts == sorted(cyc_counts)
         and all(abs(r[3] - r[4]) <= 1 for r in rows if r[0] >= 4.0)
+        and all(r[6] == r[4] for r in rows)
         and elapsed < 600.0
     )
     announce(
@@ -215,11 +219,12 @@ def test_staircase_switch_scaling(capsys):
         )
         gaps = [(r[0], r[3] - r[4]) for r in rows]
         print(f"  finding: (ratio, periods - estimate) pairs: {gaps}")
-    for ratio, segments, expected, cycles, estimate, achieved in rows:
+    for ratio, segments, expected, cycles, estimate, achieved, full in rows:
         assert achieved >= thr, f"ratio {ratio}: achieved {achieved}"
         assert segments == expected, f"ratio {ratio}: {segments} != {expected}"
         if ratio >= 4.0:
             assert abs(cycles - estimate) <= 1
+        assert full == estimate, f"ratio {ratio}: {full} periods at threshold 1 != {estimate}"
     assert seg_counts == sorted(seg_counts)
     assert cyc_counts == sorted(cyc_counts)
     assert elapsed < 600.0

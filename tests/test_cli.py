@@ -602,6 +602,14 @@ def test_isolator_zero_offset_is_reciprocal(tmp_path):
     assert summary["contrast_db"] == 0.0
 
 
+def test_isolator_runs_at_extreme_coupling_scales(tmp_path):
+    # Squaring kappa0 once overflowed at 1e300 and vanished at 1e-200.
+    for i, (delta, kappa) in enumerate(((0.5, 1e300), (0.0, 1e-200))):
+        out = tmp_path / str(i)
+        assert run(["isolator", f"--delta={delta}", f"--kappa={kappa}", "--out", out]) == 0
+        assert (out / "summary.json").exists()
+
+
 def test_isolator_rejects_large_ratio(tmp_path):
     assert run(["isolator", "--delta", 2.0, "--out", tmp_path / "iso"]) == 2
 

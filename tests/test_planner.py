@@ -22,19 +22,19 @@ from modeswitch import (
 
 
 def test_min_switches_estimate_values():
-    assert min_switches_estimate(1.0) == 1
-    assert min_switches_estimate(2.0) == 2
-    assert min_switches_estimate(10.0) == 8
-    with pytest.raises(ValueError):
-        min_switches_estimate(0.0)
-    with pytest.raises(ValueError):
-        min_switches_estimate(-1.0)
+    assert min_switches_estimate(CouplerParams(1.0, 1.0)) == 1
+    assert min_switches_estimate(CouplerParams(2.0, 1.0)) == 2
+    assert min_switches_estimate(CouplerParams(10.0, 1.0)) == 8
+    # Zero detuning needs one segment, so one period; kappa0 = 0 cannot plan.
+    assert min_switches_estimate(CouplerParams(0.0, 1.0)) == 1
+    with pytest.raises(ValueError, match="kappa0 > 0"):
+        min_switches_estimate(CouplerParams(1.0, 0.0))
 
 
 def test_min_switches_estimate_large_ratio_asymptote():
     # For large ratios the estimate approaches pi * ratio / 4.
     for ratio in (4.0, 6.0, 10.0, 25.0, 100.0):
-        est = min_switches_estimate(ratio)
+        est = min_switches_estimate(CouplerParams(ratio, 1.0))
         assert abs(est - math.pi * ratio / 4.0) <= 1.0
 
 

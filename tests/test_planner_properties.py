@@ -73,6 +73,23 @@ def test_dive_plan_attains_descent_bound(coupler):
         assert abs(dive_plan(params, k, 1.0).achieved - descent_bound(params, k)) <= 1e-12
 
 
+@given(st.floats(0.01, 12.0), st.sampled_from((1.0, -1.0)), st.floats(0.1, 10.0))
+@example(1.0000000785398153, 1.0, 1.0)
+@example(2.414214232752352, 1.0, 1.0)
+@example(3.73205145893462, -1.0, 1.0)
+def test_switch_estimate_is_the_full_transfer_count_in_periods(ratio, sign, kappa):
+    # The three examples sit just above x = 2, 4 and 6, where the paper's
+    # formula, computed in floats, once exceeded the plan's own periods.
+    params = CouplerParams(sign * ratio * kappa, kappa)
+    search = minimal_plan_search(params, 1.0)
+    assert math.ceil(len(search.plan.protocol.segments) / 2) == search.estimate
+    # The paper's ceil(pi / (4 atan(kappa0 / |delta|))), away from the
+    # integers of x where rounding decides the ceiling.
+    x = math.pi / (2.0 * math.atan(kappa / abs(params.delta)))
+    if abs(x - round(x)) > 1e-5 * max(1.0, x):
+        assert search.estimate == math.ceil(x / 2.0)
+
+
 def loop_dive(params: CouplerParams, protocol):
     """Reference: segment_propagator, compose and apply from mode 1, one
     segment at a time, to_bloch of each switch state, and .transfer."""

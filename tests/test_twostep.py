@@ -69,6 +69,27 @@ def test_pushpull_requires_small_detuning():
     assert exc.value.achievable < 1.0
 
 
+def test_pushpull_times_at_extreme_scales():
+    # kappa0^2 - delta^2 once overflowed at kappa0 1e300, vanished at
+    # 1e-200 and went subnormal at 1e-160, where W t1 came out 0.91174099.
+    half = CouplerParams(0.5, 1.0)
+    cases = ((0.5, 1e300, math.pi / 4.0), (0.0, 1e-200, math.pi / 4.0),
+             (5e-161, 1e-160, half.rabi * pushpull_times(half).t1))
+    for delta, kappa, want in cases:
+        params = CouplerParams(delta, kappa)
+        assert params.rabi * pushpull_times(params).t1 == pytest.approx(want, rel=1e-15)
+
+
+@given(st.floats(0.0, 0.99), st.sampled_from((1.0, -1.0)), st.floats(0.1, 10.0),
+       st.sampled_from((900, -900)))
+def test_pushpull_times_are_scale_free(ratio, sign, kappa, e):
+    """W t1 depends on delta / kappa0 alone, also at 2^+-900 times the scale."""
+    params = CouplerParams(sign * ratio * kappa, kappa)
+    scaled = CouplerParams(math.ldexp(params.delta, e), math.ldexp(kappa, e))
+    wt1 = params.rabi * pushpull_times(params).t1
+    assert abs(scaled.rabi * pushpull_times(scaled).t1 - wt1) <= 1e-15 * wt1
+
+
 def test_feasibility_criterion_boundary():
     params = CouplerParams(0.5, 1.0)
     phi_c = critical_phase(0.5)
