@@ -10,7 +10,8 @@ Subcommands:
     verify        run the self-check battery
 
 Configuration comes from an optional JSON file (--config) with explicit
-flags overriding file values.  Unknown config keys are rejected.  All
+flags overriding file values.  A subcommand takes only the fields it
+reads (SUBCOMMANDS); any other option or config key exits 2.  All
 numeric file output is serialized with 17 significant digits so every
 double round-trips exactly, and identical configurations produce byte
 identical outputs.
@@ -222,7 +223,7 @@ MAX_PROTOCOL_WT = 1e4
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration shared by all subcommands."""
+    """Validated run configuration; SUBCOMMANDS says which fields each subcommand reads."""
 
     delta: float = 0.5
     kappa: float = 1.0
@@ -304,18 +305,18 @@ class RunConfig:
         return Protocol.from_pairs(self.protocol)
 
 
-_CONFIG_KEYS = {f.name for f in fields(RunConfig)}
-
-
-def load_config(path: str | None, overrides: dict) -> RunConfig:
+def load_config(command: str, path: str | None, overrides: dict) -> RunConfig:
+    """File values, then non-None overrides; a key the command does not read raises."""
+    _, flags, file_keys = SUBCOMMANDS[command]
+    keys = {"out", *flags, *file_keys}
     data: dict = {}
     if path is not None:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = sorted(set(raw) - _CONFIG_KEYS)
+        unknown = sorted(set(raw) - keys)
         if unknown:
-            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+            raise ValueError(f"unknown config keys: {', '.join(unknown)} (for {command})")
         data.update(raw)
     data.update({k: v for k, v in overrides.items() if v is not None})
     return RunConfig(**data)
@@ -558,6 +559,21 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if failures == 0 else 1
 
 
+# The CLI surface: each subcommand's handler, the RunConfig fields it
+# takes as flags, and those it takes from --config alone.  Each also takes
+# --config and --out.
+SUBCOMMANDS = {
+    "simulate": (cmd_simulate, ("delta", "kappa", "phi"), ("samples", "protocol", "target")),
+    "feasibility": (cmd_feasibility, ("grid",), ()),
+    "transfer-map": (cmd_transfer_map, ("delta", "kappa", "phi", "grid"), ()),
+    "plan": (cmd_plan, ("delta", "kappa", "threshold"), ("samples", "max_segments")),
+    "isolator": (
+        cmd_isolator, ("delta", "kappa", "grid"), ("samples", "theta1", "theta2", "rf_offset")
+    ),
+    "verify": (cmd_verify, ("seed", "fast", "inject_fault"), ()),
+}
+
+
 # Built once: a parser is a web of reference cycles that only the cyclic
 # collector frees, so one per call piled up between collections.
 @functools.cache
@@ -570,45 +586,28 @@ def build_parser() -> argparse.ArgumentParser:
     # argparse 3.10-3.13 reads "-1e-5" as an option, not a value, unlike "=-1e-5".
     # Exponents pass here; words such as "-inf" still need the "=" form.
     negative_number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-    for name in ("simulate", "feasibility", "transfer-map", "plan", "isolator", "verify"):
-        p = sub.add_parser(name)
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for name, (_, flags, file_keys) in SUBCOMMANDS.items():
+        epilog = f"--config keys: {', '.join(('out',) + flags + file_keys)}"
+        p = sub.add_parser(name, epilog=epilog)
         p._negative_number_matcher = negative_number
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--delta", type=float, default=None)
-        p.add_argument("--kappa", type=float, default=None)
-        p.add_argument("--phi", type=float, default=None)
-        p.add_argument("--threshold", type=float, default=None)
-        if name == "verify":
-            p.add_argument("--fast", action="store_true", default=None)
-            p.add_argument(
-                "--inject-fault", dest="inject_fault", action="store_true", default=None
-            )
+        for field in flags:
+            flag = "--" + field.replace("_", "-")
+            if isinstance(defaults[field], bool):
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, type=type(defaults[field]), default=None)
     return parser
 
 
-_COMMANDS = {
-    "simulate": cmd_simulate,
-    "feasibility": cmd_feasibility,
-    "transfer-map": cmd_transfer_map,
-    "plan": cmd_plan,
-    "isolator": cmd_isolator,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "config") and v is not None
-    }
+    args = vars(build_parser().parse_args(argv))
+    command, path = args.pop("command"), args.pop("config")
     try:
-        cfg = load_config(args.config, overrides)
-        return _COMMANDS[args.command](cfg)
+        cfg = load_config(command, path, args)
+        return SUBCOMMANDS[command][0](cfg)
     except (ValueError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +33,7 @@ from modeswitch.cli import (
     MAX_GRID,
     MAX_PROTOCOL_WT,
     MAX_SAMPLES,
+    SUBCOMMANDS,
     RunConfig,
     dumps17,
     fmt17,
@@ -126,13 +132,13 @@ def test_config_rejects_unknown_keys(tmp_path):
     for key in ("bogus", "restarts", "direction"):
         cfg.write_text(json.dumps({"delta": 0.5, key: 1}))
         with pytest.raises(ValueError, match=f"unknown config keys: {key}"):
-            load_config(str(cfg), {})
+            load_config("simulate", str(cfg), {})
 
 
 def test_config_flag_overrides_file(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"delta": 0.3, "kappa": 2.0}))
-    merged = load_config(str(cfg), {"delta": 0.5})
+    merged = load_config("simulate", str(cfg), {"delta": 0.5})
     assert merged.delta == 0.5
     assert merged.kappa == 2.0
 
@@ -162,7 +168,11 @@ def test_main_exit_2_on_bad_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run(["simulate", "--config", bad]) == 2
-    assert run(["simulate", "--grid", 1, "--out", tmp_path / "x"]) == 2
+    assert run(["transfer-map", "--grid", 1, "--out", tmp_path / "x"]) == 2
+    # simulate reads no grid, so argparse refuses the flag itself.
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--grid", 1, "--out", tmp_path / "x"])
+    assert exc.value.code == 2
     missing = tmp_path / "nope.json"
     assert run(["simulate", "--config", missing]) == 2
     # Values just above a cap fail in validation, before any output exists.
@@ -192,9 +202,9 @@ def test_negative_exponent_values_parse_like_the_equals_form(tmp_path):
     assert run(["simulate", "--delta", "-1e-5", "--kappa", 1, "--out", tmp_path / "sp"]) == 0
     for name in names:
         assert (tmp_path / "sp" / name).read_bytes() == (tmp_path / "eq" / name).read_bytes()
-    for command in ("feasibility", "transfer-map", "plan", "isolator", "verify"):
-        args = build_parser().parse_args([command, "--phi", "-2.5E+0"])
-        assert args.phi == -2.5
+    for command in ("transfer-map", "plan", "isolator"):
+        args = build_parser().parse_args([command, "--delta", "-2.5E+0"])
+        assert args.delta == -2.5
     with pytest.raises(SystemExit) as exc:
         run(["simulate", "--delta", "-inf", "--kappa", 1, "--out", tmp_path / "inf"])
     assert exc.value.code == 2
@@ -690,3 +700,151 @@ def test_transfer_map_without_coupling_writes_nothing(tmp_path, capsys):
     assert run(["transfer-map", "--kappa", 0, "--delta", 1, "--out", out]) == 2
     assert "ratio undefined" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _flag(field):
+    return "--" + field.replace("_", "-")
+
+
+# Every config field but out, which all subcommands take.
+_FIELDS = sorted(f.name for f in fields(RunConfig) if f.name != "out")
+
+
+def test_each_subcommand_takes_only_the_fields_it_reads(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    for command, (_, flags, file_keys) in SUBCOMMANDS.items():
+        out = tmp_path / command
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--help"])
+        assert exc.value.code == 0
+        options = capsys.readouterr().out.split("--config keys:")[0]
+        assert set(re.findall(r"--[a-z-]+", options)) == {
+            "--help", "--config", "--out", *map(_flag, flags)
+        }
+        for field in _FIELDS:
+            if field not in flags:
+                with pytest.raises(SystemExit) as exc:
+                    run([command, _flag(field), 1, "--out", out])
+                assert exc.value.code == 2
+                assert f"unrecognized arguments: {_flag(field)}" in capsys.readouterr().err
+            if field not in flags + file_keys:
+                cfg.write_text(json.dumps({field: 1}))
+                assert run([command, "--config", cfg, "--out", out]) == 2
+                err = capsys.readouterr().err
+                assert f"unknown config keys: {field} (for {command})" in err
+        assert not out.exists()
+
+
+def test_console_script_exits_2_on_an_unread_flag(tmp_path):
+    # argparse exits through SystemExit; only a real process shows the code.
+    src = str(Path(modeswitch.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = tmp_path / "rejected"
+    result = subprocess.run(
+        [sys.executable, "-m", "modeswitch.cli", "feasibility", "--delta", "1", "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 2
+    assert "--delta" in result.stderr
+    assert not out.exists()
+
+
+def test_params_ratio_is_null_without_coupling_and_inf_past_a_double(tmp_path):
+    # Valid, nearly uncoupled runs: W stays normal while |delta| / kappa0
+    # overflows, and the README documents "inf" for it.
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps({"protocol": [[0.0, 1.0]]}))
+    capped = tmp_path / "capped.json"
+    capped.write_text(json.dumps({"delta": 1.7e308, "kappa": 1e-160, "max_segments": 1}))
+    for i, (args, code, name, ratio) in enumerate(
+        (
+            (["simulate", "--kappa", 0, "--config", explicit], 0, "summary.json", "null"),
+            (["simulate", "--delta=3", "--kappa=1e-320"], 0, "summary.json", '"inf"'),
+            (["transfer-map", "--kappa=1e-320", "--grid", 4], 0, "summary.json", '"inf"'),
+            (["plan", "--config", capped], 3, "plan.json", '"inf"'),
+        )
+    ):
+        out = tmp_path / str(i)
+        assert run(args + ["--out", out]) == code
+        assert f'"ratio": {ratio}\n' in (out / name).read_text()
+
+
+# Extreme but finite inputs: zero, subnormals, the normal range's ends,
+# 1e+-300 and 1.7e308, of both signs, besides any finite double; kappa
+# takes the magnitude, since a negative one fails at once.
+_EXTREME = st.sampled_from(
+    [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-160, 0.5, 1.0, 3.0, 1e160, 1e300,
+     1.7e308]
+)
+_REALS = st.floats(allow_nan=False, allow_infinity=False) | _EXTREME | _EXTREME.map(lambda x: -x)
+_PHASES = st.floats(-1e300, 1e300) | st.floats(-10.0, 10.0)
+_UNIT = st.floats(0.0, 1.0) | st.sampled_from([5e-324, 1.0 - 2**-53, 1.0])
+_STRATEGIES = {
+    "delta": _REALS,
+    "kappa": _REALS.map(abs),
+    "phi": _PHASES,
+    "theta1": _PHASES,
+    "theta2": _PHASES,
+    "rf_offset": _PHASES,
+    "threshold": _UNIT | _REALS,
+    "target": _UNIT | _REALS,
+    "grid": st.integers(1, 8),
+    "samples": st.integers(1, 16),
+    "max_segments": st.integers(0, 64),
+}
+# Non-finite values the README documents: the params block's ratio and
+# the isolator's contrast_db.
+_NONFINITE = {"ratio": ("inf",), "contrast_db": ("inf", "-inf")}
+
+
+@st.composite
+def _cli_case(draw):
+    """A subcommand, a config of its own fields, and one field it does not read."""
+    command = draw(st.sampled_from([c for c in SUBCOMMANDS if c != "verify"]))
+    _, flags, file_keys = SUBCOMMANDS[command]
+    keys = draw(st.sets(st.sampled_from(flags + file_keys)))
+    config = {k: draw(_STRATEGIES[k]) for k in sorted(keys - {"protocol"})}
+    if "protocol" in keys:
+        # At most 4 segments and W*T <= 20 rad keep the RK4 cross-check cheap.
+        w = math.hypot(config.get("delta", 0.5), config.get("kappa", 1.0))
+        w = w if sys.float_info.min <= w < math.inf else 1.0
+        pairs = draw(st.lists(st.tuples(_PHASES, st.floats(0.0, 5.0)), min_size=1, max_size=4))
+        config["protocol"] = [[phase, min(wt / w, 1e308)] for phase, wt in pairs]
+    unread = draw(st.sampled_from([f for f in _FIELDS if f not in flags + file_keys]))
+    return command, config, unread
+
+
+def _nonfinite(x, key=None):
+    """(key, value) of each non-finite number in loaded JSON, bar the documented ones."""
+    if isinstance(x, dict):
+        return [bad for k, v in x.items() for bad in _nonfinite(v, k)]
+    if isinstance(x, list):
+        return [bad for v in x for bad in _nonfinite(v, key)]
+    if isinstance(x, float) and not math.isfinite(x):
+        return [(key, x)]
+    if x in ("inf", "-inf", "nan") and x not in _NONFINITE.get(key, ()):
+        return [(key, x)]
+    return []
+
+
+@given(_cli_case())
+@example(("simulate", {"delta": 3.0, "kappa": 1e-320}, "grid"))
+@example(("plan", {"delta": 1.7e308, "kappa": 1e-160, "max_segments": 1}, "phi"))
+@example(("isolator", {"delta": 0.0, "kappa": 1e-200}, "threshold"))
+def test_cli_input_domain(case):
+    command, config, unread = case
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for i, extra in enumerate(({}, {unread: 1})):
+            path, out = tmp / f"cfg{i}.json", tmp / f"out{i}"
+            path.write_text(json.dumps({**config, **extra}))
+            argv = [command, "--config", str(path), "--out", str(out)]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in ((2,) if extra else (0, 2, 3))
+            if code == 2:
+                assert not out.exists()
+            for written in sorted(out.glob("*.json")):
+                assert _nonfinite(json.loads(written.read_text())) == [], written.name

@@ -1,10 +1,16 @@
 """The README's "Library quickstart" block runs as written, and what its
-comments claim holds."""
+comments claim holds; its CLI lines and its table of each subcommand's
+flags and config keys match the CLI."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from modeswitch.cli import SUBCOMMANDS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -27,3 +33,41 @@ def test_library_quickstart_runs_as_written():
     assert len(printed) == 2
     assert float(printed[0].split()[-1]) == namespace["sol"].achieved
     assert abs(float(printed[1]) - 1.0) <= 1e-12
+
+
+def shell_lines() -> list[list[str]]:
+    """Each line of the README's sh blocks as words, comments stripped."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.DOTALL)
+    return [shlex.split(line, comments=True) for block in blocks for line in block.splitlines()]
+
+
+def test_readme_cli_lines_parse_and_run(tmp_path, monkeypatch):
+    lines = shell_lines()
+    monkeypatch.chdir(tmp_path)
+    [(echo, text, redirect, path)] = [line for line in lines if line[:1] == ["echo"]]
+    assert redirect == ">"
+    Path(path).write_text(text + "\n", encoding="utf-8")
+    calls = [line[1:] for line in lines if line[:1] == ["modeswitch"]]
+    assert {argv[0] for argv in calls} == set(SUBCOMMANDS)
+    for argv in calls:
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README line does not parse: modeswitch {shlex.join(argv)}")
+        # The battery takes seconds; test_cli and CI run it.
+        if argv[0] != "verify":
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) == 0, argv
+
+
+def test_readme_cli_table_is_the_cli_surface():
+    section = README.read_text(encoding="utf-8").split("## CLI", 1)[1]
+    rows = re.findall(r"^\| `([a-z-]+)` \|(.*)\|(.*)\|$", section, re.MULTILINE)
+    table = {
+        name: (tuple(re.findall(r"`--([a-z-]+)`", flags)), tuple(re.findall(r"`(\w+)`", keys)))
+        for name, flags, keys in rows
+    }
+    assert table == {
+        name: (tuple(f.replace("_", "-") for f in flags), keys)
+        for name, (_, flags, keys) in SUBCOMMANDS.items()
+    }
