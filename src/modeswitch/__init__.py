@@ -64,6 +64,7 @@ from .planner import (
     dive_plan,
     min_switches_estimate,
     minimal_plan_search,
+    speed_limit_wt,
 )
 from .twostep import (
     FeasibilityMap,

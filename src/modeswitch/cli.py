@@ -11,7 +11,10 @@ Subcommands:
 
 Configuration comes from an optional JSON file (--config) with explicit
 flags overriding file values.  A subcommand takes only the fields it
-reads (SUBCOMMANDS); any other option or config key exits 2.  All
+reads (SUBCOMMANDS); any other option or config key exits 2.  RunConfig
+checks kinds and the caps; range rules (kappa, threshold, max_segments,
+target, the isolator's |delta| < kappa) are left to the library functions
+that own them, whose ValueError exits 2 before anything is written.  All
 numeric file output is serialized with 17 significant digits so every
 double round-trips exactly, and identical configurations produce byte
 identical outputs.
@@ -26,6 +29,7 @@ import json
 import math
 import re
 import sys
+import typing
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -221,9 +225,30 @@ MAX_SAMPLES = 100_000
 MAX_PROTOCOL_WT = 1e4
 
 
+def _real(x, what: str) -> float:
+    """x as a float if it is an int or float (not a bool) no larger than the largest
+    double; an int is compared exactly, so float() cannot overflow on it."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise ValueError(f"{what} must be a finite number")
+    return float(x)
+
+
+def _protocol(value) -> Protocol:
+    """The Protocol of a nonempty list of [phase, duration] pairs of reals."""
+    pairs = isinstance(value, (list, tuple)) and value
+    if not pairs or not all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+        raise ValueError("protocol must be a nonempty list of [phase, duration] pairs")
+    return Protocol.from_pairs([_real(x, "a protocol entry") for x in p] for p in pairs)
+
+
+def _check_wt(what: str, wt: float) -> None:
+    if wt > MAX_PROTOCOL_WT:
+        raise ValueError(f"{what} W*T = {wt:g} rad exceeds MAX_PROTOCOL_WT = {MAX_PROTOCOL_WT:g}")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run configuration; SUBCOMMANDS says which fields each subcommand reads."""
+    """Kind-checked run configuration; SUBCOMMANDS says which fields each subcommand reads."""
 
     delta: float = 0.5
     kappa: float = 1.0
@@ -233,7 +258,7 @@ class RunConfig:
     samples: int = 256
     seed: int = 20240817
     out: str = "out"
-    protocol: tuple | None = None
+    protocol: Protocol | None = None
     target: float | None = None
     theta1: float = 1.5 * math.pi
     theta2: float = 0.0
@@ -243,66 +268,34 @@ class RunConfig:
     inject_fault: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("delta", "kappa", "phi", "threshold", "theta1", "theta2", "rf_offset"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
-                raise ValueError(f"config field {name!r} must be a finite number")
-            object.__setattr__(self, name, float(v))
-        for name in ("grid", "samples", "seed"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValueError(f"config field {name!r} must be an integer")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if not 0.0 < self.threshold <= 1.0:
-            raise ValueError("threshold must lie in (0, 1]")
+        for f in fields(self):
+            name, v, kind = f.name, getattr(self, f.name), _KINDS[f.name]
+            if v is None and f.default is None:
+                continue
+            if kind is Protocol:
+                v = _protocol(v)
+            elif kind is float:
+                v = _real(v, f"config field {name!r}")
+            elif isinstance(v, bool) != (kind is bool) or not isinstance(v, kind):
+                raise ValueError(f"config field {name!r} must be {_KIND_NAMES[kind]}")
+            object.__setattr__(self, name, v)
         if not 2 <= self.grid <= MAX_GRID:
             raise ValueError(f"grid must lie in [2, {MAX_GRID}]")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ValueError(f"samples must lie in [1, {MAX_SAMPLES}]")
-        if self.max_segments is not None:
-            if isinstance(self.max_segments, bool) or not isinstance(self.max_segments, int):
-                raise ValueError("max_segments must be an integer")
-            if self.max_segments < 1:
-                raise ValueError("max_segments must be >= 1")
-        if self.target is not None:
-            if not isinstance(self.target, (int, float)) or isinstance(self.target, bool):
-                raise ValueError("target must be a number")
-            if not 0.0 <= float(self.target) <= 1.0:
-                raise ValueError("target must lie in [0, 1]")
-            object.__setattr__(self, "target", float(self.target))
         if self.protocol is not None:
-            segs = []
-            if not isinstance(self.protocol, (list, tuple)) or not self.protocol:
-                raise ValueError("protocol must be a nonempty list of [phase, duration]")
-            for item in self.protocol:
-                if not isinstance(item, (list, tuple)) or len(item) != 2:
-                    raise ValueError("protocol entries must be [phase, duration] pairs")
-                phase, dur = item
-                for x in (phase, dur):
-                    if not isinstance(x, (int, float)) or isinstance(x, bool):
-                        raise ValueError("protocol entries must be numeric")
-                segs.append((float(phase), float(dur)))
-            object.__setattr__(self, "protocol", tuple(segs))
-            wt = self.params.rabi * self.built_protocol().total_duration
-            if wt > MAX_PROTOCOL_WT:
-                raise ValueError(
-                    f"protocol W*T = {wt:g} rad exceeds MAX_PROTOCOL_WT = {MAX_PROTOCOL_WT:g}"
-                )
-        for name in ("fast", "inject_fault"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"config field {name!r} must be a boolean")
-        if not isinstance(self.out, str) or not self.out:
+            _check_wt("protocol", self.params.rabi * self.protocol.total_duration)
+        if not self.out:
             raise ValueError("out must be a nonempty string")
 
     @property
     def params(self) -> CouplerParams:
         return CouplerParams(self.delta, self.kappa)
 
-    def built_protocol(self) -> Protocol | None:
-        if self.protocol is None:
-            return None
-        return Protocol.from_pairs(self.protocol)
+
+# Each field's declared kind, "| None" dropped; build_parser types the flags with it.
+_KINDS = {n: (typing.get_args(h) or (h,))[0] for n, h in typing.get_type_hints(RunConfig).items()}
+_KIND_NAMES = {int: "an integer", bool: "a boolean", str: "a string"}
 
 
 def load_config(command: str, path: str | None, overrides: dict) -> RunConfig:
@@ -342,15 +335,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     params = cfg.params
     if cfg.protocol is not None and cfg.target is not None:
         raise ValueError("simulate takes 'protocol' or 'target', not both")
-    protocol = cfg.built_protocol()
-    source = "config"
-    if protocol is None:
-        if cfg.target is not None:
-            protocol = solve_fraction(params, cfg.phi, cfg.target)
-            source = "solve_fraction"
-        else:
-            protocol = solve_two_step(params, cfg.phi).protocol()
-            source = "solve_two_step"
+    protocol, source = cfg.protocol, "config"
+    if protocol is None and cfg.target is not None:
+        protocol, source = solve_fraction(params, cfg.phi, cfg.target), "solve_fraction"
+    elif protocol is None:
+        protocol, source = solve_two_step(params, cfg.phi).protocol(), "solve_two_step"
     traj = propagate(params, protocol, ModeState.mode1(), cfg.samples)
     final = traj.final
     rk4_final = integrate(params, protocol, ModeState.mode1())
@@ -459,9 +448,7 @@ def _plan_payload(cfg: RunConfig, search, met: bool) -> dict:
 def cmd_plan(cfg: RunConfig) -> int:
     params = cfg.params
     out = Path(cfg.out)
-    wt = minimal_plan_wt(params, cfg.threshold, cfg.max_segments)
-    if wt > MAX_PROTOCOL_WT:
-        raise ValueError(f"plan W*T = {wt:g} rad exceeds MAX_PROTOCOL_WT = {MAX_PROTOCOL_WT:g}")
+    _check_wt("plan", minimal_plan_wt(params, cfg.threshold, cfg.max_segments))
     try:
         search = minimal_plan_search(
             params,
@@ -494,8 +481,6 @@ def cmd_plan(cfg: RunConfig) -> int:
 
 def cmd_isolator(cfg: RunConfig) -> int:
     params = cfg.params
-    if params.kappa0 == 0 or params.ratio >= 1.0:
-        raise ValueError("isolator stage construction needs |delta| < kappa")
     stage_protocol, stage = pushpull_stage(params)
     spec = IsolatorSpec(stage, cfg.theta1, cfg.theta2, cfg.rf_offset)
     fwd, bwd = cross_power(spec, FORWARD), cross_power(spec, BACKWARD)
@@ -549,12 +534,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     )
     out = Path(cfg.out)
     write_text(out / "report.json", dumps17(verify_mod.battery_report(results)))
-    failures = 0
     for r in results:
         status = "ok" if r.passed else "FAIL"
         print(f"{status:4s} {r.name:32s} residual {r.residual:.3e} tol {r.tolerance:.1e}")
-        if not r.passed:
-            failures += 1
+    failures = sum(not r.passed for r in results)
     print(f"verify: {len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
@@ -586,25 +569,28 @@ def build_parser() -> argparse.ArgumentParser:
     # argparse 3.10-3.13 reads "-1e-5" as an option, not a value, unlike "=-1e-5".
     # Exponents pass here; words such as "-inf" still need the "=" form.
     negative_number = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
-    defaults = {f.name: f.default for f in fields(RunConfig)}
     for name, (_, flags, file_keys) in SUBCOMMANDS.items():
         epilog = f"--config keys: {', '.join(('out',) + flags + file_keys)}"
         p = sub.add_parser(name, epilog=epilog)
         p._negative_number_matcher = negative_number
+        p.set_defaults(error=p.error)
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default=None, help="output directory")
         for field in flags:
             flag = "--" + field.replace("_", "-")
-            if isinstance(defaults[field], bool):
+            if _KINDS[field] is bool:
                 p.add_argument(flag, action="store_true", default=None)
             else:
-                p.add_argument(flag, type=type(defaults[field]), default=None)
+                p.add_argument(flag, type=_KINDS[field], default=None)
     return parser
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
-    command, path = args.pop("command"), args.pop("config")
+    namespace, unread = build_parser().parse_known_args(argv)
+    args = vars(namespace)
+    command, path, error = args.pop("command"), args.pop("config"), args.pop("error")
+    if unread:  # as parse_args would, but under the subcommand's own usage line
+        error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         cfg = load_config(command, path, args)
         return SUBCOMMANDS[command][0](cfg)

@@ -186,6 +186,17 @@ def minimal_plan_wt(params: CouplerParams, threshold: float, max_segments: int |
     return k * _segment_wt(abs(tilt_angle(params)), k, threshold)
 
 
+def speed_limit_wt(params: CouplerParams, p: float) -> float:
+    """Lower bound asin(sqrt(p)) / cos psi on the W*T of any protocol moving |a2|^2 = p.
+
+    Detuning leaves the Bloch polar angle alone and coupling turns it at a
+    rate of at most 2 kappa0, so theta_p = 2 asin(sqrt(p)) needs T >= asin(sqrt(p)) / kappa0.
+    """
+    if not 0.0 <= p <= 1.0 or params.kappa0 == 0.0:
+        raise ValueError("the speed limit needs p in [0, 1] and kappa0 > 0")
+    return math.asin(math.sqrt(p)) / (params.kappa0 / params.rabi)
+
+
 def minimal_plan_search(
     params: CouplerParams,
     threshold: float = 0.99,

@@ -120,18 +120,19 @@ class TwoStepSolution:
 def pushpull_times(params: CouplerParams) -> TwoStepSolution:
     """Closed-form complete transfer for the phase flip phi = pi.
 
-    Requires |delta| < kappa0.  With W t1 = arctan(W / sqrt(kappa0^2 -
-    delta^2)) and W t2 = pi - W t1 the composite diagonal vanishes
-    identically, so the transfer is exact.  kappa0, delta and W are
-    first scaled by the power of two that brings kappa0 into [1/2, 1),
-    which is exact and leaves the quotient as it is, so the squares can
-    neither overflow nor underflow.
+    Requires |delta| < kappa0, else raises InfeasibleTransferError with
+    the two-segment ceiling at phi = pi (0 without coupling).  With W t1 =
+    arctan(W / sqrt(kappa0^2 - delta^2)) and W t2 = pi - W t1 the
+    composite diagonal vanishes identically, so the transfer is exact.
+    kappa0, delta and W are first scaled by the power of two that brings
+    kappa0 into [1/2, 1), which is exact and leaves the quotient as it
+    is, so the squares can neither overflow nor underflow.
     """
     if abs(params.delta) >= params.kappa0:
         raise InfeasibleTransferError(
             "push-pull needs |delta| < kappa0; use the multistep planner "
             "for larger detuning",
-            achievable=two_step_ceiling(params, math.pi),
+            achievable=two_step_ceiling(params, math.pi) if params.kappa0 > 0 else 0.0,
         )
     w = params.rabi
     e = math.frexp(params.kappa0)[1]

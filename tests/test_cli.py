@@ -143,11 +143,7 @@ def test_config_flag_overrides_file(tmp_path):
     assert merged.kappa == 2.0
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(kappa=-1.0)
-    with pytest.raises(ValueError):
-        RunConfig(threshold=0.0)
+def test_run_config_validation(tmp_path, capsys):
     with pytest.raises(ValueError):
         RunConfig(grid=1)
     with pytest.raises(ValueError, match=str(MAX_GRID)):
@@ -155,13 +151,38 @@ def test_run_config_validation():
     with pytest.raises(ValueError, match=str(MAX_SAMPLES)):
         RunConfig(samples=MAX_SAMPLES + 1)
     with pytest.raises(ValueError):
-        RunConfig(target=1.5)
-    with pytest.raises(ValueError):
         RunConfig(protocol=[])
     with pytest.raises(ValueError):
         RunConfig(protocol=[[1.0]])
     with pytest.raises(ValueError):
         RunConfig(delta=math.nan)
+    # Integers past the largest double fail the kind check, not float().
+    for kwargs, field in (
+        ({"delta": 10**400}, "config field 'delta'"),
+        ({"target": -(2**1024)}, "config field 'target'"),
+        ({"protocol": [[2**1024, 1.0]]}, "a protocol entry"),
+    ):
+        with pytest.raises(ValueError, match=f"{field} must be a finite number"):
+            RunConfig(**kwargs)
+    # Range rules are the library's: each still exits 2, names its rule
+    # and writes nothing.
+    cfg = tmp_path / "cfg.json"
+    for argv, config, rule in (
+        (["plan", "--kappa=-1"], None, "kappa0 must be nonnegative"),
+        (["plan", "--threshold", 0], None, r"threshold must lie in \(0, 1\]"),
+        (["plan", "--threshold", 1.5], None, r"threshold must lie in \(0, 1\]"),
+        (["plan"], {"max_segments": 0}, "max_segments must be >= 1"),
+        (["simulate"], {"target": 1.5}, r"target fraction must lie in \[0, 1\]"),
+        (["isolator", "--delta", 2], None, r"\|delta\| < kappa0"),
+        (["isolator", "--kappa", 0], None, r"\|delta\| < kappa0"),
+    ):
+        out = tmp_path / "out"
+        if config is not None:
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", cfg]
+        assert run(argv + ["--out", out]) == 2, argv
+        assert re.search(rule, capsys.readouterr().err), argv
+        assert not out.exists(), argv
 
 
 def test_main_exit_2_on_bad_input(tmp_path):
@@ -735,6 +756,18 @@ def test_each_subcommand_takes_only_the_fields_it_reads(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_an_unread_flag_shows_the_subcommand_usage(tmp_path, capsys):
+    for command, (_, flags, _) in SUBCOMMANDS.items():
+        unread = next(f for f in _FIELDS if f not in flags)
+        with pytest.raises(SystemExit) as exc:
+            run([command, _flag(unread), 1, "--out", tmp_path / command])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: modeswitch {command} "), err
+        assert err.endswith(f"error: unrecognized arguments: {_flag(unread)} 1\n"), err
+    assert not any(tmp_path.iterdir())
+
+
 def test_console_script_exits_2_on_an_unread_flag(tmp_path):
     # argparse exits through SystemExit; only a real process shows the code.
     src = str(Path(modeswitch.__file__).parents[1])
@@ -773,13 +806,18 @@ def test_params_ratio_is_null_without_coupling_and_inf_past_a_double(tmp_path):
 
 # Extreme but finite inputs: zero, subnormals, the normal range's ends,
 # 1e+-300 and 1.7e308, of both signs, besides any finite double; kappa
-# takes the magnitude, since a negative one fails at once.
+# takes the magnitude, since a negative one fails at once.  JSON integers
+# of 2**1024 and up, of both signs, fit no double and must exit 2.
 _EXTREME = st.sampled_from(
     [0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-160, 0.5, 1.0, 3.0, 1e160, 1e300,
      1.7e308]
 )
-_REALS = st.floats(allow_nan=False, allow_infinity=False) | _EXTREME | _EXTREME.map(lambda x: -x)
-_PHASES = st.floats(-1e300, 1e300) | st.floats(-10.0, 10.0)
+_HUGE = st.integers(2**1024, 2**1100) | st.integers(-(2**1100), -(2**1024))
+_REALS = (
+    st.floats(allow_nan=False, allow_infinity=False) | _EXTREME | _EXTREME.map(lambda x: -x)
+    | _HUGE
+)
+_PHASES = st.floats(-1e300, 1e300) | st.floats(-10.0, 10.0) | _HUGE
 _UNIT = st.floats(0.0, 1.0) | st.sampled_from([5e-324, 1.0 - 2**-53, 1.0])
 _STRATEGIES = {
     "delta": _REALS,
@@ -808,7 +846,10 @@ def _cli_case(draw):
     config = {k: draw(_STRATEGIES[k]) for k in sorted(keys - {"protocol"})}
     if "protocol" in keys:
         # At most 4 segments and W*T <= 20 rad keep the RK4 cross-check cheap.
-        w = math.hypot(config.get("delta", 0.5), config.get("kappa", 1.0))
+        try:
+            w = math.hypot(config.get("delta", 0.5), config.get("kappa", 1.0))
+        except OverflowError:  # a _HUGE delta or kappa, refused before W is formed
+            w = 1.0
         w = w if sys.float_info.min <= w < math.inf else 1.0
         pairs = draw(st.lists(st.tuples(_PHASES, st.floats(0.0, 5.0)), min_size=1, max_size=4))
         config["protocol"] = [[phase, min(wt / w, 1e308)] for phase, wt in pairs]
@@ -833,6 +874,9 @@ def _nonfinite(x, key=None):
 @example(("simulate", {"delta": 3.0, "kappa": 1e-320}, "grid"))
 @example(("plan", {"delta": 1.7e308, "kappa": 1e-160, "max_segments": 1}, "phi"))
 @example(("isolator", {"delta": 0.0, "kappa": 1e-200}, "threshold"))
+@example(("simulate", {"delta": 10**400}, "grid"))
+@example(("simulate", {"target": -(10**400)}, "grid"))
+@example(("simulate", {"protocol": [[10**400, 1.0]]}, "grid"))
 def test_cli_input_domain(case):
     command, config, unread = case
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,6 +1,7 @@
 """The README's "Library quickstart" block runs as written, and what its
 comments claim holds; its CLI lines and its table of each subcommand's
-flags and config keys match the CLI."""
+flags and config keys match the CLI; its W*T(k) table is what dive_plan
+and speed_limit_wt give."""
 
 import contextlib
 import io
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from modeswitch import CouplerParams, dive_plan, minimal_plan_search, speed_limit_wt
 from modeswitch.cli import SUBCOMMANDS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -71,3 +73,15 @@ def test_readme_cli_table_is_the_cli_surface():
         name: (tuple(f.replace("_", "-") for f in flags), keys)
         for name, (_, flags, keys) in SUBCOMMANDS.items()
     }
+
+
+def test_readme_wt_table_is_dive_plan_and_the_speed_limit():
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^  \| (\d+) \| ([\d.]+) \| (\d+) \| (.*) \|$", text, re.MULTILINE)
+    assert len(rows) == 2
+    for ratio, p, k, cells in rows:
+        params, p, k = CouplerParams(float(ratio), 1.0), float(p), int(k)
+        assert len(minimal_plan_search(params, p).plan.protocol.segments) == k
+        wts = [params.rabi * dive_plan(params, j, p).protocol.total_duration for j in range(k, k + 3)]
+        want = [f"{x:.3f}" for x in wts + [speed_limit_wt(params, p)]]
+        assert [c.strip() for c in cells.split("|")] == want

@@ -69,6 +69,14 @@ def test_pushpull_requires_small_detuning():
     assert exc.value.achievable < 1.0
 
 
+@pytest.mark.parametrize("delta", [1.0, -1e-300, 1e300])
+def test_pushpull_without_coupling_transfers_nothing(delta):
+    # kappa0 = 0 has no ratio, so the ceiling is not asked for.
+    with pytest.raises(InfeasibleTransferError, match=r"\|delta\| < kappa0") as exc:
+        pushpull_times(CouplerParams(delta, 0.0))
+    assert exc.value.achievable == 0.0
+
+
 def test_pushpull_times_at_extreme_scales():
     # kappa0^2 - delta^2 once overflowed at kappa0 1e300, vanished at
     # 1e-200 and went subnormal at 1e-160, where W t1 came out 0.91174099.
