@@ -219,9 +219,10 @@ def _table_rows(*columns):
 # sample list are held in memory, so bigger runs fail before allocating.
 MAX_GRID = 2048
 MAX_SAMPLES = 100_000
-# Largest accepted total W*T (rad) of an explicit protocol or a plan: the
-# RK4 cross-check takes about W*T / DEFAULT_STEP_FRACTION steps and a plan
-# at least W*T / (pi/2) segments, so longer ones fail before any work starts.
+# Largest accepted total W*T (rad) of an explicit protocol or a plan: a plan
+# takes at least W*T / (pi/2) segments and the trajectory spans all of it, so
+# longer ones fail before any work starts.  The RK4 cross-check costs only
+# about log2(W*T / DEFAULT_STEP_FRACTION) products per segment.
 MAX_PROTOCOL_WT = 1e4
 
 

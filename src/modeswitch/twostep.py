@@ -128,11 +128,16 @@ def pushpull_times(params: CouplerParams) -> TwoStepSolution:
     kappa0 into [1/2, 1), which is exact and leaves the quotient as it
     is, so the squares can neither overflow nor underflow.
     """
+    if params.kappa0 == 0.0:
+        raise InfeasibleTransferError(
+            "push-pull needs |delta| < kappa0; without coupling nothing transfers",
+            achievable=0.0,
+        )
     if abs(params.delta) >= params.kappa0:
         raise InfeasibleTransferError(
             "push-pull needs |delta| < kappa0; use the multistep planner "
             "for larger detuning",
-            achievable=two_step_ceiling(params, math.pi) if params.kappa0 > 0 else 0.0,
+            achievable=two_step_ceiling(params, math.pi),
         )
     w = params.rabi
     e = math.frexp(params.kappa0)[1]

@@ -24,7 +24,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import reduce
 
 import numpy as np
@@ -543,31 +543,16 @@ def check_output_determinism() -> CheckResult:
             # The subcommand's one-line status print is not part of the
             # battery's own report.
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli_main(
-                    [
-                        "simulate",
-                        "--delta",
-                        "0.5",
-                        "--kappa",
-                        "1",
-                        "--out",
-                        str(out),
-                    ]
-                )
+                code = cli_main(["simulate", "--delta", "0.5", "--kappa", "1", "--out", str(out)])
             if code != 0:
                 return _result("output_determinism", 1.0, 0.0, f"exit code {code}")
             outs.append(out)
-        mismatch = 0.0
         names = sorted(p.name for p in outs[0].iterdir())
-        if names != sorted(p.name for p in outs[1].iterdir()):
-            mismatch = 1.0
-        else:
-            for name in names:
-                if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes():
-                    mismatch = 1.0
-    return _result(
-        "output_determinism", mismatch, 0.0, f"{len(names)} files byte-compared"
-    )
+        same = names == sorted(p.name for p in outs[1].iterdir()) and all(
+            (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes() for name in names
+        )
+    detail = f"{len(names)} files byte-compared"
+    return _result("output_determinism", 0.0 if same else 1.0, 0.0, detail)
 
 
 def run_battery(
@@ -579,7 +564,7 @@ def run_battery(
     def scaled(n: int) -> int:
         return max(3, int(n * k))
 
-    results = [
+    return [
         check_segment_unitarity(rng, scaled(2000)),
         check_norm_conservation(rng, scaled(150)),
         check_segment_splitting(rng, scaled(300)),
@@ -600,20 +585,11 @@ def run_battery(
         check_isolator_endpoints(),
         check_output_determinism(),
     ]
-    return results
 
 
 def battery_report(results: list[CheckResult]) -> dict:
     return {
         "passed": all(r.passed for r in results),
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "residual": r.residual,
-                "tolerance": r.tolerance,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        # asdict keeps the field order: name, passed, residual, tolerance, detail.
+        "checks": [asdict(r) for r in results],
     }

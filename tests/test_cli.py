@@ -700,8 +700,8 @@ def test_simulate_rejects_protocol_with_target(tmp_path, capsys):
 
 
 def test_simulate_rejects_an_oversized_protocol(tmp_path, capsys):
-    # At delta 0.5, kappa 1 this would ask the RK4 cross-check for about
-    # 1.1e12 steps; validation refuses it before anything is integrated.
+    # At delta 0.5, kappa 1 this is W*T = 1.1e9 rad, past the cap that bounds
+    # plan segments and the trajectory; validation refuses it before any work.
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"protocol": [[0.0, 1e9]]}))
     out = tmp_path / "sim"
@@ -714,6 +714,20 @@ def test_simulate_rejects_an_oversized_protocol(tmp_path, capsys):
     RunConfig(protocol=[[0.0, half], [1.0, half]])
     with pytest.raises(ValueError, match="MAX_PROTOCOL_WT"):
         RunConfig(protocol=[[0.0, half], [1.0, half * 1.001]])
+
+
+def test_simulate_runs_at_the_protocol_cap(tmp_path):
+    # 1e7 RK4 steps in all, applied by binary powering of the one-step map,
+    # still agree with the closed form end to end.
+    w = CouplerParams(0.5, 1.0).rabi
+    half = MAX_PROTOCOL_WT / w / 2.0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"delta": 0.5, "kappa": 1, "protocol": [[0.0, half], [1.0, half]]}))
+    out = tmp_path / "sim"
+    assert run(["simulate", "--config", cfg, "--out", out]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["total_duration"] * w == pytest.approx(MAX_PROTOCOL_WT, rel=1e-12)
+    assert summary["rk4_mismatch"] <= 1e-8
 
 
 def test_transfer_map_without_coupling_writes_nothing(tmp_path, capsys):
@@ -845,7 +859,7 @@ def _cli_case(draw):
     keys = draw(st.sets(st.sampled_from(flags + file_keys)))
     config = {k: draw(_STRATEGIES[k]) for k in sorted(keys - {"protocol"})}
     if "protocol" in keys:
-        # At most 4 segments and W*T <= 20 rad keep the RK4 cross-check cheap.
+        # At most 4 segments and W*T <= 20 rad keep the trajectory short.
         try:
             w = math.hypot(config.get("delta", 0.5), config.get("kappa", 1.0))
         except OverflowError:  # a _HUGE delta or kappa, refused before W is formed

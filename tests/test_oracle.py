@@ -164,6 +164,45 @@ def _staged_rk4(params, protocol, a, step):
     return a
 
 
+
+def _stepped_rk4(params, protocol, a, step):
+    """The one-matrix step a -> a + E a, taken n times in a loop per segment."""
+    eye = np.eye(2, dtype=complex)
+    for seg in protocol.segments:
+        if seg.duration == 0.0:
+            continue
+        n = max(1, math.ceil(seg.duration / step))
+        dt = seg.duration / n
+        z = (-1j * dt) * generator(params, seg.phase)
+        e = z @ (eye + z @ (eye + z @ (eye + z / 4.0) / 3.0) / 2.0)
+        (e11, e12), (e21, e22) = e.tolist()
+        cols = a.reshape(2, -1).T.tolist()
+        for c, (x, y) in enumerate(cols):
+            for _ in range(n):
+                x, y = x + (e11 * x + e12 * y), y + (e21 * x + e22 * y)
+            cols[c] = (x, y)
+        a = np.array(cols, dtype=complex).T.reshape(a.shape)
+    return a
+
+
+@pytest.mark.parametrize("delta", [sign * ratio for sign in (1.0, -1.0) for ratio in (0.3, 2.0, 5.0)])
+def test_powered_map_is_the_stepped_map(delta):
+    """Binary powering of I + E applies the same n steps as the loop: bit for
+    bit at one and two steps, and to rounding up to 1e5 steps."""
+    params = CouplerParams(delta, 1.0)
+    step = IntegrationConfig().resolved_step(params)
+    eye = np.eye(2, dtype=complex)
+    for n in (1, 2, 3, 255, 256, 257, 100_000):
+        duration = (n - 0.5) * step
+        assert math.ceil(duration / step) == n
+        protocol = Protocol.from_pairs([(0.7, duration)])
+        out, ref = integrate_matrix(params, protocol), _stepped_rk4(params, protocol, eye, step)
+        if n <= 2:
+            assert np.array_equal(out, ref), n
+        else:
+            assert np.max(np.abs(out - ref)) <= 1e-12, n
+
+
 @st.composite
 def _couplers(draw):
     # Both signs of delta, ratios |delta| / kappa0 up to 12, and kappa0 = 0.

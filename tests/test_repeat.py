@@ -1,7 +1,7 @@
 """Byte-for-byte repeat: the README runs, a sub-1 threshold plan, a capped
-plan, a negative exponent flag, the isolator and the fast battery give the
-same exit codes, stdout, stderr and file bytes in two fresh interpreters
-with different hash seeds."""
+plan, a negative exponent flag, the isolator and the fast and full batteries
+give the same exit codes, stdout, stderr and file bytes in two fresh
+interpreters with different hash seeds."""
 
 import json
 import os
@@ -24,6 +24,7 @@ INVOCATIONS = (
     "simulate --delta -1e-5 --kappa 1 --out negexp",
     "isolator --delta 0.5 --out iso",
     "verify --fast --out verify",
+    "verify --out full",
 )
 
 RUNNER = """\

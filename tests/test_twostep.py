@@ -71,10 +71,16 @@ def test_pushpull_requires_small_detuning():
 
 @pytest.mark.parametrize("delta", [1.0, -1e-300, 1e300])
 def test_pushpull_without_coupling_transfers_nothing(delta):
-    # kappa0 = 0 has no ratio, so the ceiling is not asked for.
+    # kappa0 = 0 has no ratio, so the ceiling is not asked for; the planner
+    # refuses kappa0 = 0 too, so the message does not point there.
     with pytest.raises(InfeasibleTransferError, match=r"\|delta\| < kappa0") as exc:
         pushpull_times(CouplerParams(delta, 0.0))
     assert exc.value.achievable == 0.0
+    assert "planner" not in str(exc.value)
+    assert "nothing transfers" in str(exc.value)
+    with pytest.raises(InfeasibleTransferError) as exc:
+        pushpull_times(CouplerParams(2.0, 1.0))
+    assert "planner" in str(exc.value)
 
 
 def test_pushpull_times_at_extreme_scales():
