@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import re
@@ -355,8 +354,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
             abs2(a1.real, a1.imag), abs2(a2.real, a2.imag), b.u, b.v, b.w,
         ),
     )
-    boundaries = list(itertools.accumulate(protocol.durations[:-1]))
-    write_text(out / "trajectory.svg", trajectory_svg(traj.t, b.u, b.v, b.w, boundaries))
+    write_text(out / "trajectory.svg", trajectory_svg(traj.t, b.u, b.v, b.w, protocol.ends[:-1]))
     summary = {
         "command": "simulate",
         "params": _params_block(cfg),
@@ -471,8 +469,8 @@ def cmd_plan(cfg: RunConfig) -> int:
     )
     traj = propagate(params, plan.protocol, ModeState.mode1(), cfg.samples)
     b = to_bloch(traj)
-    boundaries = list(itertools.accumulate(plan.protocol.durations[:-1]))
-    write_text(out / "trajectory.svg", trajectory_svg(traj.t, b.u, b.v, b.w, boundaries))
+    svg = trajectory_svg(traj.t, b.u, b.v, b.w, plan.protocol.ends[:-1])
+    write_text(out / "trajectory.svg", svg)
     print(
         f"plan: {len(plan.protocol.segments)} segments, {plan.switches} switches, "
         f"achieved {plan.achieved:.9f} (estimate {search.estimate})"

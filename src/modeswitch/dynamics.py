@@ -17,13 +17,14 @@ constant-coupling segments; their propagators compose by matrix product.
 
 Everything in this module is exact up to floating point.  propagate
 computes all samples at once, bit for bit the scalar propagators (cmul),
-from the rows of prefix_products, which planner.dive_plan reads too.
+from the rows of prefix_products, as protocol_propagator and dive_plan do.
 The numerical integrator that cross-checks them is modeswitch.oracle.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -105,7 +106,10 @@ class CouplingSegment:
 
 @dataclass(frozen=True)
 class Protocol:
-    """An ordered, nonempty sequence of coupling segments."""
+    """An ordered, nonempty sequence of coupling segments.
+
+    Its one timeline is ends, the running sums of the durations from 0.0:
+    total_duration and every start, switch and boundary time read it."""
 
     segments: tuple[CouplingSegment, ...]
 
@@ -123,8 +127,12 @@ class Protocol:
         return cls(tuple(CouplingSegment(p, d) for p, d in pairs))
 
     @property
+    def ends(self) -> tuple[float, ...]:
+        return tuple(itertools.accumulate(self.durations, initial=0.0))[1:]
+
+    @property
     def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
+        return self.ends[-1]
 
     @property
     def phases(self) -> tuple[float, ...]:
@@ -246,11 +254,8 @@ def compose(later: TransferMatrix, earlier: TransferMatrix) -> TransferMatrix:
 
 
 def protocol_propagator(params: CouplerParams, protocol: Protocol) -> TransferMatrix:
-    """Ordered product of segment propagators (first segment acts first)."""
-    acc = TransferMatrix.identity()
-    for seg in protocol.segments:
-        acc = compose(segment_propagator(params, seg), acc)
-    return acc
+    """Last row of prefix_products: the segments' product, first acting first."""
+    return TransferMatrix(*prefix_products(params, protocol)[-1].view(complex))
 
 
 def cmul(ar, ai, br, bi):
@@ -266,7 +271,7 @@ def abs2(re, im):
 
 def prefix_products(params: CouplerParams, protocol: Protocol) -> np.ndarray:
     """Rows (d.real, d.imag, o.real, o.imag): row j the product of the first
-    j segments, by segment_propagator and compose as protocol_propagator."""
+    j segments, by segment_propagator and compose, one segment at a time."""
     prefix = [(1.0, 0.0, 0.0, 0.0)]
     acc = TransferMatrix.identity()
     for seg in protocol.segments:
@@ -291,12 +296,12 @@ class Trajectory:
         return ModeState(self.a1[-1], self.a2[-1])
 
 
-def _whole_from(elapsed: float, duration: float) -> float:
-    """Earliest float t with t > elapsed and t - elapsed >= duration."""
-    t = max(elapsed + duration, math.nextafter(elapsed, math.inf))
-    while t - elapsed < duration:
+def _whole_from(start: float, duration: float) -> float:
+    """Earliest float t with t > start and t - start >= duration."""
+    t = max(start + duration, math.nextafter(start, math.inf))
+    while t - start < duration:
         t = math.nextafter(t, math.inf)
-    while (below := math.nextafter(t, -math.inf)) > elapsed and below - elapsed >= duration:
+    while (below := math.nextafter(t, -math.inf)) > start and below - start >= duration:
         t = below
     return t
 
@@ -312,31 +317,26 @@ def propagate(
     A zero-duration protocol yields constant samples.  A sample at or past
     the end takes the product of all segments, as protocol_propagator
     does.  Any other composes its partial segment onto the product of the
-    segments whole at t (t > elapsed and t - elapsed >= duration, elapsed
-    the running sum of the durations before), a row of prefix_products.
+    segments whole at t (t > start and t - start >= duration, the start
+    0.0 or the previous entry of protocol.ends), a row of prefix_products.
     The partial segments, compose and apply run on all samples at once in
     cmul's arithmetic: each equals segment_propagator, compose and apply.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
-    total = protocol.total_duration
+    *starts, total = 0.0, *protocol.ends
     t = total * np.arange(sample_count + 1) / sample_count
     # Per segment j: the product before it (prefix row j; row n: all), its
     # start, the earliest t at which it and all before it are whole, and
     # the phase factor of a partial piece (CouplingSegment reduces again).
     n = len(protocol.segments)
-    starts, whole_from, turns = np.empty(n), np.empty(n), np.empty(n, dtype=complex)
-    elapsed, latest = 0.0, 0.0
-    for j, seg in enumerate(protocol.segments):
-        latest = max(latest, _whole_from(elapsed, seg.duration))
-        starts[j], whole_from[j] = elapsed, latest
-        turns[j] = cmath.exp(1j * (seg.phase % TWO_PI))
-        elapsed += seg.duration
+    whole_from = np.maximum.accumulate(list(map(_whole_from, starts, protocol.durations)))
+    turns = np.array([cmath.exp(1j * (seg.phase % TWO_PI)) for seg in protocol.segments])
     whole = np.searchsorted(whole_from, t, side="right")
     whole[t >= total] = n
     d1r, d1i, o1r, o1i = prefix_products(params, protocol)[whole].T
     piece = np.minimum(whole, n - 1)
-    start, turn = starts[piece], turns[piece]
+    start, turn = np.array(starts)[piece], turns[piece]
     partial = (whole < n) & (t > start)
     # segment_propagator of the pieces t - start, composed onto the prefix.
     # Its sin and cos come from math: numpy builds may vectorize their own.

@@ -118,7 +118,7 @@ def dive_plan(params: CouplerParams, k: int, threshold: float) -> StaircasePlan:
     protocol = Protocol.from_pairs((phase, wt / params.rabi) for phase in phases)
     prefix = prefix_products(params, protocol)
     d, o = prefix[1:-1].view(complex).T
-    b = to_bloch(Trajectory(np.cumsum(protocol.durations[:-1]), d, -o.conj()))
+    b = to_bloch(Trajectory(np.array(protocol.ends[:-1]), d, -o.conj()))
     points = tuple(map(BlochVector, b.u.tolist(), b.v.tolist(), b.w.tolist()))
     return StaircasePlan(protocol, points, float(abs2(*prefix[-1, 2:])), len(points))
 

@@ -14,10 +14,10 @@ _H = 460
 _R = 170
 _CENTERS = ((215, 225), (625, 225))
 _COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
-# Absolute slack on a sample time reaching a leg boundary: a sample meant
-# to sit on the boundary can come out below the boundary's running sum of
-# durations by rounding, and must still close the leg.
-BOUNDARY_SLACK = 1e-15
+# Slack on a sample time reaching a leg boundary, relative to the run's
+# span t[-1]: a sample meant to sit on a boundary can come out below it by
+# rounding, and still closes the leg at any time unit.
+BOUNDARY_SLACK = 1e-12
 
 
 def _panel_frame(panel: int, label: str) -> list[str]:
@@ -77,12 +77,14 @@ def trajectory_svg(t, u, v, w, boundaries) -> str:
 def _split_legs(t, boundaries) -> list[tuple[int, int]]:
     """Index ranges (first, last) of the legs of nondecreasing sample times t.
 
-    The first sample at or past the next boundary ends one leg and starts
-    the next; a sample closes at most one boundary, so boundaries closer
-    together than a sample step close on successive samples.
+    The first sample at or past the next boundary (less BOUNDARY_SLACK
+    t[-1]) ends one leg and starts the next; a sample closes at most one
+    boundary, so boundaries closer than a sample step close in turn.
     """
-    reach = np.searchsorted(t, np.asarray(boundaries, dtype=float) - BOUNDARY_SLACK)
+    if not len(t):
+        return []
+    reach = np.searchsorted(t, np.asarray(boundaries, dtype=float) - BOUNDARY_SLACK * t[-1])
     order = np.arange(len(reach))
     closes = np.maximum.accumulate(reach - order) + order
     cuts = [0, *closes[closes < len(t)].tolist(), len(t) - 1]
-    return list(zip(cuts, cuts[1:])) if len(t) else []
+    return list(zip(cuts, cuts[1:]))

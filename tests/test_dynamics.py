@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -69,6 +70,16 @@ def test_protocol_validation():
     prot = Protocol.from_pairs([(0.0, 1.0), (math.pi, 2.0)])
     assert prot.total_duration == pytest.approx(3.0)
     assert prot.phases == (0.0, math.pi)
+
+
+def test_protocol_timeline_is_the_running_sum():
+    # Python 3.12's sum() compensates and gives 1.0 here; every time in a
+    # run reads the running sum instead, on every Python.
+    prot = Protocol.from_pairs([(0.0, 0.1)] * 10)
+    assert prot.ends == tuple(itertools.accumulate(prot.durations))
+    assert prot.total_duration == prot.ends[-1] == 0.9999999999999999
+    traj = propagate(CouplerParams(0.5, 1.0), prot, ModeState.mode1(), 7)
+    assert traj.t[-1] == prot.total_duration
 
 
 def test_segment_propagator_matches_expm():

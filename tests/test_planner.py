@@ -112,7 +112,7 @@ def test_dive_plan_descent_is_monotone():
     plan = dive_plan(params, 5, 1.0)
     traj = propagate(params, plan.protocol, ModeState.mode1(), 512)
     # Per-segment running minima of w must strictly decrease.
-    boundaries = np.cumsum([s.duration for s in plan.protocol.segments])
+    boundaries = plan.protocol.ends
     minima = []
     idx = 0
     current = math.inf

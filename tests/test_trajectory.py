@@ -2,12 +2,11 @@
 
 propagate and to_bloch compute every sample at once on arrays.  The
 reference here is the per-sample loop they replace: segment_propagator,
-compose, protocol_propagator and apply on Python complex numbers, and
-the Bloch map through ModeState.normalized.  Values are compared as
-float.hex strings, so a flipped signed zero counts as a difference.
+compose and apply on Python complex numbers, and the Bloch map through
+ModeState.normalized.  Values are compared as float.hex strings, so a
+flipped signed zero counts as a difference.
 """
 
-import itertools
 import math
 import re
 
@@ -27,8 +26,17 @@ from modeswitch import (
     segment_propagator,
     to_bloch,
 )
+from modeswitch.cli import main
 from modeswitch.dynamics import abs2
 from modeswitch.render import trajectory_svg
+
+
+def scalar_product(params, segments):
+    """The segments' product, one compose per segment, first acting first."""
+    acc = TransferMatrix.identity()
+    for seg in segments:
+        acc = compose(segment_propagator(params, seg), acc)
+    return acc
 
 
 def scalar_propagate(params, protocol, initial, sample_count):
@@ -40,7 +48,7 @@ def scalar_propagate(params, protocol, initial, sample_count):
     for k in range(sample_count + 1):
         t = total * k / sample_count
         if t >= total:
-            m = protocol_propagator(params, protocol)
+            m = scalar_product(params, segments)
         else:
             while whole < len(segments) and t > elapsed and t - elapsed >= segments[whole].duration:
                 prefix = compose(segment_propagator(params, segments[whole]), prefix)
@@ -125,6 +133,17 @@ def test_columns_match_scalar_propagators_bit_for_bit(coupler, pairs, initial, s
     assert hexed(column_rows(traj)) == hexed(ref)
 
 
+@given(couplers, st.lists(st.tuples(phases, turns), min_size=1, max_size=8))
+@example((0.5, 1.0), [(-0.0, 0.0), (-1e-20, math.pi / 2.0), (math.pi, 0.0), (1.0, 3.0)])
+def test_protocol_propagator_is_the_compose_loop(coupler, pairs):
+    params = CouplerParams(*coupler)
+    protocol = Protocol.from_pairs((p, d / params.rabi) for p, d in pairs)
+    m, ref = protocol_propagator(params, protocol), scalar_product(params, protocol.segments)
+    assert hexed([[m.d.real, m.d.imag, m.o.real, m.o.imag]]) == hexed(
+        [[ref.d.real, ref.d.imag, ref.o.real, ref.o.imag]]
+    )
+
+
 signed = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -0.5]), st.floats(-2.0, 2.0))
 
 
@@ -158,8 +177,7 @@ def leg_lengths(pairs, sample_count):
     protocol = Protocol.from_pairs(pairs)
     traj = propagate(params, protocol, ModeState.mode1(), sample_count)
     b = to_bloch(traj)
-    boundaries = list(itertools.accumulate(protocol.durations[:-1]))
-    svg = trajectory_svg(traj.t, b.u, b.v, b.w, boundaries)
+    svg = trajectory_svg(traj.t, b.u, b.v, b.w, protocol.ends[:-1])
     polylines = re.findall(r'<polyline points="([^"]*)"', svg)
     return [len(p.split()) for p in polylines[: len(polylines) // 2]]
 
@@ -172,3 +190,24 @@ def test_split_legs_closes_one_boundary_per_sample():
     # Two samples, three boundaries: the first sample closes the one at
     # t = 0, the last sample one more, and the third never closes.
     assert leg_lengths([(0.0, 0.0), (1.0, 0.5), (2.0, 0.5), (3.0, 0.5)], 1) == [1, 2, 1]
+
+
+def svgs(out, args):
+    assert main([*map(str, args), "--out", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.glob("*.svg"))}
+
+
+def test_svg_legs_do_not_depend_on_the_time_unit(tmp_path):
+    # delta and kappa0 times 2**-10 is exact: every W t keeps its bits, and
+    # durations grow by 2**10, past where an absolute slack fits an ulp.
+    s = 2.0**-10
+    plan = ["plan", "--threshold", 0.99]
+    ref = svgs(tmp_path / "a", [*plan, "--delta", 3.5, "--kappa", 1.0])
+    assert list(ref) == ["trajectory.svg"]
+    assert svgs(tmp_path / "b", [*plan, "--delta", 3.5 * s, "--kappa", s]) == ref
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"samples": 100}')
+    iso = ["isolator", "--config", cfg]
+    ref = svgs(tmp_path / "c", [*iso, "--delta", 0.5, "--kappa", 1.0])
+    assert list(ref) == ["trajectory_backward.svg", "trajectory_forward.svg"]
+    assert svgs(tmp_path / "d", [*iso, "--delta", 0.5 * s, "--kappa", s]) == ref
