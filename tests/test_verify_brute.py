@@ -1,6 +1,8 @@
 """The battery's brute-force two-segment maximum, batched over cells:
 bit for bit the plain one-cell grid-and-zoom, bounded in memory, and
-unable to pass without the package's transfer table."""
+unable to pass without the package's transfer table.  With a settle
+level, a cell stops zooming once its best reaches it: its class at that
+level is the reference's, and a cell that never settles keeps its bits."""
 
 import math
 import tracemalloc
@@ -14,6 +16,7 @@ from modeswitch import CouplerParams, transfer_map
 from modeswitch import verify
 from modeswitch.twostep import _grid_transfer
 from modeswitch.verify import (
+    FULL_TRANSFER,
     SCREEN_CHUNK,
     ZOOM_CHUNK,
     _brute_two_step_maxima,
@@ -80,6 +83,23 @@ def test_batched_maxima_equal_the_scalar_reference(cells, screen):
     assert_matches_reference(cells, screen)
 
 
+@settings(max_examples=40)
+@given(
+    cells_strategy,
+    st.sampled_from((-math.inf, 0.99)),
+    st.sampled_from((0.99, FULL_TRANSFER, 1.0 - 1e-12)),
+)
+def test_settled_cells_keep_their_class(cells, screen, settle):
+    params = [CouplerParams(delta, kappa) for delta, kappa, _ in cells]
+    phis = [phi for _, _, phi in cells]
+    batched = _brute_two_step_maxima(params, phis, screen, settle)
+    for best, p, phi in zip(batched.tolist(), params, phis):
+        reference = scalar_brute_max(p, phi, screen)
+        assert (best >= settle) == (reference >= settle)
+        if reference < settle:
+            assert best.hex() == reference.hex()
+
+
 CHUNK_EDGES = sorted({1, *(c + d for c in (SCREEN_CHUNK, ZOOM_CHUNK) for d in (-1, 0, 1))})
 
 
@@ -111,22 +131,68 @@ def test_criterion_check_with_no_counted_cell_fails():
     assert check_criterion_vs_brute(2).passed
 
 
-@pytest.mark.parametrize(
-    "fault",
-    [
-        lambda real, delta, kappa0, w, phi, wt1, wt2: real(delta, kappa0, w, phi, wt1, wt2) / 2.0,
-        lambda real, delta, kappa0, w, phi, wt1, wt2: real(delta, kappa0, w, 0.0 * phi, wt1, wt2),
-    ],
-    ids=["halved", "phase-dropped"],
-)
+# Faulty transfer tables: each wraps the real one.
+FAULTS = {
+    "halved": lambda real, delta, kappa0, w, phi, wt1, wt2: real(delta, kappa0, w, phi, wt1, wt2) / 2.0,
+    "phase-dropped": lambda real, delta, kappa0, w, phi, wt1, wt2: real(
+        delta, kappa0, w, 0.0 * phi, wt1, wt2
+    ),
+    "overshoot": lambda real, delta, kappa0, w, phi, wt1, wt2: real(delta, kappa0, w, phi, wt1, wt2)
+    * 1.001,
+}
+
+
+@pytest.mark.parametrize("fault", ["halved", "phase-dropped"])
 def test_brute_force_checks_read_the_transfer(monkeypatch, fault):
     # The batched maximum must come from the package's transfer table.
     real = verify._grid_transfer
     assert check_criterion_vs_brute(12).passed
     assert check_two_step_ceiling(np.random.default_rng(20240817), 12).passed
-    monkeypatch.setattr(verify, "_grid_transfer", lambda *args: fault(real, *args))
+    monkeypatch.setattr(verify, "_grid_transfer", lambda *args: FAULTS[fault](real, *args))
     assert not check_criterion_vs_brute(12).passed
     assert not check_two_step_ceiling(np.random.default_rng(20240817), 12).passed
+
+
+def zoom_work(monkeypatch, check):
+    """(rows, calls) of the 2-D zoom windows check() passes to _grid_transfer."""
+    real, rows = verify._grid_transfer, []
+
+    def counted(delta, kappa0, w, phi, wt1, wt2):
+        if np.ndim(wt1) == 2:
+            rows.append(len(wt1))
+        return real(delta, kappa0, w, phi, wt1, wt2)
+
+    monkeypatch.setattr(verify, "_grid_transfer", counted)
+    res = check()
+    return res, sum(rows), len(rows)
+
+
+def test_zoom_work_is_pinned(monkeypatch):
+    # A settled cell leaves the zoom: 8844 of the 44190 cell-levels that
+    # zooming every screened cell through all 30 levels would take.
+    res, rows, calls = zoom_work(monkeypatch, lambda: check_criterion_vs_brute(50))
+    assert res.detail.startswith("2445/2445 ")
+    assert (rows, calls) == (8844, 86)
+    res, rows, calls = zoom_work(monkeypatch, lambda: check_criterion_vs_brute(24))
+    assert res.detail.startswith("558/558 ")
+    assert (rows, calls) == (1902, 35)
+    # The exact maxima settle nothing: 60 cells, 30 levels.
+    rng = np.random.default_rng(20240817)
+    res, rows, calls = zoom_work(monkeypatch, lambda: check_two_step_ceiling(rng, 60))
+    assert res.passed
+    assert (rows, calls) == (1800, 30)
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+def test_settling_keeps_the_agree_count_of_a_faulty_table(monkeypatch, fault):
+    real = verify._grid_transfer
+    monkeypatch.setattr(verify, "_grid_transfer", lambda *args: FAULTS[fault](real, *args))
+    settled = check_criterion_vs_brute(24)
+    exact = verify._brute_two_step_maxima
+    monkeypatch.setattr(
+        verify, "_brute_two_step_maxima", lambda params, phis, screen, settle: exact(params, phis, screen)
+    )
+    assert settled == check_criterion_vs_brute(24)
 
 
 def test_criterion_check_memory_is_bounded():
