@@ -314,6 +314,8 @@ def propagate(
 ) -> Trajectory:
     """The state at sample_count + 1 uniform times over [0, total_duration].
 
+    Sample k is at total_duration * k / sample_count, except the last,
+    which is protocol.ends[-1] itself: the division can miss it by an ulp.
     A zero-duration protocol yields constant samples.  A sample at or past
     the end takes the product of all segments, as protocol_propagator
     does.  Any other composes its partial segment onto the product of the
@@ -326,6 +328,7 @@ def propagate(
         raise ValueError("sample_count must be >= 1")
     *starts, total = 0.0, *protocol.ends
     t = total * np.arange(sample_count + 1) / sample_count
+    t[-1] = total
     # Per segment j: the product before it (prefix row j; row n: all), its
     # start, the earliest t at which it and all before it are whole, and
     # the phase factor of a partial piece (CouplingSegment reduces again).

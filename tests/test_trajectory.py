@@ -40,13 +40,14 @@ def scalar_product(params, segments):
 
 
 def scalar_propagate(params, protocol, initial, sample_count):
-    """(t, state) per sample: the whole segments' product, then the partial one."""
+    """(t, state) per sample, the last at the total itself: the whole
+    segments' product, then the partial one."""
     total = protocol.total_duration
     segments = protocol.segments
     prefix, elapsed, whole = TransferMatrix.identity(), 0.0, 0
     out = []
     for k in range(sample_count + 1):
-        t = total * k / sample_count
+        t = total if k == sample_count else total * k / sample_count
         if t >= total:
             m = scalar_product(params, segments)
         else:
@@ -131,6 +132,28 @@ def test_columns_match_scalar_propagators_bit_for_bit(coupler, pairs, initial, s
     assert len(traj) == sample_count + 1
     ref = [scalar_row(t, s) for t, s in scalar_propagate(params, protocol, initial, sample_count)]
     assert hexed(column_rows(traj)) == hexed(ref)
+
+
+@given(
+    couplers,
+    st.lists(st.tuples(phases, turns), min_size=1, max_size=8),
+    initials,
+    st.integers(1, 512),
+)
+# delta 0.5, kappa0 1, two segments of 0.22322111021323865 / 2: the 21st
+# sample's total * 21 / 21 falls an ulp short of the total.
+@example((0.5, 1.0), [(0.0, 0.12478439411244356), (math.pi, 0.12478439411244356)], ModeState.mode1(), 21)
+def test_last_sample_is_the_protocol_end(coupler, pairs, initial, sample_count):
+    # The last sample time is protocol.ends[-1] itself, and its state is
+    # the whole protocol's propagator applied to the initial state.
+    params = CouplerParams(*coupler)
+    protocol = Protocol.from_pairs((p, d / params.rabi) for p, d in pairs)
+    traj = propagate(params, protocol, initial, sample_count)
+    ref = protocol_propagator(params, protocol).apply(initial)
+    last = traj.final
+    assert hexed([[traj.t[-1], last.a1.real, last.a1.imag, last.a2.real, last.a2.imag]]) == hexed(
+        [[protocol.total_duration, ref.a1.real, ref.a1.imag, ref.a2.real, ref.a2.imag]]
+    )
 
 
 @given(couplers, st.lists(st.tuples(phases, turns), min_size=1, max_size=8))
