@@ -15,10 +15,10 @@ propagator over a duration t has the closed form
 where W = sqrt(delta**2 + kappa0**2).  Protocols are sequences of such
 constant-coupling segments; their propagators compose by matrix product.
 
-Everything in this module is exact up to floating point.  propagate
-computes all samples at once, bit for bit the scalar propagators (cmul),
-from the rows of prefix_products, as protocol_propagator and dive_plan do.
-The numerical integrator that cross-checks them is modeswitch.oracle.
+Everything in this module is exact up to floating point.  One kernel,
+_segment, _compose and _apply in cmul's arithmetic on rows (d.real, d.imag,
+o.real, o.imag) of floats or numpy columns, serves the scalar propagators
+and propagate's columns alike.  modeswitch.oracle cross-checks them.
 """
 
 from __future__ import annotations
@@ -216,11 +216,13 @@ class TransferMatrix:
         """|a2|^2 that results from the input (1, 0)."""
         return abs(self.o) ** 2
 
+    @property
+    def _row(self) -> tuple[float, float, float, float]:
+        return self.d.real, self.d.imag, self.o.real, self.o.imag
+
     def apply(self, state: ModeState) -> ModeState:
-        return ModeState(
-            self.d * state.a1 + self.o * state.a2,
-            -self.o.conjugate() * state.a1 + self.d.conjugate() * state.a2,
-        )
+        a1r, a1i, a2r, a2i = _apply(self._row, state.a1, state.a2)
+        return ModeState(complex(a1r, a1i), complex(a2r, a2i))
 
     def as_array(self):
         return np.array(
@@ -229,28 +231,23 @@ class TransferMatrix:
         )
 
 
+def _matrix(dr, di, o_r, oi) -> TransferMatrix:
+    return TransferMatrix(complex(dr, di), complex(o_r, oi))
+
+
+def _segment_row(params: CouplerParams, segment: CouplingSegment):
+    wt = params.rabi * segment.duration
+    return _segment(params, math.sin(wt), math.cos(wt), cmath.exp(1j * segment.phase))
+
+
 def segment_propagator(params: CouplerParams, segment: CouplingSegment) -> TransferMatrix:
     """Closed-form propagator for one constant-coupling segment."""
-    w = params.rabi
-    wt = w * segment.duration
-    c = math.cos(wt)
-    s = math.sin(wt)
-    d = complex(c, -(params.delta / w) * s)
-    o = -1j * (params.kappa0 / w) * s * cmath.exp(1j * segment.phase)
-    return TransferMatrix(d, o)
+    return _matrix(*_segment_row(params, segment))
 
 
 def compose(later: TransferMatrix, earlier: TransferMatrix) -> TransferMatrix:
-    """Product later @ earlier, staying in (d, o) form.
-
-    The SU(2) form is closed under multiplication:
-        d = d2*d1 - o2*conj(o1)
-        o = d2*o1 + o2*conj(d1)
-    """
-    return TransferMatrix(
-        later.d * earlier.d - later.o * earlier.o.conjugate(),
-        later.d * earlier.o + later.o * earlier.d.conjugate(),
-    )
+    """Product later @ earlier, staying in (d, o) form (see _compose)."""
+    return _matrix(*_compose(later._row, earlier._row))
 
 
 def protocol_propagator(params: CouplerParams, protocol: Protocol) -> TransferMatrix:
@@ -269,14 +266,42 @@ def abs2(re, im):
     return np.float_power(np.hypot(re, im), 2.0)
 
 
+def _segment(params: CouplerParams, s, c, turn):
+    """Row of a segment whose W t has sine s and cosine c, at turn = exp(i phi).
+    -1j * (kappa0 / W) enters as (0.0, -kappa0 / W), what CPython makes of it."""
+    w = params.rabi
+    o_r, oi = cmul(*cmul(0.0, -(params.kappa0 / w), s, 0.0), turn.real, turn.imag)
+    return c, -(params.delta / w) * s, o_r, oi
+
+
+def _compose(later, earlier):
+    """Row of later @ earlier, in SU(2) form again:
+    d = d2*d1 - o2*conj(o1), o = d2*o1 + o2*conj(d1)."""
+    d2r, d2i, o2r, o2i = later
+    d1r, d1i, o1r, o1i = earlier
+    xr, xi = cmul(d2r, d2i, d1r, d1i)
+    yr, yi = cmul(o2r, o2i, o1r, -o1i)
+    ur, ui = cmul(d2r, d2i, o1r, o1i)
+    vr, vi = cmul(o2r, o2i, d1r, -d1i)
+    return xr - yr, xi - yi, ur + vr, ui + vi
+
+
+def _apply(row, a1: complex, a2: complex):
+    """Parts of (d*a1 + o*a2, -conj(o)*a1 + conj(d)*a2), real then imaginary."""
+    dr, di, o_r, oi = row
+    xr, xi = cmul(dr, di, a1.real, a1.imag)
+    yr, yi = cmul(o_r, oi, a2.real, a2.imag)
+    zr, zi = cmul(-o_r, oi, a1.real, a1.imag)
+    vr, vi = cmul(dr, -di, a2.real, a2.imag)
+    return xr + yr, xi + yi, zr + vr, zi + vi
+
+
 def prefix_products(params: CouplerParams, protocol: Protocol) -> np.ndarray:
     """Rows (d.real, d.imag, o.real, o.imag): row j the product of the first
-    j segments, by segment_propagator and compose, one segment at a time."""
+    j segments, by _segment and _compose, one segment at a time."""
     prefix = [(1.0, 0.0, 0.0, 0.0)]
-    acc = TransferMatrix.identity()
     for seg in protocol.segments:
-        acc = compose(segment_propagator(params, seg), acc)
-        prefix.append((acc.d.real, acc.d.imag, acc.o.real, acc.o.imag))
+        prefix.append(_compose(_segment_row(params, seg), prefix[-1]))
     return np.array(prefix)
 
 
@@ -321,8 +346,8 @@ def propagate(
     does.  Any other composes its partial segment onto the product of the
     segments whole at t (t > start and t - start >= duration, the start
     0.0 or the previous entry of protocol.ends), a row of prefix_products.
-    The partial segments, compose and apply run on all samples at once in
-    cmul's arithmetic: each equals segment_propagator, compose and apply.
+    All samples go through the one kernel (_segment, _compose, _apply) at
+    once, so each is bit for bit segment_propagator, compose and apply.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -337,31 +362,16 @@ def propagate(
     turns = np.array([cmath.exp(1j * (seg.phase % TWO_PI)) for seg in protocol.segments])
     whole = np.searchsorted(whole_from, t, side="right")
     whole[t >= total] = n
-    d1r, d1i, o1r, o1i = prefix_products(params, protocol)[whole].T
+    prefix = prefix_products(params, protocol)[whole].T
     piece = np.minimum(whole, n - 1)
-    start, turn = np.array(starts)[piece], turns[piece]
+    start = np.array(starts)[piece]
     partial = (whole < n) & (t > start)
-    # segment_propagator of the pieces t - start, composed onto the prefix.
-    # Its sin and cos come from math: numpy builds may vectorize their own.
-    w = params.rabi
-    wt = (w * (t - start)).tolist()
+    # The pieces t - start take sin and cos from math, as _segment_row does:
+    # numpy builds may vectorize their own.
+    wt = (params.rabi * (t - start)).tolist()
     s = np.fromiter(map(math.sin, wt), float, len(wt))
-    d2r, d2i = np.fromiter(map(math.cos, wt), float, len(wt)), -(params.delta / w) * s
-    lead = -1j * (params.kappa0 / w)
-    o2r, o2i = cmul(*cmul(lead.real, lead.imag, s, 0.0), turn.real, turn.imag)
-    xr, xi = cmul(d2r, d2i, d1r, d1i)
-    yr, yi = cmul(o2r, o2i, o1r, -o1i)
-    dr, di = np.where(partial, (xr - yr, xi - yi), (d1r, d1i))
-    xr, xi = cmul(d2r, d2i, o1r, o1i)
-    yr, yi = cmul(o2r, o2i, d1r, -d1i)
-    o_r, oi = np.where(partial, (xr + yr, xi + yi), (o1r, o1i))
-    # TransferMatrix.apply(initial) in cmul's products; each real and
-    # imaginary column pair stacks as complex.
-    b1r, b1i, b2r, b2i = initial.a1.real, initial.a1.imag, initial.a2.real, initial.a2.imag
-    xr, xi = cmul(dr, di, b1r, b1i)
-    yr, yi = cmul(o_r, oi, b2r, b2i)
-    zr, zi = cmul(-o_r, oi, b1r, b1i)
-    vr, vi = cmul(dr, -di, b2r, b2i)
-    a1 = np.stack((xr + yr, xi + yi), axis=-1).view(complex)[:, 0]
-    a2 = np.stack((zr + vr, zi + vi), axis=-1).view(complex)[:, 0]
+    c = np.fromiter(map(math.cos, wt), float, len(wt))
+    row = np.where(partial, _compose(_segment(params, s, c, turns[piece]), prefix), prefix)
+    # The apply's real and imaginary columns, side by side, view as a1, a2.
+    a1, a2 = np.stack(_apply(row, initial.a1, initial.a2), axis=-1).view(complex).T
     return Trajectory(t, a1, a2)

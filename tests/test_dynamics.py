@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from modeswitch import (
@@ -224,3 +224,72 @@ def test_compose_is_closed_in_su2(a, b):
 def test_segment_splits_into_consecutive_parts(delta, kappa, phi, t1, t2):
     """One segment of t1 + t2 equals the same phase held for t1, then t2."""
     assert verify.segment_splitting_residual(CouplerParams(delta, kappa), phi, t1, t2) <= 1e-12
+
+
+# The scalar propagators in Python complex arithmetic, written out apart from
+# the library's kernel (dynamics._segment, _compose, _apply), so that the
+# kernel is checked against arithmetic it does not share.  Python 3.10-3.13
+# promote a float x in complex * float to (x, 0.0), as cmul assumes.
+
+
+def reference_segment_propagator(params, segment):
+    w = params.rabi
+    wt = w * segment.duration
+    c = math.cos(wt)
+    s = math.sin(wt)
+    d = complex(c, -(params.delta / w) * s)
+    o = -1j * (params.kappa0 / w) * s * cmath.exp(1j * segment.phase)
+    return TransferMatrix(d, o)
+
+
+def reference_compose(later, earlier):
+    return TransferMatrix(
+        later.d * earlier.d - later.o * earlier.o.conjugate(),
+        later.d * earlier.o + later.o * earlier.d.conjugate(),
+    )
+
+
+def reference_apply(m, state):
+    return ModeState(
+        m.d * state.a1 + m.o * state.a2,
+        -m.o.conjugate() * state.a1 + m.d.conjugate() * state.a2,
+    )
+
+
+def hexed(*values):
+    return [float(x).hex() for z in values for x in (z.real, z.imag)]
+
+
+# delta = +-0.0 with kappa0 > 0, kappa0 = 0 with either sign of delta, or anything.
+kernel_couplers = st.one_of(
+    st.tuples(st.sampled_from([0.0, -0.0]), st.floats(0.05, 3.0)),
+    st.tuples(st.sampled_from([-2.0, 1.5]), st.just(0.0)),
+    st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 3.0)),
+)
+kernel_phases = st.one_of(
+    st.sampled_from([0.0, -0.0, -1e-20, math.pi, 1.0 - 1.0000000000000002]),
+    st.floats(-10.0, 10.0),
+)
+# Durations in units of 1/W: zero, half and whole turns, or anything.
+kernel_turns = st.one_of(
+    st.sampled_from([0.0, math.pi / 2.0, math.pi, 2.0 * math.pi]), st.floats(0.0, 8.0)
+)
+parts = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(-2.0, 2.0))
+complexes = st.builds(complex, parts, parts)
+
+
+@given(kernel_couplers, kernel_phases, kernel_turns, complexes, complexes, complexes, complexes)
+@example((-0.0, 1.0), -1e-20, math.pi, -0.0 + 0.0j, 0.0 - 0.0j, 1.0 + 0.0j, -0.0 - 0.0j)
+@example((1.5, 0.0), -0.0, 2.0 * math.pi, 0.5 - 0.0j, -0.0 + 1.0j, -0.0 + 0.0j, 0.0 - 0.0j)
+def test_kernel_is_complex_arithmetic_bit_for_bit(coupler, phase, turns, d, o, a1, a2):
+    params = CouplerParams(*coupler)
+    seg = CouplingSegment(phase, turns / params.rabi)
+    m, ref = segment_propagator(params, seg), reference_segment_propagator(params, seg)
+    assert hexed(m.d, m.o) == hexed(ref.d, ref.o)
+    other, state = TransferMatrix(d, o), ModeState(a1, a2)
+    for later, earlier in ((ref, other), (other, ref), (other, other)):
+        got, want = compose(later, earlier), reference_compose(later, earlier)
+        assert hexed(got.d, got.o) == hexed(want.d, want.o)
+    for matrix in (ref, other):
+        got, want = matrix.apply(state), reference_apply(matrix, state)
+        assert hexed(got.a1, got.a2) == hexed(want.a1, want.a2)

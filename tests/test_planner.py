@@ -155,12 +155,14 @@ def test_minimal_search_builds_one_plan(monkeypatch, delta):
 
         return counted
 
-    for module, name in ((planner, "dive_plan"), (dynamics, "segment_propagator")):
+    # _segment is the kernel's segment propagator, which segment_propagator,
+    # prefix_products and propagate all call.
+    for module, name in ((planner, "dive_plan"), (dynamics, "_segment")):
         monkeypatch.setattr(module, name, spy(module, name))
     search = minimal_plan_search(CouplerParams(delta, 0.003), 0.9)
     assert len(search.plan.protocol.segments) == 417
     # One plan, propagated once: one propagator per segment.
-    assert calls == {"dive_plan": 1, "segment_propagator": 417}
+    assert calls == {"dive_plan": 1, "_segment": 417}
 
 
 def test_minimal_search_cap_raises_with_best():

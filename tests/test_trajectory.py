@@ -2,9 +2,11 @@
 
 propagate and to_bloch compute every sample at once on arrays.  The
 reference here is the per-sample loop they replace: segment_propagator,
-compose and apply on Python complex numbers, and the Bloch map through
-ModeState.normalized.  Values are compared as float.hex strings, so a
-flipped signed zero counts as a difference.
+compose and apply on one state at a time, and the Bloch map through
+ModeState.normalized.  Those scalar functions run the same kernel as the
+columns; test_dynamics checks that kernel against Python complex
+arithmetic.  Values are compared as float.hex strings, so a flipped
+signed zero counts as a difference.
 """
 
 import math
