@@ -82,6 +82,12 @@ def static_max_transfer(params: CouplerParams) -> float:
     return (params.kappa0 / w) ** 2
 
 
+def _reduce_phase(phase: float) -> float:
+    """phase mod 2 pi in [0, 2 pi): % alone gives 2 pi for phases in about [-4.4e-16, 0)."""
+    phase %= TWO_PI
+    return 0.0 if phase == TWO_PI else phase
+
+
 @dataclass(frozen=True)
 class CouplingSegment:
     """One constant-coupling interval: phase phi (rad) held for a duration (s).
@@ -100,7 +106,7 @@ class CouplingSegment:
             raise ValueError("segment phase must be finite")
         if not math.isfinite(duration) or duration < 0.0:
             raise ValueError("segment duration must be finite and >= 0")
-        object.__setattr__(self, "phase", phase % TWO_PI)
+        object.__setattr__(self, "phase", _reduce_phase(phase))
         object.__setattr__(self, "duration", duration)
 
 
@@ -275,8 +281,7 @@ def _segment(params: CouplerParams, s, c, turn):
 
 
 def _compose(later, earlier):
-    """Row of later @ earlier, in SU(2) form again:
-    d = d2*d1 - o2*conj(o1), o = d2*o1 + o2*conj(d1)."""
+    """Row of later @ earlier: d = d2*d1 - o2*conj(o1), o = d2*o1 + o2*conj(d1)."""
     d2r, d2i, o2r, o2i = later
     d1r, d1i, o1r, o1i = earlier
     xr, xi = cmul(d2r, d2i, d1r, d1i)
@@ -354,12 +359,11 @@ def propagate(
     *starts, total = 0.0, *protocol.ends
     t = total * np.arange(sample_count + 1) / sample_count
     t[-1] = total
-    # Per segment j: the product before it (prefix row j; row n: all), its
-    # start, the earliest t at which it and all before it are whole, and
-    # the phase factor of a partial piece (CouplingSegment reduces again).
+    # Per segment j: the product before it (prefix row j; row n: all), its start,
+    # the earliest t at which it and all before it are whole, and its phase factor.
     n = len(protocol.segments)
     whole_from = np.maximum.accumulate(list(map(_whole_from, starts, protocol.durations)))
-    turns = np.array([cmath.exp(1j * (seg.phase % TWO_PI)) for seg in protocol.segments])
+    turns = np.array([cmath.exp(1j * seg.phase) for seg in protocol.segments])
     whole = np.searchsorted(whole_from, t, side="right")
     whole[t >= total] = n
     prefix = prefix_products(params, protocol)[whole].T

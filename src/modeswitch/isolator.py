@@ -36,6 +36,7 @@ from .dynamics import (
     Protocol,
     Trajectory,
     TransferMatrix,
+    _reduce_phase,
     compose,
     propagate,
     protocol_propagator,
@@ -165,7 +166,7 @@ def optimal_phases(stage: TransferMatrix) -> tuple[float, float]:
     the forward cross power vanish while the backward one reaches 1;
     delta_theta is returned reduced to [0, 2 pi).
     """
-    return ((math.pi / 2.0 - _gauge_angle(stage)) % (2.0 * math.pi), math.pi / 2.0)
+    return (_reduce_phase(math.pi / 2.0 - _gauge_angle(stage)), math.pi / 2.0)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,15 @@ def test_segment_phase_reduced():
     seg = CouplingSegment(2.0 * math.pi + 1.0, 0.5)
     assert seg.phase == pytest.approx(1.0)
     assert CouplingSegment(-0.5, 1.0).phase == pytest.approx(2.0 * math.pi - 0.5)
+    # % alone rounds these up to 2 pi; a segment stores the same angle as 0.0.
+    for phase in (-0.0, -1e-20, 1.0 - 1.0000000000000002, -4.4e-16):
+        assert math.copysign(1.0, CouplingSegment(phase, 1.0).phase) == 1.0
+        assert CouplingSegment(phase, 1.0).phase == 0.0
+    assert CouplingSegment(-4.5e-16, 1.0).phase == math.nextafter(2.0 * math.pi, 0.0)
+    # So a whole segment at such a phase is the segment at phase 0.
+    params = CouplerParams(0.5, 1.0)
+    whole = segment_propagator(params, CouplingSegment(-1e-20, 1.0))
+    assert whole.o.real == segment_propagator(params, CouplingSegment(0.0, 1.0)).o.real == 0.0
     with pytest.raises(ValueError):
         CouplingSegment(0.0, -1e-9)
     with pytest.raises(ValueError):

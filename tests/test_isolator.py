@@ -115,9 +115,14 @@ def test_optimal_phases_extremes():
     assert fwd == pytest.approx(0.0, abs=1e-15)
     assert bwd == pytest.approx(1.0, abs=1e-15)
     assert contrast_db(fwd, bwd) < -250.0
-    # Any balanced stage: the optimum is in the stage's own gauge.
-    for arg_d in (-2.5, 0.4, 3.0):
-        stage = TransferMatrix(RHALF * cmath.exp(1j * arg_d), 1j * RHALF)
+    # Any balanced stage: the optimum is in the stage's own gauge.  The last
+    # has arg D = pi/4 plus an ulp, so pi/2 - 2 arg D is -2.2e-16, which %
+    # alone reduces to 2 pi.
+    stages = [
+        TransferMatrix(RHALF * cmath.exp(1j * arg_d), 1j * RHALF) for arg_d in (-2.5, 0.4, 3.0)
+    ]
+    stages.append(TransferMatrix(complex(0.5, 0.5000000000000001), 1j * RHALF))
+    for stage in stages:
         dtheta, off = optimal_phases(stage)
         assert 0.0 <= dtheta < 2.0 * math.pi
         spec = IsolatorSpec(stage, dtheta, 0.0, off)

@@ -96,8 +96,7 @@ couplers = st.one_of(
     st.tuples(st.just(0.0), st.floats(0.05, 3.0)),
     st.tuples(st.sampled_from([-2.0, 1.5]), st.just(0.0)),
 )
-# Phases include -1e-20, which CouplingSegment stores as 2 pi and a
-# partial piece of it reduces again to 0.
+# Phases include -0.0 and -1e-20, which CouplingSegment stores as 0.0.
 phases = st.one_of(
     st.floats(0.0, 2.0 * math.pi), st.sampled_from([0.0, math.pi, -0.0, -1e-20])
 )
