@@ -237,10 +237,6 @@ class TransferMatrix:
         )
 
 
-def _matrix(dr, di, o_r, oi) -> TransferMatrix:
-    return TransferMatrix(complex(dr, di), complex(o_r, oi))
-
-
 def _segment_row(params: CouplerParams, segment: CouplingSegment):
     wt = params.rabi * segment.duration
     return _segment(params, math.sin(wt), math.cos(wt), cmath.exp(1j * segment.phase))
@@ -248,12 +244,15 @@ def _segment_row(params: CouplerParams, segment: CouplingSegment):
 
 def segment_propagator(params: CouplerParams, segment: CouplingSegment) -> TransferMatrix:
     """Closed-form propagator for one constant-coupling segment."""
-    return _matrix(*_segment_row(params, segment))
+    dr, di, o_r, oi = _segment_row(params, segment)
+    return TransferMatrix(complex(dr, di), complex(o_r, oi))
 
 
 def compose(later: TransferMatrix, earlier: TransferMatrix) -> TransferMatrix:
-    """Product later @ earlier, staying in (d, o) form (see _compose)."""
-    return _matrix(*_compose(later._row, earlier._row))
+    """Product later @ earlier, staying in (d, o) form, which is closed under
+    it: d = d2*d1 - o2*conj(o1), o = d2*o1 + o2*conj(d1)."""
+    dr, di, o_r, oi = _compose(later._row, earlier._row)
+    return TransferMatrix(complex(dr, di), complex(o_r, oi))
 
 
 def protocol_propagator(params: CouplerParams, protocol: Protocol) -> TransferMatrix:
@@ -281,7 +280,7 @@ def _segment(params: CouplerParams, s, c, turn):
 
 
 def _compose(later, earlier):
-    """Row of later @ earlier: d = d2*d1 - o2*conj(o1), o = d2*o1 + o2*conj(d1)."""
+    """compose on rows: the row of later @ earlier."""
     d2r, d2i, o2r, o2i = later
     d1r, d1i, o1r, o1i = earlier
     xr, xi = cmul(d2r, d2i, d1r, d1i)

@@ -155,8 +155,8 @@ def _grid_transfer(delta, kappa0, w, phi, wt1: np.ndarray, wt2: np.ndarray) -> n
     delta, kappa0, W = hypot(delta, kappa0) and phi are floats, or (cells, 1)
     columns with wt1, wt2 shared axes or (cells, n) rows and a leading cell axis
     on the table, each cell as if alone.  Durations are pi-periodic, so axes in
-    [0, pi] cover everything.  numpy's complex arithmetic stays: in propagate's
-    cmul form transfer_map 512^2 took 26 ms, not 4.4, and moved 37-44% of cells
+    [0, pi] cover everything.  numpy's complex arithmetic stays: in the dynamics
+    kernel's cmul form transfer_map 512^2 took 26 ms, not 4.4, and moved 37-44% of cells
     by up to 8.9e-16; shared real-column entries slowed criterion_vs_brute ~40%.
     """
     dr = delta / w
