@@ -325,16 +325,6 @@ class Trajectory:
         return ModeState(self.a1[-1], self.a2[-1])
 
 
-def _whole_from(start: float, duration: float) -> float:
-    """Earliest float t with t > start and t - start >= duration."""
-    t = max(start + duration, math.nextafter(start, math.inf))
-    while t - start < duration:
-        t = math.nextafter(t, math.inf)
-    while (below := math.nextafter(t, -math.inf)) > start and below - start >= duration:
-        t = below
-    return t
-
-
 def propagate(
     params: CouplerParams,
     protocol: Protocol,
@@ -345,12 +335,14 @@ def propagate(
 
     Sample k is at total_duration * k / sample_count, except the last,
     which is protocol.ends[-1] itself: the division can miss it by an ulp.
-    A zero-duration protocol yields constant samples.  A sample at or past
-    the end takes the product of all segments, as protocol_propagator
-    does.  Any other composes its partial segment onto the product of the
-    segments whole at t (t > start and t - start >= duration, the start
-    0.0 or the previous entry of protocol.ends), a row of prefix_products.
-    All samples go through the one kernel (_segment, _compose, _apply) at
+    protocol.ends is the one timeline: the sample at t has passed exactly
+    the segments whose end is at or before t.  So a sample on a switch
+    time is the product of the segments before it, and one at the end
+    (every sample of a zero-duration protocol) is protocol_propagator's
+    product of all.  Any other sample composes the segment that holds t,
+    run from its start (the previous end, or 0.0) for t - start, onto the
+    product of the segments passed, a row of prefix_products.  All
+    samples go through the one kernel (_segment, _compose, _apply) at
     once, so each is bit for bit segment_propagator, compose and apply.
     """
     if sample_count < 1:
@@ -358,13 +350,12 @@ def propagate(
     *starts, total = 0.0, *protocol.ends
     t = total * np.arange(sample_count + 1) / sample_count
     t[-1] = total
-    # Per segment j: the product before it (prefix row j; row n: all), its start,
-    # the earliest t at which it and all before it are whole, and its phase factor.
+    # Per sample: the count of segments whose end is at or before t, their
+    # product (prefix row whole; row n: all), and the segment that holds t,
+    # with its start and phase factor.
     n = len(protocol.segments)
-    whole_from = np.maximum.accumulate(list(map(_whole_from, starts, protocol.durations)))
     turns = np.array([cmath.exp(1j * seg.phase) for seg in protocol.segments])
-    whole = np.searchsorted(whole_from, t, side="right")
-    whole[t >= total] = n
+    whole = np.searchsorted(protocol.ends, t, side="right")
     prefix = prefix_products(params, protocol)[whole].T
     piece = np.minimum(whole, n - 1)
     start = np.array(starts)[piece]

@@ -9,6 +9,7 @@ arithmetic.  Values are compared as float.hex strings, so a flipped
 signed zero counts as a difference.
 """
 
+import bisect
 import math
 import re
 
@@ -23,6 +24,7 @@ from modeswitch import (
     Protocol,
     TransferMatrix,
     compose,
+    minimal_plan_search,
     propagate,
     protocol_propagator,
     segment_propagator,
@@ -42,25 +44,19 @@ def scalar_product(params, segments):
 
 
 def scalar_propagate(params, protocol, initial, sample_count):
-    """(t, state) per sample, the last at the total itself: the whole
-    segments' product, then the partial one."""
+    """(t, state) per sample, the last at the total itself: the product of
+    the segments whose end is at or before t, then the one that holds t."""
     total = protocol.total_duration
-    segments = protocol.segments
-    prefix, elapsed, whole = TransferMatrix.identity(), 0.0, 0
+    segments, ends = protocol.segments, protocol.ends
     out = []
     for k in range(sample_count + 1):
         t = total if k == sample_count else total * k / sample_count
-        if t >= total:
-            m = scalar_product(params, segments)
-        else:
-            while whole < len(segments) and t > elapsed and t - elapsed >= segments[whole].duration:
-                prefix = compose(segment_propagator(params, segments[whole]), prefix)
-                elapsed += segments[whole].duration
-                whole += 1
-            m = prefix
-            if whole < len(segments) and t > elapsed:
-                piece = CouplingSegment(segments[whole].phase, t - elapsed)
-                m = compose(segment_propagator(params, piece), prefix)
+        whole = bisect.bisect_right(ends, t)
+        m = scalar_product(params, segments[:whole])
+        start = ends[whole - 1] if whole else 0.0
+        if whole < len(segments) and t > start:
+            piece = CouplingSegment(segments[whole].phase, t - start)
+            m = compose(segment_propagator(params, piece), m)
         out.append((t, m.apply(initial)))
     return out
 
@@ -123,8 +119,8 @@ initials = st.one_of(
 )
 @example((0.5, 1.0), [(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)], ModeState.mode1(), 2)
 @example((-0.5, 1.0), [(0.0, 0.0), (1.0, 1e-9), (2.0, 1.0), (3.0, 0.0)], ModeState.mode1(), 7)
-# W = 1.  1.0 + 1e-17 rounds to 1.0, so at the sample t = 1.0 the second
-# segment ends by the running sum but is not whole: t > elapsed fails.
+# W = 1.  1.0 + 1e-17 rounds to 1.0, so the first two segments both end
+# at 1.0 on the timeline, and both are whole at the sample t = 1.0.
 @example((0.0, 1.0), [(0.0, 1.0), (1.0, 1e-17), (2.0, 1.0)], ModeState(0.6, 0.8j), 2)
 def test_columns_match_scalar_propagators_bit_for_bit(coupler, pairs, initial, sample_count):
     params = CouplerParams(*coupler)
@@ -154,6 +150,22 @@ def test_last_sample_is_the_protocol_end(coupler, pairs, initial, sample_count):
     last = traj.final
     assert hexed([[traj.t[-1], last.a1.real, last.a1.imag, last.a2.real, last.a2.imag]]) == hexed(
         [[protocol.total_duration, ref.a1.real, ref.a1.imag, ref.a2.real, ref.a2.imag]]
+    )
+
+
+def test_sample_on_a_switch_time_is_the_product_before_it():
+    # Sample 192 of 256 lands exactly on the third switch time.  Its state
+    # is the product of the three segments before it, not the third
+    # composed as a piece t - start an ulp shorter than the segment.
+    params = CouplerParams(1.8889830508474579, 1.0)
+    protocol = minimal_plan_search(params, 0.99).plan.protocol
+    assert len(protocol.segments) == 4
+    traj = propagate(params, protocol, ModeState.mode1(), 256)
+    assert traj.t[192] == protocol.ends[2] == 1.2296561309980376
+    ref = protocol_propagator(params, Protocol(protocol.segments[:3])).apply(ModeState.mode1())
+    a1, a2 = traj.a1[192], traj.a2[192]
+    assert hexed([[a1.real, a1.imag, a2.real, a2.imag]]) == hexed(
+        [[ref.a1.real, ref.a1.imag, ref.a2.real, ref.a2.imag]]
     )
 
 
