@@ -441,25 +441,6 @@ def cmd_transfer_map(cfg: RunConfig) -> int:
     return 0
 
 
-def _plan_payload(cfg: RunConfig, search, met: bool) -> dict:
-    plan = search.plan if met else search.best
-    return {
-        "command": "plan",
-        "params": _params_block(cfg),
-        "threshold": cfg.threshold,
-        "threshold_met": met,
-        "switch_estimate": search.estimate if met else None,
-        "segments": _protocol_block(plan.protocol),
-        "switches": plan.switches,
-        "achieved": plan.achieved,
-        "total_duration": plan.protocol.total_duration,
-        "switch_points": [
-            {"u": p.u, "v": p.v, "w": p.w} for p in plan.switch_points
-        ],
-        "curve": [{"segments": k, "achieved": a} for k, a in search.curve],
-    }
-
-
 def cmd_plan(cfg: RunConfig) -> int:
     params = cfg.params
     out = Path(cfg.out)
@@ -470,26 +451,40 @@ def cmd_plan(cfg: RunConfig) -> int:
             threshold=cfg.threshold,
             max_segments=cfg.max_segments,
         )
+        plan, curve, estimate = search.plan, search.curve, search.estimate
     except PlanSearchError as err:
-        payload = _plan_payload(cfg, err, met=False)
-        write_text(out / "plan.json", dumps17(payload))
-        print(f"plan: threshold not met (best {err.best.achieved:.6f})", file=sys.stderr)
-        return 3
-    plan = search.plan
-    payload = _plan_payload(cfg, search, met=True)
+        plan, curve, estimate = err.best, err.curve, None
+    payload = {
+        "command": "plan",
+        "params": _params_block(cfg),
+        "threshold": cfg.threshold,
+        "threshold_met": estimate is not None,
+        "switch_estimate": estimate,
+        "segments": _protocol_block(plan.protocol),
+        "switches": plan.switches,
+        "achieved": plan.achieved,
+        "total_duration": plan.protocol.total_duration,
+        "switch_points": [
+            {"u": p.u, "v": p.v, "w": p.w} for p in plan.switch_points
+        ],
+        "curve": [{"segments": k, "achieved": a} for k, a in curve],
+    }
     write_text(out / "plan.json", dumps17(payload))
     write_csv(
         out / "curve.csv",
         ["segments", "achieved"],
-        ["%d,%.17g\n" % (k, a) for k, a in search.curve],
+        ["%d,%.17g\n" % (k, a) for k, a in curve],
     )
     traj = propagate(params, plan.protocol, ModeState.mode1(), cfg.samples)
     b = to_bloch(traj)
     svg = trajectory_svg(traj.t, b.u, b.v, b.w, plan.protocol.ends[:-1])
     write_text(out / "trajectory.svg", svg)
+    if estimate is None:
+        print(f"plan: threshold not met (best {plan.achieved:.6f})", file=sys.stderr)
+        return 3
     print(
         f"plan: {len(plan.protocol.segments)} segments, {plan.switches} switches, "
-        f"achieved {plan.achieved:.9f} (estimate {search.estimate})"
+        f"achieved {plan.achieved:.9f} (estimate {estimate})"
     )
     return 0
 

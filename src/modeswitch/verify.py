@@ -21,7 +21,6 @@ guards against the battery itself going soft.
 
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
@@ -61,6 +60,7 @@ from .isolator import (
     cascade_trajectory,
     closed_form_powers,
     cross_power,
+    optimal_phases,
     pushpull_stage,
     reciprocity_defect,
     stage_with_offset,
@@ -505,33 +505,27 @@ def check_isolator_offset_realization(rng, n: int) -> CheckResult:
     return _worst("isolator_offset_realization", residuals, 1e-12, f"{n} random stages")
 
 
-def _isolating_cascade(params: CouplerParams) -> tuple[Protocol, IsolatorSpec]:
-    """The push-pull first segment as the stage, with offset pi/2 and the
-    phase that transmits fully forward: delta_theta + 2 arg D + offset = 0."""
-    protocol, stage = pushpull_stage(params)
-    offset = math.pi / 2.0
-    theta1 = (-offset - 2.0 * cmath.phase(stage.d)) % (2.0 * math.pi)
-    return protocol, IsolatorSpec(stage, theta1, 0.0, offset)
-
-
 def isolator_endpoints_residual(params: CouplerParams, sample_count: int) -> float:
-    """Forward lands on mode 2 and backward returns to mode 1, in the cross
-    powers and at the ends of the sampled trajectories."""
-    protocol, spec = _isolating_cascade(params)
+    """At the optimum isolator.optimal_phases gives the push-pull stage,
+    with theta2 = 0: forward stays on mode 1 and backward lands on mode 2,
+    in the cross powers and at the ends of the sampled trajectories."""
+    protocol, stage = pushpull_stage(params)
+    delta_theta, offset = optimal_phases(stage)
+    spec = IsolatorSpec(stage, delta_theta, 0.0, offset)
     fwd_final = cascade_trajectory(params, protocol, spec, FORWARD, sample_count).final
     bwd_final = cascade_trajectory(params, protocol, spec, BACKWARD, sample_count).final
     return max(
-        abs(cross_power(spec, FORWARD) - 1.0),
-        cross_power(spec, BACKWARD),
-        abs(to_bloch(fwd_final).w + 1.0),
-        abs(to_bloch(bwd_final).w - 1.0),
+        cross_power(spec, FORWARD),
+        abs(cross_power(spec, BACKWARD) - 1.0),
+        abs(to_bloch(fwd_final).w - 1.0),
+        abs(to_bloch(bwd_final).w + 1.0),
     )
 
 
 def check_isolator_endpoints() -> CheckResult:
     residual = isolator_endpoints_residual(CouplerParams(0.5, 1.0), 64)
     return _result(
-        "isolator_endpoints", residual, 1e-6, "forward lands on mode 2, backward returns to mode 1"
+        "isolator_endpoints", residual, 1e-6, "forward stays on mode 1, backward lands on mode 2"
     )
 
 

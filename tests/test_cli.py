@@ -432,8 +432,14 @@ def test_plan_cap_exit_code(tmp_path):
     for delta in (3.0, -3.0):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"delta": delta, "max_segments": 2}))
+        # Into an --out that holds a 5-segment plan: exit 3 writes all three
+        # files for the capped plan, so none of the old ones is left stale.
         out = tmp_path / f"plan{delta:+g}"
+        assert run(["plan", "--delta", delta, "--out", out]) == 0
         assert run(["plan", "--config", cfg, "--out", out]) == 3
+        assert (out / "curve.csv").read_text().count("\n") == 1 + 2
+        # Two legs, each in the u-w and the v-w panel.
+        assert (out / "trajectory.svg").read_text().count("<polyline") == 2 * 2
         payload = json.loads((out / "plan.json").read_text())
         assert payload["threshold_met"] is False
         assert payload["switch_estimate"] is None

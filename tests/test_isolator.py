@@ -26,6 +26,7 @@ from modeswitch import (
     stage_with_offset,
     verify,
 )
+from modeswitch.isolator import pushpull_stage
 
 RHALF = math.sqrt(0.5)
 
@@ -223,9 +224,12 @@ def test_offset_protocol_realizes_offset_stage(stage_protocol, off):
 
 def test_cascade_trajectory_endpoints():
     params = CouplerParams(0.5, 1.0)
-    # Forward ends on mode 2 and backward on mode 1, in power and in state.
+    # At the optimum the CLI reports, forward ends on mode 1 and backward
+    # on mode 2, in power and in state.
     assert verify.isolator_endpoints_residual(params, 128) <= 1e-12
-    half, spec = verify._isolating_cascade(params)
+    half, stage = pushpull_stage(params)
+    delta_theta, offset = optimal_phases(stage)
+    spec = IsolatorSpec(stage, delta_theta, 0.0, offset)
     for direction in (FORWARD, BACKWARD):
         traj = cascade_trajectory(params, half, spec, direction, sample_count=128)
         assert len(traj) == 2 * 128 + 2
