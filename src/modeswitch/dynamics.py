@@ -17,8 +17,9 @@ constant-coupling segments; their propagators compose by matrix product.
 
 Everything in this module is exact up to floating point.  One kernel,
 _segment, _compose and _apply in cmul's arithmetic on rows (d.real, d.imag,
-o.real, o.imag) of floats or numpy columns, serves the scalar propagators
-and propagate's columns alike.  modeswitch.oracle cross-checks them.
+o.real, o.imag) of floats or numpy columns, serves the scalar propagators,
+propagate's columns and the battery's columns of cases alike.
+modeswitch.oracle cross-checks them.
 """
 
 from __future__ import annotations
@@ -215,7 +216,7 @@ class TransferMatrix:
 
     @property
     def unitarity_defect(self) -> float:
-        return abs(abs(self.d) ** 2 + abs(self.o) ** 2 - 1.0)
+        return float(_unitarity_defect(self._row))
 
     @property
     def transfer(self) -> float:
@@ -237,22 +238,31 @@ class TransferMatrix:
         )
 
 
+def _turn(phase: float) -> complex:
+    """exp(i phase), the phase factor _segment takes."""
+    return cmath.exp(1j * phase)
+
+
 def _segment_row(params: CouplerParams, segment: CouplingSegment):
-    wt = params.rabi * segment.duration
-    return _segment(params, math.sin(wt), math.cos(wt), cmath.exp(1j * segment.phase))
+    w = params.rabi
+    wt = w * segment.duration
+    return _segment(params.delta, params.kappa0, w, math.sin(wt), math.cos(wt), _turn(segment.phase))
+
+
+def _matrix(row) -> TransferMatrix:
+    dr, di, o_r, oi = row
+    return TransferMatrix(complex(dr, di), complex(o_r, oi))
 
 
 def segment_propagator(params: CouplerParams, segment: CouplingSegment) -> TransferMatrix:
     """Closed-form propagator for one constant-coupling segment."""
-    dr, di, o_r, oi = _segment_row(params, segment)
-    return TransferMatrix(complex(dr, di), complex(o_r, oi))
+    return _matrix(_segment_row(params, segment))
 
 
 def compose(later: TransferMatrix, earlier: TransferMatrix) -> TransferMatrix:
     """Product later @ earlier, staying in (d, o) form, which is closed under
     it: d = d2*d1 - o2*conj(o1), o = d2*o1 + o2*conj(d1)."""
-    dr, di, o_r, oi = _compose(later._row, earlier._row)
-    return TransferMatrix(complex(dr, di), complex(o_r, oi))
+    return _matrix(_compose(later._row, earlier._row))
 
 
 def protocol_propagator(params: CouplerParams, protocol: Protocol) -> TransferMatrix:
@@ -271,12 +281,30 @@ def abs2(re, im):
     return np.float_power(np.hypot(re, im), 2.0)
 
 
-def _segment(params: CouplerParams, s, c, turn):
+def _mapped(fn, *columns, dtype=float) -> np.ndarray:
+    """fn of each entry of the equal-shape columns, as an array of their shape.
+
+    The math functions go entry by entry on Python floats, as the scalar
+    path takes them: numpy builds may vectorize their own sin, cos, hypot
+    and atan2, which can differ in a bit.  A dtype with a shape, such as
+    (complex, (2, 2)), adds that shape after theirs."""
+    flat = [np.ravel(c).tolist() for c in columns]
+    values = np.fromiter(map(fn, *flat), dtype, len(flat[0]))
+    return values.reshape(np.shape(columns[0]) + values.shape[1:])
+
+
+def _segment(delta, kappa0, w, s, c, turn):
     """Row of a segment whose W t has sine s and cosine c, at turn = exp(i phi).
     -1j * (kappa0 / W) enters as (0.0, -kappa0 / W), what CPython makes of it."""
-    w = params.rabi
-    o_r, oi = cmul(*cmul(0.0, -(params.kappa0 / w), s, 0.0), turn.real, turn.imag)
-    return c, -(params.delta / w) * s, o_r, oi
+    o_r, oi = cmul(*cmul(0.0, -(kappa0 / w), s, 0.0), turn.real, turn.imag)
+    return c, -(delta / w) * s, o_r, oi
+
+
+def _segment_columns(delta, kappa0, w, turn, duration):
+    """_segment_row for columns: segments of rate w and phase factor turn
+    held for duration, with sin and cos from math, entry by entry."""
+    wt = w * duration
+    return _segment(delta, kappa0, w, _mapped(math.sin, wt), _mapped(math.cos, wt), turn)
 
 
 def _compose(later, earlier):
@@ -298,6 +326,12 @@ def _apply(row, a1: complex, a2: complex):
     zr, zi = cmul(-o_r, oi, a1.real, a1.imag)
     vr, vi = cmul(dr, -di, a2.real, a2.imag)
     return xr + yr, xi + yi, zr + vr, zi + vi
+
+
+def _unitarity_defect(row):
+    """| |d|^2 + |o|^2 - 1 | of a row, as CPython's abs(d) ** 2 + abs(o) ** 2 forms it."""
+    dr, di, o_r, oi = row
+    return abs(abs2(dr, di) + abs2(o_r, oi) - 1.0)
 
 
 def prefix_products(params: CouplerParams, protocol: Protocol) -> np.ndarray:
@@ -354,18 +388,14 @@ def propagate(
     # product (prefix row whole; row n: all), and the segment that holds t,
     # with its start and phase factor.
     n = len(protocol.segments)
-    turns = np.array([cmath.exp(1j * seg.phase) for seg in protocol.segments])
+    turns = np.array([_turn(phase) for phase in protocol.phases])
     whole = np.searchsorted(protocol.ends, t, side="right")
     prefix = prefix_products(params, protocol)[whole].T
     piece = np.minimum(whole, n - 1)
     start = np.array(starts)[piece]
     partial = (whole < n) & (t > start)
-    # The pieces t - start take sin and cos from math, as _segment_row does:
-    # numpy builds may vectorize their own.
-    wt = (params.rabi * (t - start)).tolist()
-    s = np.fromiter(map(math.sin, wt), float, len(wt))
-    c = np.fromiter(map(math.cos, wt), float, len(wt))
-    row = np.where(partial, _compose(_segment(params, s, c, turns[piece]), prefix), prefix)
+    piece_row = _segment_columns(params.delta, params.kappa0, params.rabi, turns[piece], t - start)
+    row = np.where(partial, _compose(piece_row, prefix), prefix)
     # The apply's real and imaginary columns, side by side, view as a1, a2.
     a1, a2 = np.stack(_apply(row, initial.a1, initial.a2), axis=-1).view(complex).T
     return Trajectory(t, a1, a2)

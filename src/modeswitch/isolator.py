@@ -36,8 +36,13 @@ from .dynamics import (
     Protocol,
     Trajectory,
     TransferMatrix,
+    _compose,
+    _mapped,
+    _matrix,
     _reduce_phase,
-    compose,
+    _turn,
+    abs2,
+    cmul,
     propagate,
     protocol_propagator,
     remap_phases,
@@ -79,13 +84,20 @@ class IsolatorSpec:
         return self.theta1 - self.theta2
 
 
+def _with_offset(row, offset):
+    """stage_with_offset on a stage row and an offset, floats or columns."""
+    dr, di, o_r, oi = row
+    turn = _mapped(lambda x: cmath.exp(-1j * x), offset, dtype=complex)
+    return (dr, di, *cmul(o_r, oi, turn.real, turn.imag))
+
+
 def stage_with_offset(stage: TransferMatrix, offset: float) -> TransferMatrix:
     """Stage driven with its modulation phase shifted by offset.
 
     Shifting every drive phase by -offset multiplies the off-diagonal
     element by exp(-i offset) and leaves the diagonal untouched.
     """
-    return TransferMatrix(stage.d, stage.o * cmath.exp(-1j * offset))
+    return _matrix(_with_offset(stage._row, offset))
 
 
 def _in_order(direction: str, stage, offset_stage):
@@ -97,6 +109,13 @@ def _in_order(direction: str, stage, offset_stage):
     raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
 
 
+def _cascade(row, dtheta, offset, direction: str):
+    """cascade's row for a stage row, dtheta and offset, floats or columns."""
+    section = _mapped(_turn, dtheta / 2.0, dtype=complex)
+    first, second = _in_order(direction, row, _with_offset(row, offset))
+    return _compose(second, _compose((section.real, section.imag, 0.0, 0.0), first))
+
+
 def cascade(spec: IsolatorSpec, direction: str) -> TransferMatrix:
     """Total cascade propagator (global phase dropped) for one direction.
 
@@ -104,21 +123,32 @@ def cascade(spec: IsolatorSpec, direction: str) -> TransferMatrix:
     part diag(e^{i dtheta/2}, e^{-i dtheta/2}); the global phase cannot
     affect any transmission power.
     """
-    section = TransferMatrix(cmath.exp(1j * (spec.delta_theta / 2.0)), 0.0)
-    first, second = _in_order(
-        direction, spec.stage, stage_with_offset(spec.stage, spec.rf_offset)
-    )
-    return compose(second, compose(section, first))
+    return _matrix(_cascade(spec.stage._row, spec.delta_theta, spec.rf_offset, direction))
+
+
+def _cross_power(row, dtheta, offset, direction: str):
+    """cross_power for a stage row, dtheta and offset, floats or columns."""
+    _, _, o_r, oi = _cascade(row, dtheta, offset, direction)
+    return abs2(o_r, oi)
 
 
 def cross_power(spec: IsolatorSpec, direction: str) -> float:
     """Cross transmission |T_12|^2 from the cascade matrix product."""
-    return abs(cascade(spec, direction).o) ** 2
+    return float(_cross_power(spec.stage._row, spec.delta_theta, spec.rf_offset, direction))
 
 
-def _gauge_angle(stage: TransferMatrix) -> float:
-    """2 arg D, the stage's contribution to the differential phase."""
-    return 2.0 * cmath.phase(stage.d)
+def _gauge_angle(row):
+    """2 arg D of a stage row, the stage's contribution to the differential phase."""
+    dr, di, _, _ = row
+    return 2.0 * _mapped(math.atan2, di, dr)
+
+
+def _closed_form(row, dtheta, offset):
+    """closed_form_powers for a stage row, floats or columns."""
+    dr, di, o_r, oi = row
+    amp = 2.0 * abs2(dr, di) * abs2(o_r, oi)
+    base = dtheta + _gauge_angle(row)
+    return amp * (1.0 + np.cos(base + offset)), amp * (1.0 + np.cos(base - offset))
 
 
 def closed_form_powers(stage: TransferMatrix, dtheta, offset):
@@ -128,9 +158,7 @@ def closed_form_powers(stage: TransferMatrix, dtheta, offset):
     dtheta and offset may be numpy arrays that broadcast together.
     Agrees with cross_power to machine precision for any unitary stage.
     """
-    amp = 2.0 * abs(stage.d) ** 2 * abs(stage.o) ** 2
-    base = dtheta + _gauge_angle(stage)
-    return amp * (1.0 + np.cos(base + offset)), amp * (1.0 + np.cos(base - offset))
+    return _closed_form(stage._row, dtheta, offset)
 
 
 def reciprocity_defect(spec: IsolatorSpec) -> float:
@@ -144,7 +172,7 @@ def effective_differential_phase(spec: IsolatorSpec) -> float:
     Replacing the stage by one with diagonal |D| and delta_theta by this
     value leaves both directional powers unchanged.
     """
-    return spec.delta_theta + _gauge_angle(spec.stage)
+    return spec.delta_theta + float(_gauge_angle(spec.stage._row))
 
 
 def contrast_db(fwd, bwd):
@@ -166,7 +194,7 @@ def optimal_phases(stage: TransferMatrix) -> tuple[float, float]:
     the forward cross power vanish while the backward one reaches 1;
     delta_theta is returned reduced to [0, 2 pi).
     """
-    return (_reduce_phase(math.pi / 2.0 - _gauge_angle(stage)), math.pi / 2.0)
+    return (_reduce_phase(math.pi / 2.0 - float(_gauge_angle(stage._row))), math.pi / 2.0)
 
 
 @dataclass(frozen=True)

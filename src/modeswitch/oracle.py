@@ -33,9 +33,9 @@ import numpy as np
 
 from .dynamics import (
     CouplerParams,
-    CouplingSegment,
     ModeState,
     Protocol,
+    _mapped,
 )
 
 # Default resolution: step * W, and the largest value accepted.  RK4
@@ -68,10 +68,12 @@ class IntegrationConfig:
 
 def generator(params: CouplerParams, phi: float) -> np.ndarray:
     """Coupling matrix H for phase phi."""
-    kappa = params.kappa0 * complex(math.cos(phi), math.sin(phi))
-    return np.array(
-        [[params.delta, kappa], [kappa.conjugate(), -params.delta]], dtype=complex
-    )
+    return _generator(params.delta, params.kappa0, phi)
+
+
+def _generator(delta: float, kappa0: float, phi: float) -> np.ndarray:
+    kappa = kappa0 * complex(math.cos(phi), math.sin(phi))
+    return np.array([[delta, kappa], [kappa.conjugate(), -delta]], dtype=complex)
 
 
 def _rk4_segment(h: np.ndarray, a: np.ndarray, duration: float, step: float) -> np.ndarray:
@@ -142,13 +144,14 @@ def integrate_matrix(
     return _rk4_protocol(params, protocol, np.eye(2, dtype=complex), config)
 
 
-def expm_propagator(params: CouplerParams, segment: CouplingSegment) -> np.ndarray:
-    """Segment propagator via scipy's scaling-and-squaring expm.
+def expm_propagator(delta, kappa0, phase, duration) -> np.ndarray:
+    """Propagator of a segment via scipy's scaling-and-squaring expm; for
+    equal-shape columns of segments, a stack of them from one expm call.
 
     scipy is imported here, not at module level: only the battery calls
     this, and every other command starts without loading scipy.linalg.
     """
     from scipy.linalg import expm
 
-    h = generator(params, segment.phase)
-    return expm(-1j * h * segment.duration)
+    h = _mapped(_generator, delta, kappa0, phase, dtype=(complex, (2, 2)))
+    return expm(-1j * h * np.asarray(duration)[..., None, None])

@@ -9,9 +9,15 @@ fraction cut against the amplitude propagator; plan_geometry checks
 that each planned switch point stays on the circle it leaves.
 
 A check whose contract is a formula over one case keeps that formula in
-a pure `<check>_residual(case...) -> float`.  check_<check> only draws
-its cases from the battery's rng and keeps the worst residual; the
-property tests call the same residual on cases of their own.
+a pure `<check>_residual(case...)`.  segment_splitting, propagator_vs_expm
+and isolator_identity take one case or equal-length numpy columns of
+cases, and return a float or an array.  Their checks, segment_unitarity
+and cone_floor draw all their cases at once, in the order one draw per
+call would take them, and evaluate the columns through the SU(2) kernel
+(dynamics._segment, _compose, _apply), bit for bit the scalar path.
+check_<check> only draws its cases from the battery's rng and keeps the
+worst residual, and a NaN residual fails it; the property tests call the
+same residual on cases of their own.
 
 inject_fault=True deliberately corrupts the reference used in the expm
 comparison: each segment's coupling phase is negated, which conjugates
@@ -24,18 +30,25 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass
-from functools import reduce
 
 import numpy as np
 
 from .dynamics import (
+    TWO_PI,
     CouplerParams,
     CouplingSegment,
     ModeState,
     Protocol,
+    Trajectory,
     TransferMatrix,
+    _apply,
+    _compose,
+    _mapped,
+    _reduce_phase,
+    _segment_columns,
+    _turn,
+    _unitarity_defect,
     abs2,
-    compose,
     propagate,
     protocol_propagator,
     remap_phases,
@@ -57,8 +70,9 @@ from .isolator import (
     BACKWARD,
     FORWARD,
     IsolatorSpec,
+    _closed_form,
+    _cross_power,
     cascade_trajectory,
-    closed_form_powers,
     cross_power,
     optimal_phases,
     pushpull_stage,
@@ -84,17 +98,53 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckRe
 
 
 def _worst(name: str, residuals: Iterable[float], tol: float, detail: str) -> CheckResult:
-    """Result at the largest residual, or 0 if none is positive."""
-    return _result(name, reduce(max, residuals, 0.0), tol, detail)
+    """Result at the largest residual, or 0 if none is positive.  np.max
+    keeps a NaN, so a NaN residual is the result, and it fails."""
+    if not isinstance(residuals, np.ndarray):
+        residuals = np.fromiter(residuals, float)
+    return _result(name, np.max(residuals, initial=0.0), tol, detail)
+
+
+# Uniform ranges of the random cases' drive: delta, kappa0 and phase.
+DELTAS = (-3.0, 3.0)
+KAPPAS = (0.1, 3.0)
+PHASES = (0.0, TWO_PI)
+
+
+def _draw(rng, n: int, *ranges: tuple[float, float]) -> np.ndarray:
+    """n cases of one uniform draw per range, as one column per range.
+    One call takes the same doubles, in the same order, as n cases of one
+    rng.uniform call per draw."""
+    low, high = zip(*ranges)
+    return rng.uniform(low, high, size=(n, len(ranges))).T
+
+
+def _rabi(delta, kappa0) -> np.ndarray:
+    """W of columns of (delta, kappa0), by math.hypot as CouplerParams.rabi."""
+    return _mapped(math.hypot, delta, kappa0)
+
+
+def _segment_rows(delta, kappa0, phase, duration):
+    """segment_propagator's row for columns of segments, the phase reduced as
+    CouplingSegment stores it."""
+    turn = _mapped(_turn, _mapped(_reduce_phase, phase), dtype=complex)
+    return _segment_columns(delta, kappa0, _rabi(delta, kappa0), turn, duration)
+
+
+def _matrices(row) -> np.ndarray:
+    """TransferMatrix.as_array of a row, or a stack of them for columns."""
+    dr, di, o_r, oi = np.broadcast_arrays(*row)
+    parts = np.stack((dr, di, o_r, oi, -o_r, oi, dr, -di), axis=-1)
+    return parts.view(complex).reshape(*dr.shape, 2, 2)
 
 
 def _random_params(rng) -> CouplerParams:
-    return CouplerParams(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0))
+    return CouplerParams(rng.uniform(*DELTAS), rng.uniform(*KAPPAS))
 
 
 def _random_segment(rng, max_wt: float) -> tuple[CouplerParams, CouplingSegment]:
     params = _random_params(rng)
-    seg = CouplingSegment(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, max_wt) / params.rabi)
+    seg = CouplingSegment(rng.uniform(*PHASES), rng.uniform(0.0, max_wt) / params.rabi)
     return params, seg
 
 
@@ -115,13 +165,15 @@ def _random_state(rng) -> ModeState:
     return ModeState(complex(a[0], a[1]), complex(a[2], a[3])).normalized()
 
 
-def _matrix_mismatch(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(a - b).max())
+def _matrix_mismatch(a: np.ndarray, b: np.ndarray):
+    """Largest |a - b| entry of two 2x2 matrices, or per matrix of two stacks."""
+    return np.abs(a - b).max(axis=(-2, -1))[()]
 
 
 def check_segment_unitarity(rng, n: int) -> CheckResult:
-    defects = (segment_propagator(*_random_segment(rng, 4.0)).unitarity_defect for _ in range(n))
-    return _worst("segment_unitarity", defects, 1e-12, f"{n} random segments")
+    delta, kappa0, phase, wt = _draw(rng, n, DELTAS, KAPPAS, PHASES, (0.0, 4.0))
+    rows = _segment_rows(delta, kappa0, phase, wt / _rabi(delta, kappa0))
+    return _worst("segment_unitarity", _unitarity_defect(rows), 1e-12, f"{n} random segments")
 
 
 def check_norm_conservation(rng, n: int) -> CheckResult:
@@ -136,25 +188,21 @@ def check_norm_conservation(rng, n: int) -> CheckResult:
     return _worst("norm_conservation", residuals(), 1e-12, f"{n} random protocols")
 
 
-def segment_splitting_residual(params: CouplerParams, phase: float, t1: float, t2: float) -> float:
-    """One segment of t1 + t2 against the same phase held for t1, then t2."""
-    whole = segment_propagator(params, CouplingSegment(phase, t1 + t2))
-    split = compose(
-        segment_propagator(params, CouplingSegment(phase, t2)),
-        segment_propagator(params, CouplingSegment(phase, t1)),
+def segment_splitting_residual(delta, kappa0, phase, t1, t2):
+    """One segment of t1 + t2 against the same phase held for t1, then t2;
+    one case, or columns of cases."""
+    whole = _segment_rows(delta, kappa0, phase, t1 + t2)
+    split = _compose(
+        _segment_rows(delta, kappa0, phase, t2), _segment_rows(delta, kappa0, phase, t1)
     )
-    return _matrix_mismatch(whole.as_array(), split.as_array())
+    return _matrix_mismatch(_matrices(whole), _matrices(split))
 
 
 def check_segment_splitting(rng, n: int) -> CheckResult:
-    def residuals():
-        for _ in range(n):
-            params = _random_params(rng)
-            phase = rng.uniform(0.0, 2.0 * math.pi)
-            t1, t2 = rng.uniform(0.0, 2.0, size=2) / params.rabi
-            yield segment_splitting_residual(params, phase, t1, t2)
-
-    return _worst("segment_splitting", residuals(), 1e-12, f"{n} random splits")
+    delta, kappa0, phase, u1, u2 = _draw(rng, n, DELTAS, KAPPAS, PHASES, (0.0, 2.0), (0.0, 2.0))
+    w = _rabi(delta, kappa0)
+    residuals = segment_splitting_residual(delta, kappa0, phase, u1 / w, u2 / w)
+    return _worst("segment_splitting", residuals, 1e-12, f"{n} random splits")
 
 
 def check_static_peak(rng, n: int) -> CheckResult:
@@ -185,20 +233,24 @@ def check_rk4_agreement(rng, n: int) -> CheckResult:
     return _worst("propagator_vs_rk4", residuals, 1e-8, f"{n} random protocols")
 
 
-def propagator_vs_expm_residual(params: CouplerParams, seg: CouplingSegment) -> float:
-    """Closed-form segment propagator against scipy's expm of its Hamiltonian."""
-    exact = segment_propagator(params, seg).as_array()
-    return _matrix_mismatch(exact, expm_propagator(params, seg))
+def _expm_mismatch(delta, kappa0, phase, duration, fault: bool = False):
+    exact = _matrices(_segment_rows(delta, kappa0, phase, duration))
+    # The reference's phase, stored reduced as CouplingSegment does.  The
+    # deliberate corruption that proves the battery can fail negates it.
+    phase = _mapped(_reduce_phase, phase)
+    reference_phase = _mapped(_reduce_phase, -phase) if fault else phase
+    return _matrix_mismatch(exact, expm_propagator(delta, kappa0, reference_phase, duration))
+
+
+def propagator_vs_expm_residual(delta, kappa0, phase, duration):
+    """Closed-form segment propagator against scipy's expm of its
+    Hamiltonian; one case, or columns of cases."""
+    return _expm_mismatch(delta, kappa0, phase, duration)
 
 
 def check_expm_agreement(rng, n: int, inject_fault: bool) -> CheckResult:
-    def conjugated_reference(params: CouplerParams, seg: CouplingSegment) -> float:
-        # Deliberate corruption used to prove the battery can fail.
-        ref = expm_propagator(params, CouplingSegment(-seg.phase, seg.duration))
-        return _matrix_mismatch(segment_propagator(params, seg).as_array(), ref)
-
-    residual = conjugated_reference if inject_fault else propagator_vs_expm_residual
-    residuals = (residual(*_random_segment(rng, 3.0)) for _ in range(n))
+    delta, kappa0, phase, wt = _draw(rng, n, DELTAS, KAPPAS, PHASES, (0.0, 3.0))
+    residuals = _expm_mismatch(delta, kappa0, phase, wt / _rabi(delta, kappa0), inject_fault)
     detail = f"{n} random segments" + (" [fault injected]" if inject_fault else "")
     return _worst("propagator_vs_expm", residuals, 1e-10, detail)
 
@@ -246,17 +298,33 @@ def check_precession_rigidity(rng, n: int) -> CheckResult:
     return _worst("precession_rigidity", residuals(), 1e-12, f"{n} random axes")
 
 
-def check_cone_floor(rng, n: int) -> CheckResult:
-    def residuals():
-        for _ in range(n):
-            params = _random_params(rng)
-            # A half period covers the full circle depth.
-            seg = CouplingSegment(rng.uniform(0.0, 2.0 * math.pi), math.pi / params.rabi)
-            traj = propagate(params, Protocol((seg,)), ModeState.mode1(), 128)
-            yield cone_floor(params) - float(to_bloch(traj).w.min())
+# Cases sampled together by check_cone_floor, 129 samples each: all 200
+# of a full battery at once would raise the battery's peak memory.
+CONE_CHUNK = 16
 
+
+def _cone_floor_residuals(delta, kappa0, phase) -> np.ndarray:
+    """cone_floor against the lowest w of propagate's 128 samples of a half
+    period from mode 1, for columns of (delta, kappa0, phase).  A sample at
+    t of one segment is the segment's piece of duration t applied to mode 1."""
+    floor = _mapped(lambda d, k: cone_floor(CouplerParams(d, k)), delta, kappa0)
+    # A half period covers the full circle depth.
+    total = math.pi / _rabi(delta, kappa0)[:, None]
+    t = total * np.arange(129) / 128
+    t[:, -1] = total[:, 0]
+    rows = _segment_rows(delta[:, None], kappa0[:, None], phase[:, None], t)
+    mode1 = ModeState.mode1()
+    a1, a2 = np.moveaxis(np.stack(_apply(rows, mode1.a1, mode1.a2), axis=-1).view(complex), -1, 0)
+    return floor - to_bloch(Trajectory(t, a1, a2)).w.min(axis=1)
+
+
+def check_cone_floor(rng, n: int) -> CheckResult:
+    cases = _draw(rng, n, DELTAS, KAPPAS, PHASES)
+    residuals = np.concatenate(
+        [_cone_floor_residuals(*cases[:, lo : lo + CONE_CHUNK]) for lo in range(0, n, CONE_CHUNK)]
+    )
     # The sampled minimum may sit above the floor, but never below it.
-    return _worst("cone_floor", residuals(), 1e-9, f"{n} static trajectories")
+    return _worst("cone_floor", residuals, 1e-9, f"{n} static trajectories")
 
 
 _SEED_AXIS = np.linspace(0.0, math.pi, 48)
@@ -462,27 +530,34 @@ def check_rk4_convergence(rng, n: int) -> CheckResult:
     )
 
 
-def isolator_identity_residual(spec: IsolatorSpec) -> float:
-    """closed_form_powers against the cascade's matrix product, both directions."""
-    closed = closed_form_powers(spec.stage, spec.delta_theta, spec.rf_offset)
-    return max(abs(cross_power(spec, d) - p) for d, p in zip((FORWARD, BACKWARD), closed))
+def isolator_identity_residual(d, o, theta1, theta2, rf_offset):
+    """closed_form_powers against the cascade's matrix product, both
+    directions, for the stage [[d, o], [-conj(o), conj(d)]] and the phases
+    of an IsolatorSpec; one case, or columns of cases."""
+    stage = (d.real, d.imag, o.real, o.imag)
+    dtheta = theta1 - theta2
+    closed = _closed_form(stage, dtheta, rf_offset)
+    fwd, bwd = (
+        abs(_cross_power(stage, dtheta, rf_offset, direction) - p)
+        for direction, p in zip((FORWARD, BACKWARD), closed)
+    )
+    return np.maximum(fwd, bwd)[()]
 
 
 def check_isolator_identity(rng, n: int) -> CheckResult:
-    def residuals():
-        for _ in range(n):
-            alpha = rng.uniform(0.0, math.pi / 2.0)
-            d = math.cos(alpha) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-            o = math.sin(alpha) * np.exp(1j * rng.uniform(-math.pi, math.pi))
-            stage = TransferMatrix(complex(d), complex(o))
-            thetas = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(3)]
-            yield isolator_identity_residual(IsolatorSpec(stage, *thetas))
-        # Reciprocity zeros: offset 0, and effective differential phase 0.
-        stage = TransferMatrix(math.sqrt(0.5), 1j * math.sqrt(0.5))
-        yield reciprocity_defect(IsolatorSpec(stage, 1.3, 0.4, 0.0))
-        yield reciprocity_defect(IsolatorSpec(stage, 0.0, 0.0, 2.1))
-
-    return _worst("isolator_identity", residuals(), 1e-12, f"{n} random cascades")
+    alpha, arg_d, arg_o, theta1, theta2, offset = _draw(
+        rng, n, (0.0, math.pi / 2.0), (-math.pi, math.pi), (-math.pi, math.pi), PHASES, PHASES, PHASES
+    )
+    d = _mapped(math.cos, alpha) * np.exp(1j * arg_d)
+    o = _mapped(math.sin, alpha) * np.exp(1j * arg_o)
+    # Reciprocity zeros: offset 0, and effective differential phase 0.
+    stage = TransferMatrix(math.sqrt(0.5), 1j * math.sqrt(0.5))
+    zeros = [
+        reciprocity_defect(IsolatorSpec(stage, 1.3, 0.4, 0.0)),
+        reciprocity_defect(IsolatorSpec(stage, 0.0, 0.0, 2.1)),
+    ]
+    residuals = np.append(isolator_identity_residual(d, o, theta1, theta2, offset), zeros)
+    return _worst("isolator_identity", residuals, 1e-12, f"{n} random cascades")
 
 
 def isolator_offset_realization_residual(

@@ -723,6 +723,12 @@ def test_verify_fault_injection_fails():
     assert passed.passed
 
 
+def test_fast_fault_battery_fails_only_propagator_vs_expm():
+    # The README's promise for `verify --fast --inject-fault`.
+    results = verify.run_battery(fast=True, inject_fault=True)
+    assert [r.name for r in results if not r.passed] == ["propagator_vs_expm"]
+
+
 def test_verify_exits_1_and_reports_a_failing_check(tmp_path, capsys, monkeypatch):
     failing = CheckResult("propagator_vs_expm", False, 0.5, 1e-10, "stub")
     monkeypatch.setattr(verify, "run_battery", lambda **kwargs: [failing])

@@ -90,7 +90,7 @@ angles = st.floats(-6.0, 6.0)
 
 @given(unitary_stages(), angles, angles, angles)
 def test_closed_form_matches_matrix_product(stage, t1, t2, off):
-    assert verify.isolator_identity_residual(IsolatorSpec(stage, t1, t2, off)) <= 1e-12
+    assert verify.isolator_identity_residual(stage.d, stage.o, t1, t2, off) <= 1e-12
 
 
 def test_canonical_gauge_preserves_response():

@@ -1,0 +1,187 @@
+"""The battery's column checks, bit for bit the per-case loops they replace.
+
+segment_unitarity, segment_splitting, cone_floor, isolator_identity and
+propagator_vs_expm draw all their cases at once and evaluate them as
+columns.  Each reference below is the per-case loop such a check runs
+with the scalar API: one CouplerParams, CouplingSegment and TransferMatrix
+per case.  Where the library now shares its column code with the scalar
+path (unitarity_defect, the isolator's cascade and closed form), the
+reference writes the formula out in Python complex arithmetic instead.
+Every per-case residual must agree as float.hex, and the rng must be left
+in the same state, so that every later check sees the same draws."""
+
+import cmath
+import math
+from functools import reduce
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+from modeswitch import (
+    BACKWARD,
+    FORWARD,
+    CouplerParams,
+    CouplingSegment,
+    ModeState,
+    Protocol,
+    TransferMatrix,
+    compose,
+    cone_floor,
+    generator,
+    propagate,
+    segment_propagator,
+    to_bloch,
+    verify,
+)
+
+
+def random_params(rng):
+    return CouplerParams(rng.uniform(-3.0, 3.0), rng.uniform(0.1, 3.0))
+
+
+def random_segment(rng, max_wt):
+    params = random_params(rng)
+    seg = CouplingSegment(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, max_wt) / params.rabi)
+    return params, seg
+
+
+def matrix_mismatch(a, b):
+    return float(np.abs(a - b).max())
+
+
+def segment_unitarity(rng, n):
+    for _ in range(n):
+        m = segment_propagator(*random_segment(rng, 4.0))
+        yield abs(abs(m.d) ** 2 + abs(m.o) ** 2 - 1.0)
+
+
+def segment_splitting(rng, n):
+    for _ in range(n):
+        params = random_params(rng)
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        t1, t2 = rng.uniform(0.0, 2.0, size=2) / params.rabi
+        whole = segment_propagator(params, CouplingSegment(phase, t1 + t2))
+        split = compose(
+            segment_propagator(params, CouplingSegment(phase, t2)),
+            segment_propagator(params, CouplingSegment(phase, t1)),
+        )
+        yield matrix_mismatch(whole.as_array(), split.as_array())
+
+
+def propagator_vs_expm(rng, n, inject_fault):
+    for _ in range(n):
+        params, seg = random_segment(rng, 3.0)
+        # The fault conjugates the reference: its phase negated, and reduced.
+        ref = CouplingSegment(-seg.phase, seg.duration) if inject_fault else seg
+        exact = segment_propagator(params, seg).as_array()
+        yield matrix_mismatch(exact, expm(-1j * generator(params, ref.phase) * ref.duration))
+
+
+def cone_floor_residuals(rng, n):
+    for _ in range(n):
+        params = random_params(rng)
+        seg = CouplingSegment(rng.uniform(0.0, 2.0 * math.pi), math.pi / params.rabi)
+        traj = propagate(params, Protocol((seg,)), ModeState.mode1(), 128)
+        yield cone_floor(params) - float(to_bloch(traj).w.min())
+
+
+def complex_compose(later, earlier):
+    return TransferMatrix(
+        later.d * earlier.d - later.o * earlier.o.conjugate(),
+        later.d * earlier.o + later.o * earlier.d.conjugate(),
+    )
+
+
+def cross_power(stage, dtheta, offset, direction):
+    section = TransferMatrix(cmath.exp(1j * (dtheta / 2.0)), 0.0)
+    shifted = TransferMatrix(stage.d, stage.o * cmath.exp(-1j * offset))
+    first, second = (stage, shifted) if direction == FORWARD else (shifted, stage)
+    return abs(complex_compose(second, complex_compose(section, first)).o) ** 2
+
+
+def isolator_identity(rng, n):
+    for _ in range(n):
+        alpha = rng.uniform(0.0, math.pi / 2.0)
+        d = math.cos(alpha) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        o = math.sin(alpha) * np.exp(1j * rng.uniform(-math.pi, math.pi))
+        stage = TransferMatrix(complex(d), complex(o))
+        theta1, theta2, offset = (rng.uniform(0.0, 2.0 * math.pi) for _ in range(3))
+        dtheta = theta1 - theta2
+        amp = 2.0 * abs(stage.d) ** 2 * abs(stage.o) ** 2
+        base = dtheta + 2.0 * cmath.phase(stage.d)
+        closed = amp * (1.0 + np.cos(base + offset)), amp * (1.0 + np.cos(base - offset))
+        yield max(
+            abs(cross_power(stage, dtheta, offset, direction) - p)
+            for direction, p in zip((FORWARD, BACKWARD), closed)
+        )
+    stage = TransferMatrix(math.sqrt(0.5), 1j * math.sqrt(0.5))
+    for dtheta, offset in ((1.3 - 0.4, 0.0), (0.0 - 0.0, 2.1)):
+        yield abs(
+            cross_power(stage, dtheta, offset, FORWARD)
+            - cross_power(stage, dtheta, offset, BACKWARD)
+        )
+
+
+# name: (column check, its per-case reference, full case count, extra argument)
+CHECKS = {
+    "segment_unitarity": (verify.check_segment_unitarity, segment_unitarity, 2000, ()),
+    "segment_splitting": (verify.check_segment_splitting, segment_splitting, 300, ()),
+    "cone_floor": (verify.check_cone_floor, cone_floor_residuals, 200, ()),
+    "isolator_identity": (verify.check_isolator_identity, isolator_identity, 1000, ()),
+    "propagator_vs_expm": (verify.check_expm_agreement, propagator_vs_expm, 200, (False,)),
+    "propagator_vs_expm, fault": (verify.check_expm_agreement, propagator_vs_expm, 200, (True,)),
+}
+
+
+def hexed(values):
+    return [float(x).hex() for x in values]
+
+
+@pytest.mark.parametrize("name", CHECKS)
+@settings(max_examples=8)
+@given(st.integers(0, 2**64 - 1))
+@example(20240817)
+@example(528034840)
+def test_column_check_is_the_per_case_loop_bit_for_bit(name, seed):
+    check, reference, full, extra = CHECKS[name]
+    for n in (full, max(3, int(full * 0.2))):
+        ref_rng = np.random.default_rng(seed)
+        want = list(reference(ref_rng, n, *extra))
+        rng = np.random.default_rng(seed)
+        seen = []
+        worst = verify._worst
+
+        def spy(*args):
+            seen.append(args[1])
+            return worst(*args)
+
+        with mock.patch.object(verify, "_worst", spy):
+            result = check(rng, n, *extra)
+        [got] = seen
+        assert hexed(got) == hexed(want)
+        assert result.residual.hex() == reduce(max, want, 0.0).hex()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "residuals",
+    [[math.nan], [1e-13, math.nan, 2e-13], (x for x in (math.nan, 1e-13)), np.array([0.0, np.nan])],
+)
+def test_a_nan_residual_fails_and_is_reported(residuals):
+    result = verify._worst("x", residuals, 1e-12, "")
+    assert not result.passed
+    assert math.isnan(result.residual)
+
+
+def test_a_kernel_that_returns_nan_fails_its_check():
+    def nan_defects(row):
+        return np.full(np.shape(row[0]), np.nan)
+
+    with mock.patch.object(verify, "_unitarity_defect", nan_defects):
+        result = verify.check_segment_unitarity(np.random.default_rng(1), 10)
+    assert not result.passed
+    assert math.isnan(result.residual)
