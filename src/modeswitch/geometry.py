@@ -97,11 +97,12 @@ class RotationAxis:
         if len(n) != 3:
             raise ValueError("axis must have three components")
         nn = math.sqrt(sum(x * x for x in n))
-        if abs(nn - 1.0) > UNIT_TOL:
+        # Both guards are written so that a NaN fails them.
+        if not abs(nn - 1.0) <= UNIT_TOL:
             raise ValueError("axis must be a unit vector")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "omega", float(self.omega))
-        if self.omega <= 0.0:
+        if not self.omega > 0.0:
             raise ValueError("precession rate must be positive")
 
     def as_array(self) -> np.ndarray:
@@ -109,7 +110,9 @@ class RotationAxis:
 
 
 def rotation_axis(params: CouplerParams, phi: float) -> RotationAxis:
-    """Precession axis for coupling phase phi."""
+    """Precession axis for coupling phase phi, which must be finite."""
+    if not math.isfinite(phi):
+        raise ValueError(f"coupling phase phi = {phi!r} must be finite")
     w = params.rabi
     return RotationAxis(
         (
@@ -143,11 +146,22 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
+def _dot(a, b) -> float:
+    """a . b for two 3-vectors, the left-to-right sum a0 b0 + a1 b1 + a2 b2
+    of Python floats.
+
+    np.dot rounds in numpy's dot kernel, which may differ by numpy build
+    and CPU, and which a column of such products cannot replay."""
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
 def _rotate(n: np.ndarray, p: np.ndarray, angle: float) -> np.ndarray:
     """Right-handed rotation of p about unit axis n by angle."""
     c = math.cos(angle)
     s = math.sin(angle)
-    return p * c + _cross(n, p) * s + n * np.dot(n, p) * (1.0 - c)
+    return p * c + _cross(n, p) * s + n * _dot(n, p) * (1.0 - c)
 
 
 def bloch_precess(axis: RotationAxis, start: BlochVector, t: float) -> BlochVector:
@@ -172,13 +186,13 @@ def precession_leg(axis: RotationAxis, start: BlochVector, along) -> tuple[float
     n = axis.as_array()
     p = start.as_array()
     a = np.asarray(along, dtype=float)
-    height = float(np.dot(n, p))
+    height = _dot(n, p)
     perp = p - height * n
     # Precession turns perp by -2 W s, so r cos(chi) = a . perp and
     # r sin(chi) = a . (n x perp).
-    r_cos = float(np.dot(a, perp))
-    r_sin = float(np.dot(a, _cross(n, perp)))
-    return height * float(np.dot(a, n)), math.hypot(r_cos, r_sin), math.atan2(r_sin, r_cos)
+    r_cos = _dot(a, perp)
+    r_sin = _dot(a, _cross(n, perp))
+    return height * _dot(a, n), math.hypot(r_cos, r_sin), math.atan2(r_sin, r_cos)
 
 
 def leg_time(axis: RotationAxis, chi: float, angle: float) -> float:

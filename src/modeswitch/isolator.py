@@ -73,7 +73,8 @@ class IsolatorSpec:
     rf_offset: float
 
     def __post_init__(self) -> None:
-        if self.stage.unitarity_defect > UNITARY_TOL:
+        # Written so that a NaN defect fails it too.
+        if not self.stage.unitarity_defect <= UNITARY_TOL:
             raise ValueError("stage matrix must be unitary")
         object.__setattr__(self, "theta1", float(self.theta1))
         object.__setattr__(self, "theta2", float(self.theta2))
@@ -219,7 +220,7 @@ class ContrastSweep:
 def contrast_sweep(stage: TransferMatrix, n: int = 64) -> ContrastSweep:
     if n < 2:
         raise ValueError("sweep needs n >= 2")
-    if stage.unitarity_defect > UNITARY_TOL:
+    if not stage.unitarity_defect <= UNITARY_TOL:
         raise ValueError("stage matrix must be unitary")
     dthetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     offsets = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)

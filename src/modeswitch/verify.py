@@ -59,6 +59,7 @@ from .geometry import (
     NORTH,
     BlochVector,
     RotationAxis,
+    _dot,
     bloch_precess,
     cone_floor,
     leg_time,
@@ -277,11 +278,11 @@ def check_bloch_consistency(rng, n: int) -> CheckResult:
 def precession_rigidity_residual(axis: RotationAxis, start: BlochVector, times) -> float:
     """Norm and axis component of a unit point precessed for each of the times."""
     n = axis.as_array()
-    axial0 = float(np.dot(n, start.as_array()))
+    axial0 = _dot(n, start.as_array())
     worst = 0.0
     for t in times:
         moved = bloch_precess(axis, start, float(t))
-        worst = max(worst, abs(moved.norm - 1.0), abs(float(np.dot(n, moved.as_array())) - axial0))
+        worst = max(worst, abs(moved.norm - 1.0), abs(_dot(n, moved.as_array()) - axial0))
     return worst
 
 
@@ -291,7 +292,7 @@ def check_precession_rigidity(rng, n: int) -> CheckResult:
             params = _random_params(rng)
             axis = rotation_axis(params, rng.uniform(0.0, 2.0 * math.pi))
             p = rng.normal(size=3)
-            start = BlochVector.from_array(p / np.linalg.norm(p))
+            start = BlochVector.from_array(p / math.sqrt(_dot(p, p)))
             times = rng.uniform(0.0, 5.0 / params.rabi, size=5)
             yield precession_rigidity_residual(axis, start, times)
 
@@ -442,7 +443,7 @@ def precession_leg_residual(
         (leg_time(axis, chi, angle), c + r * math.cos(angle)),
     ):
         moved = segment_propagator(params, CouplingSegment(seg.phase, s)).apply(state)
-        worst = max(worst, abs(float(np.dot(along, to_bloch(moved).as_array())) - predicted))
+        worst = max(worst, abs(_dot(along, to_bloch(moved).as_array()) - predicted))
     return worst
 
 
@@ -452,7 +453,7 @@ def check_precession_leg(rng, n: int) -> CheckResult:
             params, seg = _random_segment(rng, 4.0)
             state = _random_state(rng)
             along = rng.normal(size=3)
-            along /= np.linalg.norm(along)
+            along /= math.sqrt(_dot(along, along))
             angle = rng.uniform(0.0, 2.0 * math.pi)
             yield precession_leg_residual(params, seg, state, along, angle)
 
@@ -484,8 +485,8 @@ def plan_geometry_residual(params: CouplerParams, plan: StaircasePlan) -> float:
     worst = 0.0
     for seg, entry, leave in zip(plan.protocol.segments, states, states[1:]):
         n = rotation_axis(params, seg.phase).as_array()
-        enter_angle = math.acos(float(np.clip(np.dot(n, entry.as_array()), -1.0, 1.0)))
-        leave_angle = math.acos(float(np.clip(np.dot(n, leave.as_array()), -1.0, 1.0)))
+        enter_angle = math.acos(float(np.clip(_dot(n, entry.as_array()), -1.0, 1.0)))
+        leave_angle = math.acos(float(np.clip(_dot(n, leave.as_array()), -1.0, 1.0)))
         worst = max(worst, abs(leave_angle - enter_angle))
     return worst
 

@@ -18,6 +18,7 @@ from modeswitch import (
     leg_time,
     precession_leg,
     rotation_axis,
+    solve_two_step,
     static_max_transfer,
     tilt_angle,
     to_bloch,
@@ -60,6 +61,23 @@ def test_rotation_axis_components():
     assert axis.omega == pytest.approx(math.sqrt(2.0))
     with pytest.raises(ValueError):
         RotationAxis((1.0, 1.0, 0.0), 1.0)  # not unit length
+
+
+@pytest.mark.parametrize(
+    "n, omega",
+    [((math.nan, 0.0, 0.0), 1.0), ((0.0, 0.0, 1.0), math.nan), ((1.0, math.nan, 0.0), 1.0)],
+)
+def test_rotation_axis_rejects_nan(n, omega):
+    with pytest.raises(ValueError):
+        RotationAxis(n, omega)
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_phase_is_named(phi):
+    params = CouplerParams(0.5, 1.0)
+    for call in (rotation_axis, solve_two_step):
+        with pytest.raises(ValueError, match="phase phi"):
+            call(params, phi)
 
 
 def test_tilt_angle_sign():

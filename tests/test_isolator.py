@@ -55,6 +55,15 @@ def test_spec_rejects_nonunitary_stage():
         IsolatorSpec(bad, 0.0, 0.0, 0.0)
 
 
+def test_a_nan_stage_is_rejected():
+    # The guards read "not defect <= tol", so a NaN defect fails them.
+    stage = TransferMatrix(complex("nan"), 0.0)
+    with pytest.raises(ValueError, match="unitary"):
+        IsolatorSpec(stage, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="unitary"):
+        contrast_sweep(stage, n=8)
+
+
 def test_cascade_matches_full_matrix_product():
     rng = np.random.default_rng(11)
     for _ in range(25):
