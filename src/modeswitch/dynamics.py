@@ -161,14 +161,16 @@ def remap_phases(protocol: Protocol, shift: float) -> Protocol:
 
 @dataclass(frozen=True)
 class ModeState:
-    """Complex amplitude pair (a1, a2)."""
+    """Complex amplitude pair (a1, a2), or columns of pairs for the kernel
+    and geometry.to_bloch."""
 
     a1: complex
     a2: complex
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a1", complex(self.a1))
-        object.__setattr__(self, "a2", complex(self.a2))
+        if not isinstance(self.a1, np.ndarray):
+            object.__setattr__(self, "a1", complex(self.a1))
+            object.__setattr__(self, "a2", complex(self.a2))
 
     @classmethod
     def mode1(cls) -> "ModeState":

@@ -18,6 +18,12 @@ Trajectories under one segment are therefore circles on the sphere.
 Along any fixed direction the height of a precessing point is one
 sinusoid in time (precession_leg), so the time at which a leg reaches a
 given height is one acos (leg_time).
+
+Like the SU(2) kernel in modeswitch.dynamics, the algebra takes one case
+or numpy columns of cases, bit for bit alike: a 3-vector is any three
+floats or equal-shape columns (a tuple, a BlochVector, a (3, ...) array),
+summed elementwise, never in numpy's dot kernel, and cos, sin, hypot,
+atan2 and % are math's, entry by entry (_each).
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CouplerParams, ModeState, Trajectory, abs2, cmul
+from .dynamics import CouplerParams, ModeState, Trajectory, _mapped, _reduce_phase, abs2, cmul
 
 # Absolute angular tolerance (rad): a turn this short of a full circle is
 # rounding of a leg that starts on its target (leg_time).
@@ -37,9 +43,14 @@ ANGLE_TOL = 1e-9
 UNIT_TOL = 1e-9
 
 
+def _each(fn, *args):
+    """fn of floats, or of equal-shape columns entry by entry (_mapped)."""
+    return _mapped(fn, *args) if isinstance(args[0], np.ndarray) else fn(*args)
+
+
 @dataclass(frozen=True)
 class BlochVector:
-    """One point (u, v, w), or the columns of a trajectory's points."""
+    """One point (u, v, w), or columns of points; iterating gives (u, v, w)."""
 
     u: float
     v: float
@@ -51,16 +62,16 @@ class BlochVector:
             object.__setattr__(self, "v", float(self.v))
             object.__setattr__(self, "w", float(self.w))
 
-    @classmethod
-    def from_array(cls, arr) -> "BlochVector":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
+    def __iter__(self):
+        return iter((self.u, self.v, self.w))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.u, self.v, self.w], dtype=float)
 
     @property
     def norm(self) -> float:
-        return math.sqrt(self.u**2 + self.v**2 + self.w**2)
+        """|p|, each square by C pow as a float's ** takes it."""
+        return np.sqrt(sum(np.float_power(x, 2.0) for x in self))
 
 
 NORTH = BlochVector(0.0, 0.0, 1.0)
@@ -87,40 +98,41 @@ def to_bloch(state: ModeState | Trajectory) -> BlochVector:
 
 @dataclass(frozen=True)
 class RotationAxis:
-    """Unit precession axis together with the rate W (rad/s)."""
+    """Unit precession axis together with the rate W (rad/s), or columns of
+    them: omega a column, and n three columns of its shape."""
 
     n: tuple[float, float, float]
     omega: float
 
     def __post_init__(self) -> None:
-        n = tuple(float(x) for x in self.n)
+        columns = isinstance(self.omega, np.ndarray)
+        n = tuple(self.n) if columns else tuple(map(float, self.n))
         if len(n) != 3:
             raise ValueError("axis must have three components")
-        nn = math.sqrt(sum(x * x for x in n))
-        # Both guards are written so that a NaN fails them.
-        if not abs(nn - 1.0) <= UNIT_TOL:
-            raise ValueError("axis must be a unit vector")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "omega", float(self.omega))
-        if not self.omega > 0.0:
+        object.__setattr__(self, "omega", self.omega if columns else float(self.omega))
+        # Both guards must hold in every entry, and a NaN fails them.
+        unit = abs(_each(math.sqrt, _dot(n, n)) - 1.0) <= UNIT_TOL
+        if not (unit.all() if columns else unit):
+            raise ValueError("axis must be a unit vector")
+        if not ((self.omega > 0.0).all() if columns else self.omega > 0.0):
             raise ValueError("precession rate must be positive")
 
     def as_array(self) -> np.ndarray:
         return np.array(self.n, dtype=float)
 
 
-def rotation_axis(params: CouplerParams, phi: float) -> RotationAxis:
-    """Precession axis for coupling phase phi, which must be finite."""
-    if not math.isfinite(phi):
+def rotation_axis(params, phi) -> RotationAxis:
+    """Precession axis for coupling phase phi, which must be finite: of a
+    CouplerParams and a float, or of (delta, kappa0) and phi columns of one
+    shape, W by math.hypot as CouplerParams.rabi takes it."""
+    delta, kappa0 = (params.delta, params.kappa0) if isinstance(params, CouplerParams) else params
+    finite = abs(phi) < math.inf
+    if not (finite.all() if isinstance(finite, np.ndarray) else finite):
         raise ValueError(f"coupling phase phi = {phi!r} must be finite")
-    w = params.rabi
+    w = _each(math.hypot, delta, kappa0)
     return RotationAxis(
-        (
-            params.kappa0 * math.cos(phi) / w,
-            params.kappa0 * math.sin(phi) / w,
-            params.delta / w,
-        ),
-        w,
+        (kappa0 * _each(math.cos, phi) / w, kappa0 * _each(math.sin, phi) / w, delta / w), w
     )
 
 
@@ -134,34 +146,35 @@ def tilt_angle(params: CouplerParams) -> float:
     return math.atan2(params.delta, params.kappa0)
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cross(a, b):
     """a x b for two 3-vectors, with np.cross's products and differences.
 
-    The same arithmetic on Python floats, so it equals np.cross bit for
-    bit without np.cross's axis handling, which took most of its 24 us a
-    call against 1.4 us for this (2-vCPU host, numpy 2.4).
+    The same arithmetic on floats, so it equals np.cross bit for bit
+    without np.cross's axis handling, which took most of its 24 us a call
+    against 1.4 us for this (2-vCPU host, numpy 2.4).
     """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
 
 
-def _dot(a, b) -> float:
-    """a . b for two 3-vectors, the left-to-right sum a0 b0 + a1 b1 + a2 b2
-    of Python floats.
+def _dot(a, b):
+    """a . b for two 3-vectors, the left-to-right sum a0 b0 + a1 b1 + a2 b2.
 
     np.dot rounds in numpy's dot kernel, which may differ by numpy build
     and CPU, and which a column of such products cannot replay."""
-    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
-    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    a0, a1, a2 = a
+    b0, b1, b2 = b
     return a0 * b0 + a1 * b1 + a2 * b2
 
 
-def _rotate(n: np.ndarray, p: np.ndarray, angle: float) -> np.ndarray:
-    """Right-handed rotation of p about unit axis n by angle."""
-    c = math.cos(angle)
-    s = math.sin(angle)
-    return p * c + _cross(n, p) * s + n * _dot(n, p) * (1.0 - c)
+def _rotate(n, p, angle):
+    """Right-handed rotation of p about unit axis n by angle, as a tuple:
+    p cos + (n x p) sin + n (n . p)(1 - cos)."""
+    c = _each(math.cos, angle)
+    s = _each(math.sin, angle)
+    d = _dot(n, p)
+    return tuple(pk * c + xk * s + nk * d * (1.0 - c) for pk, xk, nk in zip(p, _cross(n, p), n))
 
 
 def bloch_precess(axis: RotationAxis, start: BlochVector, t: float) -> BlochVector:
@@ -170,9 +183,7 @@ def bloch_precess(axis: RotationAxis, start: BlochVector, t: float) -> BlochVect
     The physical sense is a rotation by -2*omega*t in the right-hand
     convention about n, matching the amplitude-level propagator.
     """
-    n = axis.as_array()
-    p = start.as_array()
-    return BlochVector.from_array(_rotate(n, p, -2.0 * axis.omega * t))
+    return BlochVector(*_rotate(axis.n, start, -2.0 * axis.omega * t))
 
 
 def precession_leg(axis: RotationAxis, start: BlochVector, along) -> tuple[float, float, float]:
@@ -183,16 +194,14 @@ def precession_leg(axis: RotationAxis, start: BlochVector, along) -> tuple[float
     along that axis.  r is 0 when along is parallel to axis or start
     sits on it.
     """
-    n = axis.as_array()
-    p = start.as_array()
-    a = np.asarray(along, dtype=float)
-    height = _dot(n, p)
-    perp = p - height * n
+    n = axis.n
+    height = _dot(n, start)
+    perp = tuple(pk - height * nk for pk, nk in zip(start, n))
     # Precession turns perp by -2 W s, so r cos(chi) = a . perp and
     # r sin(chi) = a . (n x perp).
-    r_cos = _dot(a, perp)
-    r_sin = _dot(a, _cross(n, perp))
-    return height * _dot(a, n), math.hypot(r_cos, r_sin), math.atan2(r_sin, r_cos)
+    r_cos = _dot(along, perp)
+    r_sin = _dot(along, _cross(n, perp))
+    return height * _dot(along, n), _each(math.hypot, r_cos, r_sin), _each(math.atan2, r_sin, r_cos)
 
 
 def leg_time(axis: RotationAxis, chi: float, angle: float) -> float:
@@ -201,10 +210,9 @@ def leg_time(axis: RotationAxis, chi: float, angle: float) -> float:
     A turn that falls short of a full circle by at most ANGLE_TOL is
     rounding of a leg that starts there, and takes no time.
     """
-    turn = (angle - chi) % (2.0 * math.pi)
-    if turn >= 2.0 * math.pi - ANGLE_TOL:
-        turn = 0.0
-    return turn / (2.0 * axis.omega)
+    turn = _each(_reduce_phase, angle - chi)
+    # Multiplying by the bool keeps the turn, or makes it 0.0.
+    return turn * (turn < 2.0 * math.pi - ANGLE_TOL) / (2.0 * axis.omega)
 
 
 def cone_floor(params: CouplerParams) -> float:

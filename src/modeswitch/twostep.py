@@ -189,7 +189,7 @@ def solve_two_step(params: CouplerParams, phi: float) -> TwoStepSolution:
     """
     axis1 = rotation_axis(params, 0.0)
     axis2 = rotation_axis(params, phi)
-    n = axis2.as_array()
+    n = axis2.n
     c, r, chi = precession_leg(axis1, NORTH, n)
     if r < FLAT_LEG_TOL:
         t1 = 0.0
@@ -201,7 +201,7 @@ def solve_two_step(params: CouplerParams, phi: float) -> TwoStepSolution:
             angles = (math.acos(g), -math.acos(g))
         t1 = min(leg_time(axis1, chi, a) for a in angles)
     switch = bloch_precess(axis1, NORTH, t1)
-    _, _, chi2 = precession_leg(axis2, switch, NORTH.as_array())
+    _, _, chi2 = precession_leg(axis2, switch, NORTH)
     t2 = leg_time(axis2, chi2, math.pi)
     sol = TwoStepSolution(t1, t2, phi, 0.0, two_step_feasible(params, phi))
     return replace(sol, achieved=protocol_propagator(params, sol.protocol()).transfer)
@@ -293,7 +293,7 @@ def solve_fraction(params: CouplerParams, phi: float, p: float) -> Protocol:
     cuts = []
     for i, seg in enumerate(legs):
         axis = rotation_axis(params, seg.phase)
-        c, r, chi = precession_leg(axis, start, NORTH.as_array())
+        c, r, chi = precession_leg(axis, start, NORTH)
         if c - r <= level:
             # w falls through the level first at 2 W s + chi = acos(g).
             s = leg_time(axis, chi, math.acos(max(-1.0, min(1.0, (level - c) / r))))

@@ -9,15 +9,16 @@ fraction cut against the amplitude propagator; plan_geometry checks
 that each planned switch point stays on the circle it leaves.
 
 A check whose contract is a formula over one case keeps that formula in
-a pure `<check>_residual(case...)`.  segment_splitting, propagator_vs_expm
-and isolator_identity take one case or equal-length numpy columns of
-cases, and return a float or an array.  Their checks, segment_unitarity
-and cone_floor draw all their cases at once, in the order one draw per
-call would take them, and evaluate the columns through the SU(2) kernel
-(dynamics._segment, _compose, _apply), bit for bit the scalar path.
-check_<check> only draws its cases from the battery's rng and keeps the
-worst residual, and a NaN residual fails it; the property tests call the
-same residual on cases of their own.
+a pure `<check>_residual(case...)`.  segment_splitting, propagator_vs_expm,
+isolator_identity, bloch_consistency, precession_rigidity and
+precession_leg take one case or numpy columns of cases, and return a
+float or an array.  Their checks, segment_unitarity and cone_floor run
+all their cases at once through the SU(2) kernel (dynamics._segment,
+_compose, _apply) and the geometry's SO(3) algebra, bit for bit the
+scalar path; the three geometry checks draw case by case first, as
+they mix normal and uniform draws.  check_<check> only draws its cases
+from the battery's rng and keeps the worst residual, and a NaN residual
+fails it; the property tests call the same residual on cases of their own.
 
 inject_fault=True deliberately corrupts the reference used in the expm
 comparison: each segment's coupling phase is negated, which conjugates
@@ -39,7 +40,6 @@ from .dynamics import (
     CouplingSegment,
     ModeState,
     Protocol,
-    Trajectory,
     TransferMatrix,
     _apply,
     _compose,
@@ -166,6 +166,12 @@ def _random_state(rng) -> ModeState:
     return ModeState(complex(a[0], a[1]), complex(a[2], a[3])).normalized()
 
 
+def _applied(row, state: ModeState) -> ModeState:
+    """TransferMatrix.apply of a row to a state, or of columns of them."""
+    parts = np.stack(_apply(row, state.a1, state.a2), axis=-1).view(complex)
+    return ModeState(parts[..., 0], parts[..., 1])
+
+
 def _matrix_mismatch(a: np.ndarray, b: np.ndarray):
     """Largest |a - b| entry of two 2x2 matrices, or per matrix of two stacks."""
     return np.abs(a - b).max(axis=(-2, -1))[()]
@@ -256,47 +262,59 @@ def check_expm_agreement(rng, n: int, inject_fault: bool) -> CheckResult:
     return _worst("propagator_vs_expm", residuals, 1e-10, detail)
 
 
-def bloch_consistency_residual(
-    params: CouplerParams, protocol: Protocol, state: ModeState
-) -> float:
-    """Amplitudes against the Bloch vector precessed about each segment's axis."""
+def bloch_consistency_residual(delta, kappa0, phases, durations, state: ModeState):
+    """Amplitudes against the Bloch vector precessed about each segment's
+    axis; one case and its segments' phases and durations, or columns of
+    cases and (cases, segments) arrays of them, where NaN durations pad a
+    protocol past its last segment."""
     bloch = to_bloch(state)
-    for seg in protocol.segments:
-        state = segment_propagator(params, seg).apply(state)
-        bloch = bloch_precess(rotation_axis(params, seg.phase), bloch, seg.duration)
-    return float(np.abs(to_bloch(state).as_array() - bloch.as_array()).max())
+    for phase, duration in zip(np.moveaxis(phases, -1, 0), np.moveaxis(durations, -1, 0)):
+        live = ~np.isnan(duration)
+        moved = _applied(_segment_rows(delta, kappa0, phase, duration), state)
+        turned = bloch_precess(rotation_axis((delta, kappa0), phase), bloch, duration)
+        state = ModeState(*np.where(live, (moved.a1, moved.a2), (state.a1, state.a2)))
+        bloch = BlochVector(*np.where(live, tuple(turned), tuple(bloch)))
+    return np.abs(to_bloch(state).as_array() - bloch.as_array()).max(axis=0)[()]
 
 
 def check_bloch_consistency(rng, n: int) -> CheckResult:
-    residuals = (
-        bloch_consistency_residual(*_random_protocol(rng, max_segments=5), _random_state(rng))
-        for _ in range(n)
-    )
+    params, states = [], []
+    phases, durations = np.zeros((n, 5)), np.full((n, 5), np.nan)
+    for i in range(n):
+        coupler, protocol = _random_protocol(rng, max_segments=5)
+        state = _random_state(rng)
+        params.append((coupler.delta, coupler.kappa0))
+        states.append((state.a1, state.a2))
+        m = len(protocol.segments)
+        phases[i, :m], durations[i, :m] = protocol.phases, protocol.durations
+    delta, kappa0 = np.array(params).T
+    state = ModeState(*np.array(states).T)
+    residuals = bloch_consistency_residual(delta, kappa0, phases, durations, state)
     return _worst("bloch_consistency", residuals, 1e-10, f"{n} random protocols")
 
 
-def precession_rigidity_residual(axis: RotationAxis, start: BlochVector, times) -> float:
-    """Norm and axis component of a unit point precessed for each of the times."""
-    n = axis.as_array()
-    axial0 = _dot(n, start.as_array())
-    worst = 0.0
-    for t in times:
-        moved = bloch_precess(axis, start, float(t))
-        worst = max(worst, abs(moved.norm - 1.0), abs(_dot(n, moved.as_array()) - axial0))
-    return worst
+def precession_rigidity_residual(axis: RotationAxis, start: BlochVector, times):
+    """Norm and axis component of a unit point precessed for each of the
+    times; one case, or columns of cases, shape (n, 1), with (n, k) times."""
+    moved = bloch_precess(axis, start, np.asarray(times, dtype=float))
+    drift = abs(_dot(axis.n, moved) - _dot(axis.n, start))
+    return np.max(np.maximum(abs(moved.norm - 1.0), drift), axis=-1, initial=0.0)
 
 
 def check_precession_rigidity(rng, n: int) -> CheckResult:
-    def residuals():
-        for _ in range(n):
-            params = _random_params(rng)
-            axis = rotation_axis(params, rng.uniform(0.0, 2.0 * math.pi))
-            p = rng.normal(size=3)
-            start = BlochVector.from_array(p / math.sqrt(_dot(p, p)))
-            times = rng.uniform(0.0, 5.0 / params.rabi, size=5)
-            yield precession_rigidity_residual(axis, start, times)
-
-    return _worst("precession_rigidity", residuals(), 1e-12, f"{n} random axes")
+    cases = []
+    for _ in range(n):
+        params = _random_params(rng)
+        phase, p = rng.uniform(0.0, 2.0 * math.pi), rng.normal(size=3)
+        times = rng.uniform(0.0, 5.0 / params.rabi, size=5)
+        cases.append((params.delta, params.kappa0, phase, *p, *times))
+    cases = np.array(cases)
+    delta, kappa0, phase, *p = cases[:, :6, None].transpose(1, 0, 2)
+    norm = np.sqrt(_dot(p, p))
+    start = BlochVector(*(pk / norm for pk in p))
+    axis = rotation_axis((delta, kappa0), phase)
+    residuals = precession_rigidity_residual(axis, start, cases[:, 6:])
+    return _worst("precession_rigidity", residuals, 1e-12, f"{n} random axes")
 
 
 # Cases sampled together by check_cone_floor, 129 samples each: all 200
@@ -314,9 +332,7 @@ def _cone_floor_residuals(delta, kappa0, phase) -> np.ndarray:
     t = total * np.arange(129) / 128
     t[:, -1] = total[:, 0]
     rows = _segment_rows(delta[:, None], kappa0[:, None], phase[:, None], t)
-    mode1 = ModeState.mode1()
-    a1, a2 = np.moveaxis(np.stack(_apply(rows, mode1.a1, mode1.a2), axis=-1).view(complex), -1, 0)
-    return floor - to_bloch(Trajectory(t, a1, a2)).w.min(axis=1)
+    return floor - to_bloch(_applied(rows, ModeState.mode1())).w.min(axis=1)
 
 
 def check_cone_floor(rng, n: int) -> CheckResult:
@@ -430,34 +446,36 @@ def check_criterion_vs_brute(n_cells: int = 50) -> CheckResult:
     )
 
 
-def precession_leg_residual(
-    params: CouplerParams, seg: CouplingSegment, state: ModeState, along, angle: float
-) -> float:
+def precession_leg_residual(delta, kappa0, phase, duration, state: ModeState, along, angle):
     """The leg height c + r cos(2 W s + chi) along `along`, at the end of
-    seg and at leg_time for `angle`, against the amplitude propagator."""
-    axis = rotation_axis(params, seg.phase)
+    the segment and at leg_time for `angle`, against the amplitude
+    propagator; one case, or columns of cases with along a (3, n) array."""
+    axis = rotation_axis((delta, kappa0), phase)
     c, r, chi = precession_leg(axis, to_bloch(state), along)
     worst = 0.0
     for s, predicted in (
-        (seg.duration, c + r * math.cos(2.0 * params.rabi * seg.duration + chi)),
-        (leg_time(axis, chi, angle), c + r * math.cos(angle)),
+        (duration, c + r * _mapped(math.cos, 2.0 * axis.omega * duration + chi)),
+        (leg_time(axis, chi, angle), c + r * _mapped(math.cos, angle)),
     ):
-        moved = segment_propagator(params, CouplingSegment(seg.phase, s)).apply(state)
-        worst = max(worst, abs(_dot(along, to_bloch(moved).as_array()) - predicted))
-    return worst
+        moved = _applied(_segment_rows(delta, kappa0, phase, s), state)
+        worst = np.maximum(worst, abs(_dot(along, to_bloch(moved)) - predicted))
+    return worst[()]
 
 
 def check_precession_leg(rng, n: int) -> CheckResult:
-    def residuals():
-        for _ in range(n):
-            params, seg = _random_segment(rng, 4.0)
-            state = _random_state(rng)
-            along = rng.normal(size=3)
-            along /= math.sqrt(_dot(along, along))
-            angle = rng.uniform(0.0, 2.0 * math.pi)
-            yield precession_leg_residual(params, seg, state, along, angle)
-
-    return _worst("precession_leg", residuals(), 1e-12, f"{n} random legs, sampled and timed")
+    cases, states = [], []
+    for _ in range(n):
+        params, seg = _random_segment(rng, 4.0)
+        state = _random_state(rng)
+        states.append((state.a1, state.a2))
+        along = rng.normal(size=3)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        cases.append((params.delta, params.kappa0, seg.phase, seg.duration, angle, *along))
+    delta, kappa0, phase, duration, angle, *along = np.array(cases).T
+    along = np.array(along) / np.sqrt(_dot(along, along))
+    state = ModeState(*np.array(states).T)
+    residuals = precession_leg_residual(delta, kappa0, phase, duration, state, along, angle)
+    return _worst("precession_leg", residuals, 1e-12, f"{n} random legs, sampled and timed")
 
 
 def pushpull_identity_residual(params: CouplerParams) -> float:
@@ -484,9 +502,9 @@ def plan_geometry_residual(params: CouplerParams, plan: StaircasePlan) -> float:
     states = (NORTH, *plan.switch_points, final)
     worst = 0.0
     for seg, entry, leave in zip(plan.protocol.segments, states, states[1:]):
-        n = rotation_axis(params, seg.phase).as_array()
-        enter_angle = math.acos(float(np.clip(_dot(n, entry.as_array()), -1.0, 1.0)))
-        leave_angle = math.acos(float(np.clip(_dot(n, leave.as_array()), -1.0, 1.0)))
+        n = rotation_axis(params, seg.phase).n
+        enter_angle = math.acos(float(np.clip(_dot(n, entry), -1.0, 1.0)))
+        leave_angle = math.acos(float(np.clip(_dot(n, leave), -1.0, 1.0)))
         worst = max(worst, abs(leave_angle - enter_angle))
     return worst
 

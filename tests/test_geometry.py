@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modeswitch import (
     NORTH,
     SOUTH,
+    BlochVector,
     CouplerParams,
     CouplingSegment,
     ModeState,
@@ -24,7 +25,7 @@ from modeswitch import (
     to_bloch,
     verify,
 )
-from modeswitch.geometry import _cross
+from modeswitch.geometry import _cross, _dot
 
 SQ2 = math.sqrt(0.5)
 
@@ -96,7 +97,7 @@ _vectors = st.tuples(_components, _components, _components).map(np.array)
 @example(np.array([0.0, -0.0, 0.0]), np.array([-0.0, 0.0, 1.0]))
 @example(np.array([-0.0, 1.0, -0.0]), np.array([1.0, -0.0, -0.0]))
 def test_cross_is_np_cross_bit_for_bit(a, b):
-    got = [x.hex() for x in _cross(a, b).tolist()]
+    got = [x.hex() for x in _cross(a.tolist(), b.tolist())]
     assert got == [x.hex() for x in np.cross(a, b).tolist()]
 
 
@@ -108,14 +109,18 @@ def test_precession_sense_matches_amplitudes():
     """
     state = ModeState(0.8 + 0.1j, -0.3 + 0.5j).normalized()
     protocol = Protocol((CouplingSegment(0.9, 0.8),))
-    assert verify.bloch_consistency_residual(CouplerParams(0.7, 1.3), protocol, state) <= 1e-12
+    residual = verify.bloch_consistency_residual(0.7, 1.3, protocol.phases, protocol.durations, state)
+    assert residual <= 1e-12
 
 
 @given(couplers, st.lists(st.tuples(phases, st.floats(0.0, 4.0)), min_size=1, max_size=5), states)
 def test_precession_sense_random(params, wt_pairs, state):
     """Amplitudes and Bloch precession agree segment by segment."""
     protocol = Protocol.from_pairs((phi, wt / params.rabi) for phi, wt in wt_pairs)
-    assert verify.bloch_consistency_residual(params, protocol, state) < 1e-10
+    residual = verify.bloch_consistency_residual(
+        params.delta, params.kappa0, protocol.phases, protocol.durations, state
+    )
+    assert residual < 1e-10
 
 
 @given(couplers, phases, states, st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5))
@@ -153,7 +158,10 @@ def test_precession_leg_north_to_south_half_turn():
 def test_precession_leg_reproduces_the_height(params, phase, wt, state, along, angle):
     """The leg height c + r cos(2 W t + chi), sampled and at leg_time."""
     seg = CouplingSegment(phase, wt / params.rabi)
-    assert verify.precession_leg_residual(params, seg, state, along, angle) <= 1e-12
+    residual = verify.precession_leg_residual(
+        params.delta, params.kappa0, seg.phase, seg.duration, state, along, angle
+    )
+    assert residual <= 1e-12
 
 
 def test_precession_leg_check_rejects_the_wrong_sense(monkeypatch):
@@ -167,6 +175,76 @@ def test_precession_leg_check_rejects_the_wrong_sense(monkeypatch):
     res = verify.check_precession_leg(np.random.default_rng(20240817), 20)
     assert not res.passed
     assert res.residual > 0.1, res.detail
+
+
+def test_bloch_consistency_check_rejects_the_wrong_sense(monkeypatch):
+    def reversed_precess(axis, start, t):
+        # The wrong precession sense: turned by +2 W t.
+        return bloch_precess(axis, start, -t)
+
+    assert verify.check_bloch_consistency(np.random.default_rng(20240817), 20).passed
+    monkeypatch.setattr(verify, "bloch_precess", reversed_precess)
+    res = verify.check_bloch_consistency(np.random.default_rng(20240817), 20)
+    assert not res.passed
+    assert res.residual > 0.1, res.detail
+
+
+# delta, kappa0, phase, a point, a time, a direction and a target angle.
+_geometry_cases = st.tuples(
+    st.floats(-3.0, 3.0),
+    st.floats(0.1, 3.0),
+    phases,
+    _nonzero(3, bound=2.0),
+    st.floats(0.0, 5.0),
+    _nonzero(3, bound=4.0),
+    phases,
+)
+
+
+@given(st.lists(_geometry_cases, min_size=1, max_size=6))
+def test_geometry_on_columns_is_the_one_case_path_bit_for_bit(cases):
+    """rotation_axis, bloch_precess, precession_leg, leg_time, _dot and
+    _cross on columns of cases, against each case on floats."""
+    delta, kappa0, phase, start, t, along, angle = (np.array(x) for x in zip(*cases))
+    axes = rotation_axis((delta, kappa0), phase)
+    starts = BlochVector(*start.T)
+    c, r, chi = precession_leg(axes, starts, along.T)
+    columns = [
+        *axes.n,
+        axes.omega,
+        *bloch_precess(axes, starts, t),
+        bloch_precess(axes, starts, t).norm,
+        c,
+        r,
+        chi,
+        leg_time(axes, chi, angle),
+        _dot(starts, along.T),
+        *_cross(starts, along.T),
+    ]
+    for k, (d, kap, ph, p, tk, a, ang) in enumerate(cases):
+        axis = rotation_axis(CouplerParams(d, kap), ph)
+        point = BlochVector(*p)
+        leg = precession_leg(axis, point, a)
+        one = [
+            *axis.n,
+            axis.omega,
+            *bloch_precess(axis, point, tk),
+            bloch_precess(axis, point, tk).norm,
+            *leg,
+            leg_time(axis, leg[2], ang),
+            _dot(point, a),
+            *_cross(point, a),
+        ]
+        assert [float(x).hex() for x in one] == [float(col[k]).hex() for col in columns]
+
+
+def test_column_axes_keep_the_guards():
+    with pytest.raises(ValueError, match="unit"):
+        RotationAxis((np.array([1.0, 2.0]), np.zeros(2), np.zeros(2)), np.ones(2))
+    with pytest.raises(ValueError, match="positive"):
+        RotationAxis((np.ones(2), np.zeros(2), np.zeros(2)), np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="phase phi"):
+        rotation_axis((np.ones(2), np.ones(2)), np.array([0.3, np.inf]))
 
 
 def test_circle_through_and_pole_radii():

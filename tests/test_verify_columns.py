@@ -1,14 +1,17 @@
 """The battery's column checks, bit for bit the per-case loops they replace.
 
-segment_unitarity, segment_splitting, cone_floor, isolator_identity and
-propagator_vs_expm draw all their cases at once and evaluate them as
-columns.  Each reference below is the per-case loop such a check runs
-with the scalar API: one CouplerParams, CouplingSegment and TransferMatrix
-per case.  Where the library now shares its column code with the scalar
-path (unitarity_defect, the isolator's cascade and closed form), the
-reference writes the formula out in Python complex arithmetic instead.
-Every per-case residual must agree as float.hex, and the rng must be left
-in the same state, so that every later check sees the same draws."""
+segment_unitarity, segment_splitting, cone_floor, isolator_identity,
+propagator_vs_expm, bloch_consistency, precession_rigidity and
+precession_leg evaluate all their cases as columns.  Each reference below
+is the per-case loop such a check runs with the scalar API: one
+CouplerParams, CouplingSegment and TransferMatrix per case.  Where the
+library now shares its column code with the scalar path (unitarity_defect,
+the isolator's cascade and closed form, the geometry algebra), the
+reference writes the formula out in Python float or complex arithmetic
+instead: the geometry's dot products as left-to-right sums of floats, its
+cross products by np.cross.  Every per-case residual must agree as
+float.hex, and the rng must be left in the same state, so that every
+later check sees the same draws."""
 
 import cmath
 import math
@@ -126,6 +129,86 @@ def isolator_identity(rng, n):
         )
 
 
+def random_state(rng):
+    a = rng.normal(size=4)
+    return ModeState(complex(a[0], a[1]), complex(a[2], a[3])).normalized()
+
+
+def dot(a, b):
+    a0, a1, a2 = np.asarray(a, dtype=float).tolist()
+    b0, b1, b2 = np.asarray(b, dtype=float).tolist()
+    return a0 * b0 + a1 * b1 + a2 * b2
+
+
+def axis_of(params, phi):
+    """The unit axis and rate W of a segment of phase phi."""
+    w = params.rabi
+    kappa0, delta = params.kappa0, params.delta
+    return np.array([kappa0 * math.cos(phi) / w, kappa0 * math.sin(phi) / w, delta / w]), w
+
+
+def precess(n, w, p, t):
+    """p turned by -2 W t, right-handed, about the unit axis n."""
+    c, s = math.cos(-2.0 * w * t), math.sin(-2.0 * w * t)
+    return p * c + np.cross(n, p) * s + n * dot(n, p) * (1.0 - c)
+
+
+def bloch_consistency(rng, n):
+    for _ in range(n):
+        params = random_params(rng)
+        w = params.rabi
+        protocol = Protocol.from_pairs(
+            (rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.05, 1.2) * math.pi / w)
+            for _ in range(int(rng.integers(1, 6)))
+        )
+        state = random_state(rng)
+        bloch = to_bloch(state).as_array()
+        for seg in protocol.segments:
+            state = segment_propagator(params, seg).apply(state)
+            bloch = precess(*axis_of(params, seg.phase), bloch, seg.duration)
+        yield float(np.abs(to_bloch(state).as_array() - bloch).max())
+
+
+def precession_rigidity(rng, n):
+    for _ in range(n):
+        params = random_params(rng)
+        axis, w = axis_of(params, rng.uniform(0.0, 2.0 * math.pi))
+        p = rng.normal(size=3)
+        start = p / math.sqrt(dot(p, p))
+        times = rng.uniform(0.0, 5.0 / params.rabi, size=5)
+        worst = 0.0
+        for t in times:
+            u, v, z = precess(axis, w, start, float(t)).tolist()
+            norm = math.sqrt(u**2 + v**2 + z**2)
+            worst = max(worst, abs(norm - 1.0), abs(dot(axis, (u, v, z)) - dot(axis, start)))
+        yield worst
+
+
+def precession_leg(rng, n):
+    for _ in range(n):
+        params, seg = random_segment(rng, 4.0)
+        state = random_state(rng)
+        along = rng.normal(size=3)
+        along /= math.sqrt(dot(along, along))
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        axis, w = axis_of(params, seg.phase)
+        p = to_bloch(state).as_array()
+        height = dot(axis, p)
+        perp = p - height * axis
+        r_cos, r_sin = dot(along, perp), dot(along, np.cross(axis, perp))
+        c, r, chi = height * dot(along, axis), math.hypot(r_cos, r_sin), math.atan2(r_sin, r_cos)
+        turn = (angle - chi) % (2.0 * math.pi)
+        turn = 0.0 if turn >= 2.0 * math.pi - 1e-9 else turn
+        worst = 0.0
+        for s, predicted in (
+            (seg.duration, c + r * math.cos(2.0 * w * seg.duration + chi)),
+            (turn / (2.0 * w), c + r * math.cos(angle)),
+        ):
+            moved = segment_propagator(params, CouplingSegment(seg.phase, s)).apply(state)
+            worst = max(worst, abs(dot(along, to_bloch(moved).as_array()) - predicted))
+        yield worst
+
+
 # name: (column check, its per-case reference, full case count, extra argument)
 CHECKS = {
     "segment_unitarity": (verify.check_segment_unitarity, segment_unitarity, 2000, ()),
@@ -134,6 +217,9 @@ CHECKS = {
     "isolator_identity": (verify.check_isolator_identity, isolator_identity, 1000, ()),
     "propagator_vs_expm": (verify.check_expm_agreement, propagator_vs_expm, 200, (False,)),
     "propagator_vs_expm, fault": (verify.check_expm_agreement, propagator_vs_expm, 200, (True,)),
+    "bloch_consistency": (verify.check_bloch_consistency, bloch_consistency, 100, ()),
+    "precession_rigidity": (verify.check_precession_rigidity, precession_rigidity, 200, ()),
+    "precession_leg": (verify.check_precession_leg, precession_leg, 300, ()),
 }
 
 
