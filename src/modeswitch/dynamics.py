@@ -18,8 +18,9 @@ constant-coupling segments; their propagators compose by matrix product.
 Everything in this module is exact up to floating point.  One kernel,
 _segment, _compose and _apply in cmul's arithmetic on rows (d.real, d.imag,
 o.real, o.imag) of floats or numpy columns, serves the scalar propagators,
-propagate's columns and the battery's columns of cases alike.
-modeswitch.oracle cross-checks them.
+propagate's columns and the battery's columns of cases alike.  TransferMatrix
+and ModeState likewise hold one case or columns, and _matrix makes either
+kind of TransferMatrix from a row.  modeswitch.oracle cross-checks them.
 """
 
 from __future__ import annotations
@@ -124,8 +125,13 @@ class Protocol:
         segments = tuple(self.segments)
         if not segments:
             raise ValueError("a protocol needs at least one segment")
-        if not all(isinstance(s, CouplingSegment) for s in segments):
-            raise TypeError("protocol segments must be CouplingSegment")
+        total = 0.0
+        for s in segments:
+            if not isinstance(s, CouplingSegment):
+                raise TypeError("protocol segments must be CouplingSegment")
+            total += s.duration
+        # total is ends[-1]: segments that each are finite can overflow it.
+        _finite(total, "protocol total duration")
         object.__setattr__(self, "segments", segments)
 
     @classmethod
@@ -198,7 +204,8 @@ class ModeState:
 
 @dataclass(frozen=True)
 class TransferMatrix:
-    """SU(2)-form propagator [[d, o], [-conj(o), conj(d)]].
+    """SU(2)-form propagator [[d, o], [-conj(o), conj(d)]], or columns of
+    them for the kernel: d and o complex columns of one shape.
 
     Unitarity is equivalent to |d|^2 + |o|^2 = 1; construction does not
     enforce it so that intermediate algebra stays cheap, but every
@@ -209,6 +216,9 @@ class TransferMatrix:
     o: complex
 
     def __post_init__(self) -> None:
+        # Two exact complexes, what the kernel makes of a row, need nothing.
+        if type(self.d) is complex and type(self.o) is complex or isinstance(self.d, np.ndarray):
+            return
         object.__setattr__(self, "d", complex(self.d))
         object.__setattr__(self, "o", complex(self.o))
 
@@ -218,7 +228,9 @@ class TransferMatrix:
 
     @property
     def unitarity_defect(self) -> float:
-        return float(_unitarity_defect(self._row))
+        """| |d|^2 + |o|^2 - 1 |: a float, or an array for columns."""
+        defect = _unitarity_defect(self._row)
+        return defect if isinstance(self.d, np.ndarray) else float(defect)
 
     @property
     def transfer(self) -> float:
@@ -230,14 +242,13 @@ class TransferMatrix:
         return self.d.real, self.d.imag, self.o.real, self.o.imag
 
     def apply(self, state: ModeState) -> ModeState:
-        a1r, a1i, a2r, a2i = _apply(self._row, state.a1, state.a2)
-        return ModeState(complex(a1r, a1i), complex(a2r, a2i))
+        """The state this matrix makes of state; columns if either is."""
+        return ModeState(*_complexes(_apply(self._row, state.a1, state.a2)))
 
-    def as_array(self):
-        return np.array(
-            [[self.d, self.o], [-self.o.conjugate(), self.d.conjugate()]],
-            dtype=complex,
-        )
+    def as_array(self) -> np.ndarray:
+        """[[d, o], [-conj(o), conj(d)]], or a (..., 2, 2) stack for columns."""
+        m = np.array([[self.d, self.o], [-self.o.conjugate(), self.d.conjugate()]], dtype=complex)
+        return np.moveaxis(m, (0, 1), (-2, -1)) if m.ndim > 2 else m
 
 
 def _turn(phase: float) -> complex:
@@ -251,9 +262,19 @@ def _segment_row(params: CouplerParams, segment: CouplingSegment):
     return _segment(params.delta, params.kappa0, w, math.sin(wt), math.cos(wt), _turn(segment.phase))
 
 
+def _complexes(parts):
+    """(a, b) of parts (a.real, a.imag, b.real, b.imag), exactly: complexes, or
+    complex columns of one shape when b's parts are columns (a's may be floats)."""
+    ar, ai, br, bi = parts
+    if isinstance(br, float):
+        return complex(ar, ai), complex(br, bi)
+    z = np.stack(np.broadcast_arrays(*parts), axis=-1).view(complex)
+    return z[..., 0], z[..., 1]
+
+
 def _matrix(row) -> TransferMatrix:
-    dr, di, o_r, oi = row
-    return TransferMatrix(complex(dr, di), complex(o_r, oi))
+    """TransferMatrix of a row, one case or columns."""
+    return TransferMatrix(*_complexes(row))
 
 
 def segment_propagator(params: CouplerParams, segment: CouplingSegment) -> TransferMatrix:
@@ -269,7 +290,7 @@ def compose(later: TransferMatrix, earlier: TransferMatrix) -> TransferMatrix:
 
 def protocol_propagator(params: CouplerParams, protocol: Protocol) -> TransferMatrix:
     """Last row of prefix_products: the segments' product, first acting first."""
-    return TransferMatrix(*prefix_products(params, protocol)[-1].view(complex))
+    return _matrix(prefix_products(params, protocol)[-1].tolist())
 
 
 def cmul(ar, ai, br, bi):
@@ -293,6 +314,19 @@ def _mapped(fn, *columns, dtype=float) -> np.ndarray:
     flat = [np.ravel(c).tolist() for c in columns]
     values = np.fromiter(map(fn, *flat), dtype, len(flat[0]))
     return values.reshape(np.shape(columns[0]) + values.shape[1:])
+
+
+def _finite(value, name: str):
+    """value, a float or a column, if each entry is finite; else a ValueError naming it."""
+    finite = abs(value) < math.inf
+    if not (finite.all() if isinstance(finite, np.ndarray) else finite):
+        raise ValueError(f"{name} = {value!r} must be finite")
+    return value
+
+
+def _each(fn, *args, dtype=float):
+    """fn of floats, or of equal-shape columns entry by entry (_mapped)."""
+    return _mapped(fn, *args, dtype=dtype) if isinstance(args[0], np.ndarray) else fn(*args)
 
 
 def _segment(delta, kappa0, w, s, c, turn):

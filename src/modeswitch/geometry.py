@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CouplerParams, ModeState, Trajectory, _mapped, _reduce_phase, abs2, cmul
+from .dynamics import CouplerParams, ModeState, Trajectory, _each, _finite, _reduce_phase, abs2, cmul
 
 # Absolute angular tolerance (rad): a turn this short of a full circle is
 # rounding of a leg that starts on its target (leg_time).
@@ -41,11 +41,6 @@ ANGLE_TOL = 1e-9
 # Slack on |n| = 1 for axes: absorbs the rounding of components computed
 # from trigonometric functions or divisions.
 UNIT_TOL = 1e-9
-
-
-def _each(fn, *args):
-    """fn of floats, or of equal-shape columns entry by entry (_mapped)."""
-    return _mapped(fn, *args) if isinstance(args[0], np.ndarray) else fn(*args)
 
 
 @dataclass(frozen=True)
@@ -127,9 +122,7 @@ def rotation_axis(params, phi) -> RotationAxis:
     CouplerParams and a float, or of (delta, kappa0) and phi columns of one
     shape, W by math.hypot as CouplerParams.rabi takes it."""
     delta, kappa0 = (params.delta, params.kappa0) if isinstance(params, CouplerParams) else params
-    finite = abs(phi) < math.inf
-    if not (finite.all() if isinstance(finite, np.ndarray) else finite):
-        raise ValueError(f"coupling phase phi = {phi!r} must be finite")
+    _finite(phi, "coupling phase phi")
     w = _each(math.hypot, delta, kappa0)
     return RotationAxis(
         (kappa0 * _each(math.cos, phi) / w, kappa0 * _each(math.sin, phi) / w, delta / w), w

@@ -37,7 +37,8 @@ from .dynamics import (
     Trajectory,
     TransferMatrix,
     _compose,
-    _mapped,
+    _each,
+    _finite,
     _matrix,
     _reduce_phase,
     _turn,
@@ -58,13 +59,16 @@ UNITARY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class IsolatorSpec:
-    """Cascade description.
+    """Cascade description, one case or columns of cases.
 
     stage:     transfer matrix of one modulated coupling stage.
     theta1/2:  static phases (rad) picked up by modes 1 and 2 between
                the stages.
     rf_offset: drive phase offset delta (rad) of the second stage
                relative to the first.
+
+    Any of them may be numpy columns that broadcast together; the cascade's
+    functions then give columns, bit for bit the one-case results.
     """
 
     stage: TransferMatrix
@@ -73,23 +77,17 @@ class IsolatorSpec:
     rf_offset: float
 
     def __post_init__(self) -> None:
-        # Written so that a NaN defect fails it too.
-        if not self.stage.unitarity_defect <= UNITARY_TOL:
+        # Each guard must hold in every entry, and a NaN fails it.
+        if not np.all(self.stage.unitarity_defect <= UNITARY_TOL):
             raise ValueError("stage matrix must be unitary")
-        object.__setattr__(self, "theta1", float(self.theta1))
-        object.__setattr__(self, "theta2", float(self.theta2))
-        object.__setattr__(self, "rf_offset", float(self.rf_offset))
+        for name in ("theta1", "theta2", "rf_offset"):
+            value = getattr(self, name)
+            value = value if isinstance(value, np.ndarray) else float(value)
+            object.__setattr__(self, name, _finite(value, name))
 
     @property
     def delta_theta(self) -> float:
         return self.theta1 - self.theta2
-
-
-def _with_offset(row, offset):
-    """stage_with_offset on a stage row and an offset, floats or columns."""
-    dr, di, o_r, oi = row
-    turn = _mapped(lambda x: cmath.exp(-1j * x), offset, dtype=complex)
-    return (dr, di, *cmul(o_r, oi, turn.real, turn.imag))
 
 
 def stage_with_offset(stage: TransferMatrix, offset: float) -> TransferMatrix:
@@ -98,7 +96,9 @@ def stage_with_offset(stage: TransferMatrix, offset: float) -> TransferMatrix:
     Shifting every drive phase by -offset multiplies the off-diagonal
     element by exp(-i offset) and leaves the diagonal untouched.
     """
-    return _matrix(_with_offset(stage._row, offset))
+    dr, di, o_r, oi = stage._row
+    turn = _each(lambda x: cmath.exp(-1j * x), offset, dtype=complex)
+    return _matrix((dr, di, *cmul(o_r, oi, turn.real, turn.imag)))
 
 
 def _in_order(direction: str, stage, offset_stage):
@@ -110,13 +110,6 @@ def _in_order(direction: str, stage, offset_stage):
     raise ValueError(f"direction must be '{FORWARD}' or '{BACKWARD}'")
 
 
-def _cascade(row, dtheta, offset, direction: str):
-    """cascade's row for a stage row, dtheta and offset, floats or columns."""
-    section = _mapped(_turn, dtheta / 2.0, dtype=complex)
-    first, second = _in_order(direction, row, _with_offset(row, offset))
-    return _compose(second, _compose((section.real, section.imag, 0.0, 0.0), first))
-
-
 def cascade(spec: IsolatorSpec, direction: str) -> TransferMatrix:
     """Total cascade propagator (global phase dropped) for one direction.
 
@@ -124,42 +117,35 @@ def cascade(spec: IsolatorSpec, direction: str) -> TransferMatrix:
     part diag(e^{i dtheta/2}, e^{-i dtheta/2}); the global phase cannot
     affect any transmission power.
     """
-    return _matrix(_cascade(spec.stage._row, spec.delta_theta, spec.rf_offset, direction))
-
-
-def _cross_power(row, dtheta, offset, direction: str):
-    """cross_power for a stage row, dtheta and offset, floats or columns."""
-    _, _, o_r, oi = _cascade(row, dtheta, offset, direction)
-    return abs2(o_r, oi)
+    section = _each(_turn, spec.delta_theta / 2.0, dtype=complex)
+    first, second = _in_order(direction, spec.stage, stage_with_offset(spec.stage, spec.rf_offset))
+    middle = _compose((section.real, section.imag, 0.0, 0.0), first._row)
+    return _matrix(_compose(second._row, middle))
 
 
 def cross_power(spec: IsolatorSpec, direction: str) -> float:
-    """Cross transmission |T_12|^2 from the cascade matrix product."""
-    return float(_cross_power(spec.stage._row, spec.delta_theta, spec.rf_offset, direction))
+    """Cross transmission |T_12|^2 from the cascade matrix product, per column entry."""
+    o = cascade(spec, direction).o
+    return abs2(o.real, o.imag) if isinstance(o, np.ndarray) else abs(o) ** 2
 
 
-def _gauge_angle(row):
-    """2 arg D of a stage row, the stage's contribution to the differential phase."""
-    dr, di, _, _ = row
-    return 2.0 * _mapped(math.atan2, di, dr)
-
-
-def _closed_form(row, dtheta, offset):
-    """closed_form_powers for a stage row, floats or columns."""
-    dr, di, o_r, oi = row
-    amp = 2.0 * abs2(dr, di) * abs2(o_r, oi)
-    base = dtheta + _gauge_angle(row)
-    return amp * (1.0 + np.cos(base + offset)), amp * (1.0 + np.cos(base - offset))
+def _gauge_angle(stage: TransferMatrix):
+    """2 arg D of a stage, its contribution to the differential phase."""
+    return 2.0 * _each(math.atan2, stage.d.imag, stage.d.real)
 
 
 def closed_form_powers(stage: TransferMatrix, dtheta, offset):
     """(forward, backward) cross powers from the interference formula.
 
     2 |D|^2 |O|^2 (1 + cos(dtheta + 2 arg D +/- offset)), elementwise, so
-    dtheta and offset may be numpy arrays that broadcast together.
-    Agrees with cross_power to machine precision for any unitary stage.
+    the stage may be columns, and dtheta and offset numpy arrays, that
+    broadcast together.  Agrees with cross_power to machine precision for
+    any unitary stage.
     """
-    return _closed_form(stage._row, dtheta, offset)
+    dr, di, o_r, oi = stage._row
+    amp = 2.0 * abs2(dr, di) * abs2(o_r, oi)
+    base = dtheta + _gauge_angle(stage)
+    return amp * (1.0 + np.cos(base + offset)), amp * (1.0 + np.cos(base - offset))
 
 
 def reciprocity_defect(spec: IsolatorSpec) -> float:
@@ -173,7 +159,7 @@ def effective_differential_phase(spec: IsolatorSpec) -> float:
     Replacing the stage by one with diagonal |D| and delta_theta by this
     value leaves both directional powers unchanged.
     """
-    return spec.delta_theta + float(_gauge_angle(spec.stage._row))
+    return spec.delta_theta + float(_gauge_angle(spec.stage))
 
 
 def contrast_db(fwd, bwd):
@@ -195,7 +181,7 @@ def optimal_phases(stage: TransferMatrix) -> tuple[float, float]:
     the forward cross power vanish while the backward one reaches 1;
     delta_theta is returned reduced to [0, 2 pi).
     """
-    return (_reduce_phase(math.pi / 2.0 - float(_gauge_angle(stage._row))), math.pi / 2.0)
+    return (_reduce_phase(math.pi / 2.0 - float(_gauge_angle(stage))), math.pi / 2.0)
 
 
 @dataclass(frozen=True)

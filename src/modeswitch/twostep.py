@@ -32,6 +32,7 @@ from .dynamics import (
     CouplerParams,
     CouplingSegment,
     Protocol,
+    _finite,
     protocol_propagator,
 )
 from .geometry import NORTH, bloch_precess, leg_time, precession_leg, rotation_axis, tilt_angle
@@ -56,7 +57,8 @@ class InfeasibleTransferError(ValueError):
 
 
 def two_step_feasible(params: CouplerParams, phi: float) -> bool:
-    """Whether two segments (phases 0 and phi) can transfer completely."""
+    """Whether two segments (phases 0 and finite phi) can transfer completely."""
+    _finite(phi, "coupling phase phi")
     r = params.ratio
     return math.cos(phi) <= 1.0 - 2.0 * r * r + FEASIBILITY_EPS
 
@@ -77,8 +79,9 @@ def axis_separation(params: CouplerParams, phi: float) -> float:
 
     The axes are a chord 2 (kappa0 / W) |sin(phi / 2)| apart, so Theta =
     2 asin((kappa0 / W) |sin(phi / 2)|); unlike acos of their dot product
-    this keeps full precision as Theta goes to 0.
+    this keeps full precision as Theta goes to 0.  phi must be finite.
     """
+    _finite(phi, "coupling phase phi")
     half = params.kappa0 / params.rabi * abs(math.sin(phi / 2.0))
     return 2.0 * math.asin(min(1.0, half))
 
@@ -230,8 +233,9 @@ def transfer_map(params: CouplerParams, phi: float, n: int = 64) -> TransferMap:
     The grid spans one period, W t in [0, pi] inclusive on both axes.
     Peak values are grid-limited: they approach the true optimum only as
     n grows, so feasibility decisions belong to two_step_feasible, not
-    to this map.
+    to this map.  phi must be finite.
     """
+    _finite(phi, "coupling phase phi")
     if n < 2:
         raise ValueError("transfer map needs n >= 2")
     wt = np.linspace(0.0, math.pi, n)

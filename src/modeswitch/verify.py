@@ -13,12 +13,13 @@ a pure `<check>_residual(case...)`.  segment_splitting, propagator_vs_expm,
 isolator_identity, bloch_consistency, precession_rigidity and
 precession_leg take one case or numpy columns of cases, and return a
 float or an array.  Their checks, segment_unitarity and cone_floor run
-all their cases at once through the SU(2) kernel (dynamics._segment,
-_compose, _apply) and the geometry's SO(3) algebra, bit for bit the
-scalar path; the three geometry checks draw case by case first, as
-they mix normal and uniform draws.  check_<check> only draws its cases
-from the battery's rng and keeps the worst residual, and a NaN residual
-fails it; the property tests call the same residual on cases of their own.
+all their cases at once as column TransferMatrix and ModeState values,
+through the SU(2) kernel, the public isolator functions and the
+geometry's SO(3) algebra, bit for bit the scalar path; the three
+geometry checks draw case by case first, as they mix normal and uniform
+draws.  check_<check> only draws its cases from the battery's rng and
+keeps the worst residual, and a NaN residual fails it; the property
+tests call the same residual on cases of their own.
 
 inject_fault=True deliberately corrupts the reference used in the expm
 comparison: each segment's coupling phase is negated, which conjugates
@@ -41,14 +42,14 @@ from .dynamics import (
     ModeState,
     Protocol,
     TransferMatrix,
-    _apply,
-    _compose,
     _mapped,
+    _matrix,
     _reduce_phase,
     _segment_columns,
     _turn,
     _unitarity_defect,
     abs2,
+    compose,
     propagate,
     protocol_propagator,
     remap_phases,
@@ -71,9 +72,8 @@ from .isolator import (
     BACKWARD,
     FORWARD,
     IsolatorSpec,
-    _closed_form,
-    _cross_power,
     cascade_trajectory,
+    closed_form_powers,
     cross_power,
     optimal_phases,
     pushpull_stage,
@@ -125,18 +125,11 @@ def _rabi(delta, kappa0) -> np.ndarray:
     return _mapped(math.hypot, delta, kappa0)
 
 
-def _segment_rows(delta, kappa0, phase, duration):
-    """segment_propagator's row for columns of segments, the phase reduced as
+def _segments(delta, kappa0, phase, duration) -> TransferMatrix:
+    """segment_propagator for columns of segments, the phase reduced as
     CouplingSegment stores it."""
     turn = _mapped(_turn, _mapped(_reduce_phase, phase), dtype=complex)
-    return _segment_columns(delta, kappa0, _rabi(delta, kappa0), turn, duration)
-
-
-def _matrices(row) -> np.ndarray:
-    """TransferMatrix.as_array of a row, or a stack of them for columns."""
-    dr, di, o_r, oi = np.broadcast_arrays(*row)
-    parts = np.stack((dr, di, o_r, oi, -o_r, oi, dr, -di), axis=-1)
-    return parts.view(complex).reshape(*dr.shape, 2, 2)
+    return _matrix(_segment_columns(delta, kappa0, _rabi(delta, kappa0), turn, duration))
 
 
 def _random_params(rng) -> CouplerParams:
@@ -166,12 +159,6 @@ def _random_state(rng) -> ModeState:
     return ModeState(complex(a[0], a[1]), complex(a[2], a[3])).normalized()
 
 
-def _applied(row, state: ModeState) -> ModeState:
-    """TransferMatrix.apply of a row to a state, or of columns of them."""
-    parts = np.stack(_apply(row, state.a1, state.a2), axis=-1).view(complex)
-    return ModeState(parts[..., 0], parts[..., 1])
-
-
 def _matrix_mismatch(a: np.ndarray, b: np.ndarray):
     """Largest |a - b| entry of two 2x2 matrices, or per matrix of two stacks."""
     return np.abs(a - b).max(axis=(-2, -1))[()]
@@ -179,7 +166,7 @@ def _matrix_mismatch(a: np.ndarray, b: np.ndarray):
 
 def check_segment_unitarity(rng, n: int) -> CheckResult:
     delta, kappa0, phase, wt = _draw(rng, n, DELTAS, KAPPAS, PHASES, (0.0, 4.0))
-    rows = _segment_rows(delta, kappa0, phase, wt / _rabi(delta, kappa0))
+    rows = _segments(delta, kappa0, phase, wt / _rabi(delta, kappa0))._row
     return _worst("segment_unitarity", _unitarity_defect(rows), 1e-12, f"{n} random segments")
 
 
@@ -198,11 +185,9 @@ def check_norm_conservation(rng, n: int) -> CheckResult:
 def segment_splitting_residual(delta, kappa0, phase, t1, t2):
     """One segment of t1 + t2 against the same phase held for t1, then t2;
     one case, or columns of cases."""
-    whole = _segment_rows(delta, kappa0, phase, t1 + t2)
-    split = _compose(
-        _segment_rows(delta, kappa0, phase, t2), _segment_rows(delta, kappa0, phase, t1)
-    )
-    return _matrix_mismatch(_matrices(whole), _matrices(split))
+    whole = _segments(delta, kappa0, phase, t1 + t2)
+    split = compose(_segments(delta, kappa0, phase, t2), _segments(delta, kappa0, phase, t1))
+    return _matrix_mismatch(whole.as_array(), split.as_array())
 
 
 def check_segment_splitting(rng, n: int) -> CheckResult:
@@ -241,7 +226,7 @@ def check_rk4_agreement(rng, n: int) -> CheckResult:
 
 
 def _expm_mismatch(delta, kappa0, phase, duration, fault: bool = False):
-    exact = _matrices(_segment_rows(delta, kappa0, phase, duration))
+    exact = _segments(delta, kappa0, phase, duration).as_array()
     # The reference's phase, stored reduced as CouplingSegment does.  The
     # deliberate corruption that proves the battery can fail negates it.
     phase = _mapped(_reduce_phase, phase)
@@ -270,7 +255,7 @@ def bloch_consistency_residual(delta, kappa0, phases, durations, state: ModeStat
     bloch = to_bloch(state)
     for phase, duration in zip(np.moveaxis(phases, -1, 0), np.moveaxis(durations, -1, 0)):
         live = ~np.isnan(duration)
-        moved = _applied(_segment_rows(delta, kappa0, phase, duration), state)
+        moved = _segments(delta, kappa0, phase, duration).apply(state)
         turned = bloch_precess(rotation_axis((delta, kappa0), phase), bloch, duration)
         state = ModeState(*np.where(live, (moved.a1, moved.a2), (state.a1, state.a2)))
         bloch = BlochVector(*np.where(live, tuple(turned), tuple(bloch)))
@@ -331,8 +316,8 @@ def _cone_floor_residuals(delta, kappa0, phase) -> np.ndarray:
     total = math.pi / _rabi(delta, kappa0)[:, None]
     t = total * np.arange(129) / 128
     t[:, -1] = total[:, 0]
-    rows = _segment_rows(delta[:, None], kappa0[:, None], phase[:, None], t)
-    return floor - to_bloch(_applied(rows, ModeState.mode1())).w.min(axis=1)
+    pieces = _segments(delta[:, None], kappa0[:, None], phase[:, None], t)
+    return floor - to_bloch(pieces.apply(ModeState.mode1())).w.min(axis=1)
 
 
 def check_cone_floor(rng, n: int) -> CheckResult:
@@ -457,7 +442,7 @@ def precession_leg_residual(delta, kappa0, phase, duration, state: ModeState, al
         (duration, c + r * _mapped(math.cos, 2.0 * axis.omega * duration + chi)),
         (leg_time(axis, chi, angle), c + r * _mapped(math.cos, angle)),
     ):
-        moved = _applied(_segment_rows(delta, kappa0, phase, s), state)
+        moved = _segments(delta, kappa0, phase, s).apply(state)
         worst = np.maximum(worst, abs(_dot(along, to_bloch(moved)) - predicted))
     return worst[()]
 
@@ -553,13 +538,9 @@ def isolator_identity_residual(d, o, theta1, theta2, rf_offset):
     """closed_form_powers against the cascade's matrix product, both
     directions, for the stage [[d, o], [-conj(o), conj(d)]] and the phases
     of an IsolatorSpec; one case, or columns of cases."""
-    stage = (d.real, d.imag, o.real, o.imag)
-    dtheta = theta1 - theta2
-    closed = _closed_form(stage, dtheta, rf_offset)
-    fwd, bwd = (
-        abs(_cross_power(stage, dtheta, rf_offset, direction) - p)
-        for direction, p in zip((FORWARD, BACKWARD), closed)
-    )
+    spec = IsolatorSpec(TransferMatrix(d, o), theta1, theta2, rf_offset)
+    closed = closed_form_powers(spec.stage, spec.delta_theta, spec.rf_offset)
+    fwd, bwd = (abs(cross_power(spec, way) - p) for way, p in zip((FORWARD, BACKWARD), closed))
     return np.maximum(fwd, bwd)[()]
 
 

@@ -79,6 +79,9 @@ def test_protocol_validation():
     prot = Protocol.from_pairs([(0.0, 1.0), (math.pi, 2.0)])
     assert prot.total_duration == pytest.approx(3.0)
     assert prot.phases == (0.0, math.pi)
+    # Each segment is finite, their total is not.
+    with pytest.raises(ValueError, match="total duration = inf must be finite"):
+        Protocol.from_pairs([(0.0, 1e308), (0.0, 1e308)])
 
 
 def test_protocol_timeline_is_the_running_sum():

@@ -14,6 +14,7 @@ from modeswitch import (
     ModeState,
     Protocol,
     RotationAxis,
+    axis_separation,
     bloch_precess,
     cone_floor,
     leg_time,
@@ -23,6 +24,9 @@ from modeswitch import (
     static_max_transfer,
     tilt_angle,
     to_bloch,
+    transfer_map,
+    two_step_ceiling,
+    two_step_feasible,
     verify,
 )
 from modeswitch.geometry import _cross, _dot
@@ -76,7 +80,15 @@ def test_rotation_axis_rejects_nan(n, omega):
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_phase_is_named(phi):
     params = CouplerParams(0.5, 1.0)
-    for call in (rotation_axis, solve_two_step):
+    calls = (
+        rotation_axis,
+        solve_two_step,
+        two_step_feasible,
+        two_step_ceiling,
+        axis_separation,
+        transfer_map,
+    )
+    for call in calls:
         with pytest.raises(ValueError, match="phase phi"):
             call(params, phi)
 

@@ -12,10 +12,12 @@ from modeswitch import (
     CouplerParams,
     CouplingSegment,
     IsolatorSpec,
+    ModeState,
     Protocol,
     TransferMatrix,
     cascade,
     cascade_trajectory,
+    closed_form_powers,
     contrast_db,
     contrast_sweep,
     cross_power,
@@ -62,6 +64,22 @@ def test_a_nan_stage_is_rejected():
         IsolatorSpec(stage, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError, match="unitary"):
         contrast_sweep(stage, n=8)
+    # A column stage fails on its one NaN entry.
+    stages = TransferMatrix(np.array([RHALF, np.nan]), np.array([RHALF, RHALF]) * 1j)
+    with pytest.raises(ValueError, match="unitary"):
+        IsolatorSpec(stages, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("field", ["theta1", "theta2", "rf_offset"])
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, np.array([0.2, math.nan])],
+    ids=["nan", "inf", "-inf", "column"],
+)
+def test_spec_names_a_non_finite_phase(field, bad):
+    phases = {"theta1": 0.3, "theta2": 0.1, "rf_offset": 0.5, field: bad}
+    with pytest.raises(ValueError, match=f"{field} = .* must be finite"):
+        IsolatorSpec(balanced_stage(), **phases)
 
 
 def test_cascade_matches_full_matrix_product():
@@ -100,6 +118,57 @@ angles = st.floats(-6.0, 6.0)
 @given(unitary_stages(), angles, angles, angles)
 def test_closed_form_matches_matrix_product(stage, t1, t2, off):
     assert verify.isolator_identity_residual(stage.d, stage.o, t1, t2, off) <= 1e-12
+
+
+def hexed(values):
+    """float.hex of each value, a complex as its two parts."""
+    return [part.hex() for x in values for part in (complex(x).real, complex(x).imag)]
+
+
+def one_case_path(stage, state, t1, t2, off):
+    """as_array's four entries, apply, unitarity_defect and the cascade's
+    functions, of one case or of columns."""
+    spec = IsolatorSpec(stage, t1, t2, off)
+    moved = stage.apply(state)
+    shifted = stage_with_offset(stage, off)
+    cascades = [cascade(spec, direction) for direction in (FORWARD, BACKWARD)]
+    return [
+        *np.moveaxis(stage.as_array().reshape(*np.shape(stage.d), 4), -1, 0),
+        moved.a1,
+        moved.a2,
+        stage.unitarity_defect,
+        shifted.d,
+        shifted.o,
+        *(m.d for m in cascades),
+        *(m.o for m in cascades),
+        *(cross_power(spec, direction) for direction in (FORWARD, BACKWARD)),
+        *closed_form_powers(stage, spec.delta_theta, off),
+    ]
+
+
+@given(
+    st.lists(
+        st.tuples(unitary_stages(), st.tuples(*[st.floats(-2.0, 2.0)] * 4), angles, angles, angles),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_isolator_on_columns_is_the_one_case_path_bit_for_bit(cases):
+    """TransferMatrix and the cascade on columns of cases, and a scalar
+    stage with column phases, against each case on its own."""
+    stages, parts, theta1, theta2, offset = zip(*cases)
+    states = [ModeState(complex(a, b), complex(c, d)) for a, b, c, d in parts]
+    stage = TransferMatrix(np.array([s.d for s in stages]), np.array([s.o for s in stages]))
+    state = ModeState(np.array([s.a1 for s in states]), np.array([s.a2 for s in states]))
+    phases = np.array(theta1), np.array(theta2), np.array(offset)
+    columns = one_case_path(stage, state, *phases)
+    scalar_stage = IsolatorSpec(stages[0], *phases)
+    mixed = [cross_power(scalar_stage, direction) for direction in (FORWARD, BACKWARD)]
+    for k, (one, _, t1, t2, off) in enumerate(cases):
+        assert hexed(one_case_path(one, states[k], t1, t2, off)) == hexed(c[k] for c in columns)
+        first = IsolatorSpec(stages[0], t1, t2, off)
+        want = [cross_power(first, direction) for direction in (FORWARD, BACKWARD)]
+        assert hexed(want) == hexed(c[k] for c in mixed)
 
 
 def test_canonical_gauge_preserves_response():

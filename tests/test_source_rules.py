@@ -1,10 +1,16 @@
-"""No BLAS-rounded product reaches an output.
+"""Rules the package's source keeps.
 
-np.dot and its relatives round in numpy's dot kernel, whose bits may
-change with the numpy build and the CPU, and which a column of cases
-cannot replay.  The package sums its 3-vector products in geometry._dot
-and geometry._cross instead; this scan keeps the others out of it."""
+No BLAS-rounded product reaches an output.  np.dot and its relatives
+round in numpy's dot kernel, whose bits may change with the numpy build
+and the CPU, and which a column of cases cannot replay.  The package sums
+its 3-vector products in geometry._dot and geometry._cross instead; this
+scan keeps the others out of it.
 
+The battery checks the cascade the CLI runs: verify imports only public
+names from isolator, so no private twin of a public function can stand
+in for it."""
+
+import ast
 from pathlib import Path
 
 import pytest
@@ -27,3 +33,15 @@ def test_no_blas_rounded_product(path):
 
 def test_the_scan_sees_the_package():
     assert {"geometry.py", "verify.py"} <= {path.name for path in SRC.glob("*.py")}
+
+
+def test_verify_imports_no_private_isolator_name():
+    tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("isolator", "modeswitch.isolator")
+        for alias in node.names
+    ]
+    assert "cross_power" in imported
+    assert [name for name in imported if name.startswith("_")] == []

@@ -5,11 +5,12 @@ propagator_vs_expm, bloch_consistency, precession_rigidity and
 precession_leg evaluate all their cases as columns.  Each reference below
 is the per-case loop such a check runs with the scalar API: one
 CouplerParams, CouplingSegment and TransferMatrix per case.  Where the
-library now shares its column code with the scalar path (unitarity_defect,
-the isolator's cascade and closed form, the geometry algebra), the
-reference writes the formula out in Python float or complex arithmetic
-instead: the geometry's dot products as left-to-right sums of floats, its
-cross products by np.cross.  Every per-case residual must agree as
+library shares its column code with the scalar path (TransferMatrix's
+unitarity_defect, the public isolator functions that isolator_identity
+calls on a column IsolatorSpec, the geometry algebra), the reference
+writes the formula out in Python float or complex arithmetic instead:
+the geometry's dot products as left-to-right sums of floats, its cross
+products by np.cross.  Every per-case residual must agree as
 float.hex, and the rng must be left in the same state, so that every
 later check sees the same draws."""
 
