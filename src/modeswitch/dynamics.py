@@ -18,7 +18,8 @@ constant-coupling segments; their propagators compose by matrix product.
 Everything in this module is exact up to floating point.  One kernel,
 _segment, _compose and _apply in cmul's arithmetic on rows (d.real, d.imag,
 o.real, o.imag) of floats or numpy columns, serves the scalar propagators,
-propagate's columns and the battery's columns of cases alike.  TransferMatrix
+propagate's columns and the battery's columns of cases alike; its one
+segment entry is segment_propagator, one case or columns.  TransferMatrix
 and ModeState likewise hold one case or columns, and _matrix makes either
 kind of TransferMatrix from a row.  modeswitch.oracle cross-checks them.
 """
@@ -256,12 +257,6 @@ def _turn(phase: float) -> complex:
     return cmath.exp(1j * phase)
 
 
-def _segment_row(params: CouplerParams, segment: CouplingSegment):
-    w = params.rabi
-    wt = w * segment.duration
-    return _segment(params.delta, params.kappa0, w, math.sin(wt), math.cos(wt), _turn(segment.phase))
-
-
 def _complexes(parts):
     """(a, b) of parts (a.real, a.imag, b.real, b.imag), exactly: complexes, or
     complex columns of one shape when b's parts are columns (a's may be floats)."""
@@ -277,9 +272,26 @@ def _matrix(row) -> TransferMatrix:
     return TransferMatrix(*_complexes(row))
 
 
-def segment_propagator(params: CouplerParams, segment: CouplingSegment) -> TransferMatrix:
-    """Closed-form propagator for one constant-coupling segment."""
-    return _matrix(_segment_row(params, segment))
+def segment_propagator(params, segment) -> TransferMatrix:
+    """Closed-form propagator for one constant-coupling segment, of a
+    CouplerParams or (delta, kappa0) and a CouplingSegment or (phase,
+    duration): pairs of floats, or of columns that broadcast together
+    (delta and kappa0 of one shape), which give a column TransferMatrix,
+    bit for bit each case alone.  A pair is checked and reduced as
+    CouplingSegment does, a bad entry named in a ValueError."""
+    if isinstance(params, CouplerParams):
+        delta, kappa0, w = params.delta, params.kappa0, params.rabi
+    else:
+        delta, kappa0 = params
+        w = _each(math.hypot, delta, kappa0)
+    if isinstance(segment, CouplingSegment):
+        turn, duration = _turn(segment.phase), segment.duration
+    else:
+        phase, duration = segment
+        turn = _each(_turn, _each(_reduce_phase, _finite(phase, "segment phase")), dtype=complex)
+        if np.any(_finite(duration, "segment duration") < 0.0):
+            raise ValueError(f"segment duration = {duration!r} must be >= 0")
+    return _matrix(_segment(delta, kappa0, w, turn, duration))
 
 
 def compose(later: TransferMatrix, earlier: TransferMatrix) -> TransferMatrix:
@@ -304,18 +316,6 @@ def abs2(re, im):
     return np.float_power(np.hypot(re, im), 2.0)
 
 
-def _mapped(fn, *columns, dtype=float) -> np.ndarray:
-    """fn of each entry of the equal-shape columns, as an array of their shape.
-
-    The math functions go entry by entry on Python floats, as the scalar
-    path takes them: numpy builds may vectorize their own sin, cos, hypot
-    and atan2, which can differ in a bit.  A dtype with a shape, such as
-    (complex, (2, 2)), adds that shape after theirs."""
-    flat = [np.ravel(c).tolist() for c in columns]
-    values = np.fromiter(map(fn, *flat), dtype, len(flat[0]))
-    return values.reshape(np.shape(columns[0]) + values.shape[1:])
-
-
 def _finite(value, name: str):
     """value, a float or a column, if each entry is finite; else a ValueError naming it."""
     finite = abs(value) < math.inf
@@ -325,22 +325,29 @@ def _finite(value, name: str):
 
 
 def _each(fn, *args, dtype=float):
-    """fn of floats, or of equal-shape columns entry by entry (_mapped)."""
-    return _mapped(fn, *args, dtype=dtype) if isinstance(args[0], np.ndarray) else fn(*args)
+    """fn of floats, or of equal-shape columns entry by entry on Python floats,
+    as the scalar path takes them: numpy may vectorize its own sin, cos,
+    hypot and atan2, which can differ in a bit.  A dtype with a shape, such
+    as (complex, (2, 2)), adds that shape after the columns'."""
+    if not isinstance(args[0], np.ndarray):
+        return fn(*args)
+    flat = [np.ravel(c).tolist() for c in args]
+    values = np.fromiter(map(fn, *flat), dtype, len(flat[0]))
+    return values.reshape(args[0].shape + values.shape[1:])
 
 
-def _segment(delta, kappa0, w, s, c, turn):
-    """Row of a segment whose W t has sine s and cosine c, at turn = exp(i phi).
-    -1j * (kappa0 / W) enters as (0.0, -kappa0 / W), what CPython makes of it."""
+def _segment(delta, kappa0, w, turn, duration):
+    """Row of a segment of rate w = W at turn = exp(i phi), held for
+    duration: floats, or columns that broadcast together, with sin and cos
+    from math, entry by entry (_each).  -1j * (kappa0 / W) enters as
+    (0.0, -kappa0 / W), what CPython makes of it."""
+    wt = w * duration
+    if isinstance(wt, np.ndarray):
+        s, c = _each(math.sin, wt), _each(math.cos, wt)
+    else:  # _each's float case, inline: the scalar paths run it per segment.
+        s, c = math.sin(wt), math.cos(wt)
     o_r, oi = cmul(*cmul(0.0, -(kappa0 / w), s, 0.0), turn.real, turn.imag)
     return c, -(delta / w) * s, o_r, oi
-
-
-def _segment_columns(delta, kappa0, w, turn, duration):
-    """_segment_row for columns: segments of rate w and phase factor turn
-    held for duration, with sin and cos from math, entry by entry."""
-    wt = w * duration
-    return _segment(delta, kappa0, w, _mapped(math.sin, wt), _mapped(math.cos, wt), turn)
 
 
 def _compose(later, earlier):
@@ -373,9 +380,11 @@ def _unitarity_defect(row):
 def prefix_products(params: CouplerParams, protocol: Protocol) -> np.ndarray:
     """Rows (d.real, d.imag, o.real, o.imag): row j the product of the first
     j segments, by _segment and _compose, one segment at a time."""
+    delta, kappa0, w = params.delta, params.kappa0, params.rabi
     prefix = [(1.0, 0.0, 0.0, 0.0)]
     for seg in protocol.segments:
-        prefix.append(_compose(_segment_row(params, seg), prefix[-1]))
+        row = _segment(delta, kappa0, w, _turn(seg.phase), seg.duration)
+        prefix.append(_compose(row, prefix[-1]))
     return np.array(prefix)
 
 
@@ -430,7 +439,7 @@ def propagate(
     piece = np.minimum(whole, n - 1)
     start = np.array(starts)[piece]
     partial = (whole < n) & (t > start)
-    piece_row = _segment_columns(params.delta, params.kappa0, params.rabi, turns[piece], t - start)
+    piece_row = _segment(params.delta, params.kappa0, params.rabi, turns[piece], t - start)
     row = np.where(partial, _compose(piece_row, prefix), prefix)
     # The apply's real and imaginary columns, side by side, view as a1, a2.
     a1, a2 = np.stack(_apply(row, initial.a1, initial.a2), axis=-1).view(complex).T

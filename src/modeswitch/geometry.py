@@ -201,9 +201,10 @@ def leg_time(axis: RotationAxis, chi: float, angle: float) -> float:
     """Earliest s >= 0 at which 2 W s + chi reaches angle (mod 2 pi).
 
     A turn that falls short of a full circle by at most ANGLE_TOL is
-    rounding of a leg that starts there, and takes no time.
+    rounding of a leg that starts there, and takes no time.  A non-finite
+    chi or angle raises a ValueError naming it.
     """
-    turn = _each(_reduce_phase, angle - chi)
+    turn = _each(_reduce_phase, _finite(angle, "angle") - _finite(chi, "chi"))
     # Multiplying by the bool keeps the turn, or makes it 0.0.
     return turn * (turn < 2.0 * math.pi - ANGLE_TOL) / (2.0 * axis.omega)
 

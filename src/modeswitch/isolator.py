@@ -57,6 +57,13 @@ BACKWARD = "backward"
 UNITARY_TOL = 1e-9
 
 
+def _unitary(stage: TransferMatrix) -> TransferMatrix:
+    """stage, if its defect is at most UNITARY_TOL in every entry; a NaN fails it."""
+    if not np.all(stage.unitarity_defect <= UNITARY_TOL):
+        raise ValueError("stage matrix must be unitary")
+    return stage
+
+
 @dataclass(frozen=True)
 class IsolatorSpec:
     """Cascade description, one case or columns of cases.
@@ -78,8 +85,7 @@ class IsolatorSpec:
 
     def __post_init__(self) -> None:
         # Each guard must hold in every entry, and a NaN fails it.
-        if not np.all(self.stage.unitarity_defect <= UNITARY_TOL):
-            raise ValueError("stage matrix must be unitary")
+        _unitary(self.stage)
         for name in ("theta1", "theta2", "rf_offset"):
             value = getattr(self, name)
             value = value if isinstance(value, np.ndarray) else float(value)
@@ -154,12 +160,13 @@ def reciprocity_defect(spec: IsolatorSpec) -> float:
 
 
 def effective_differential_phase(spec: IsolatorSpec) -> float:
-    """delta_theta + 2 arg D, the angle that actually enters the response.
+    """delta_theta + 2 arg D, the angle that actually enters the response;
+    a column for a spec of columns.
 
     Replacing the stage by one with diagonal |D| and delta_theta by this
     value leaves both directional powers unchanged.
     """
-    return spec.delta_theta + float(_gauge_angle(spec.stage))
+    return spec.delta_theta + _gauge_angle(spec.stage)
 
 
 def contrast_db(fwd, bwd):
@@ -179,9 +186,10 @@ def optimal_phases(stage: TransferMatrix) -> tuple[float, float]:
 
     For a balanced stage, delta_theta + 2 arg D = rf_offset = pi/2 makes
     the forward cross power vanish while the backward one reaches 1;
-    delta_theta is returned reduced to [0, 2 pi).
+    delta_theta is returned reduced to [0, 2 pi), a column for a column
+    stage.  The stage must be unitary.
     """
-    return (_reduce_phase(math.pi / 2.0 - float(_gauge_angle(stage))), math.pi / 2.0)
+    return _each(_reduce_phase, math.pi / 2.0 - _gauge_angle(_unitary(stage))), math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -206,8 +214,8 @@ class ContrastSweep:
 def contrast_sweep(stage: TransferMatrix, n: int = 64) -> ContrastSweep:
     if n < 2:
         raise ValueError("sweep needs n >= 2")
-    if not stage.unitarity_defect <= UNITARY_TOL:
-        raise ValueError("stage matrix must be unitary")
+    if isinstance(_unitary(stage).d, np.ndarray):
+        raise ValueError("contrast_sweep takes one case, not columns")
     dthetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     offsets = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     fwd, bwd = closed_form_powers(stage, dthetas[:, None], offsets[None, :])
@@ -233,8 +241,10 @@ def cascade_trajectory(
     time appears before and after the jump; both stages contribute
     sample_count samples each.  The offset stage is realized as the stage
     protocol with all drive phases shifted by -rf_offset, which
-    reproduces stage_with_offset exactly.
+    reproduces stage_with_offset exactly.  It takes one case only.
     """
+    if max(map(np.ndim, (spec.stage.d, spec.theta1, spec.theta2, spec.rf_offset))):
+        raise ValueError("cascade_trajectory takes one case, not columns")
     first, second = _in_order(
         direction, stage_protocol, remap_phases(stage_protocol, shift=spec.rf_offset)
     )

@@ -31,12 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    CouplerParams,
-    ModeState,
-    Protocol,
-    _mapped,
-)
+from .dynamics import CouplerParams, ModeState, Protocol, _each
 
 # Default resolution: step * W, and the largest value accepted.  RK4
 # error grows like (step * W)^4; results past the cap are not meaningful.
@@ -153,5 +148,5 @@ def expm_propagator(delta, kappa0, phase, duration) -> np.ndarray:
     """
     from scipy.linalg import expm
 
-    h = _mapped(_generator, delta, kappa0, phase, dtype=(complex, (2, 2)))
+    h = _each(_generator, delta, kappa0, phase, dtype=(complex, (2, 2)))
     return expm(-1j * h * np.asarray(duration)[..., None, None])

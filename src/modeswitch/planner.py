@@ -57,9 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .dynamics import CouplerParams, Protocol, Trajectory, abs2, prefix_products
+from .dynamics import CouplerParams, ModeState, Protocol, abs2, prefix_products
 from .geometry import BlochVector, tilt_angle, to_bloch
 
 # Slack on threshold comparisons: a plan reaches its aim only up to
@@ -138,11 +136,11 @@ def dive_plan(params: CouplerParams, k: int, threshold: float) -> StaircasePlan:
     # At the clamp dphi = -+pi, and j dphi drifts an ulp from 0 or pi
     # (mod 2 pi) at odd j >= 3, so half turns take their phases exactly.
     phases = [math.pi * (j % 2) if wt == math.pi / 2 else j * dphi for j in range(k)]
-    # One to_bloch over the switch states as columns, at the switch times.
     protocol = Protocol.from_pairs((phase, wt / params.rabi) for phase in phases)
     prefix = prefix_products(params, protocol)
+    # One to_bloch over the switch states as columns.
     d, o = prefix[1:-1].view(complex).T
-    b = to_bloch(Trajectory(np.array(protocol.ends[:-1]), d, -o.conj()))
+    b = to_bloch(ModeState(d, -o.conj()))
     points = tuple(map(BlochVector, b.u.tolist(), b.v.tolist(), b.w.tolist()))
     return StaircasePlan(protocol, points, float(abs2(*prefix[-1, 2:])), len(points))
 

@@ -14,10 +14,11 @@ isolator_identity, bloch_consistency, precession_rigidity and
 precession_leg take one case or numpy columns of cases, and return a
 float or an array.  Their checks, segment_unitarity and cone_floor run
 all their cases at once as column TransferMatrix and ModeState values,
-through the SU(2) kernel, the public isolator functions and the
-geometry's SO(3) algebra, bit for bit the scalar path; the three
-geometry checks draw case by case first, as they mix normal and uniform
-draws.  check_<check> only draws its cases from the battery's rng and
+bit for bit the scalar path.  They reach the SU(2) kernel only through
+public functions: each segment is the column form of segment_propagator,
+the one the CLI runs, and the cascade is the public isolator functions.
+The three geometry checks draw case by case first, as they mix normal
+and uniform draws.  check_<check> only draws its cases from the battery's rng and
 keeps the worst residual, and a NaN residual fails it; the property
 tests call the same residual on cases of their own.
 
@@ -42,12 +43,8 @@ from .dynamics import (
     ModeState,
     Protocol,
     TransferMatrix,
-    _mapped,
-    _matrix,
+    _each,
     _reduce_phase,
-    _segment_columns,
-    _turn,
-    _unitarity_defect,
     abs2,
     compose,
     propagate,
@@ -120,18 +117,6 @@ def _draw(rng, n: int, *ranges: tuple[float, float]) -> np.ndarray:
     return rng.uniform(low, high, size=(n, len(ranges))).T
 
 
-def _rabi(delta, kappa0) -> np.ndarray:
-    """W of columns of (delta, kappa0), by math.hypot as CouplerParams.rabi."""
-    return _mapped(math.hypot, delta, kappa0)
-
-
-def _segments(delta, kappa0, phase, duration) -> TransferMatrix:
-    """segment_propagator for columns of segments, the phase reduced as
-    CouplingSegment stores it."""
-    turn = _mapped(_turn, _mapped(_reduce_phase, phase), dtype=complex)
-    return _matrix(_segment_columns(delta, kappa0, _rabi(delta, kappa0), turn, duration))
-
-
 def _random_params(rng) -> CouplerParams:
     return CouplerParams(rng.uniform(*DELTAS), rng.uniform(*KAPPAS))
 
@@ -166,8 +151,8 @@ def _matrix_mismatch(a: np.ndarray, b: np.ndarray):
 
 def check_segment_unitarity(rng, n: int) -> CheckResult:
     delta, kappa0, phase, wt = _draw(rng, n, DELTAS, KAPPAS, PHASES, (0.0, 4.0))
-    rows = _segments(delta, kappa0, phase, wt / _rabi(delta, kappa0))._row
-    return _worst("segment_unitarity", _unitarity_defect(rows), 1e-12, f"{n} random segments")
+    segments = segment_propagator((delta, kappa0), (phase, wt / _each(math.hypot, delta, kappa0)))
+    return _worst("segment_unitarity", segments.unitarity_defect, 1e-12, f"{n} random segments")
 
 
 def check_norm_conservation(rng, n: int) -> CheckResult:
@@ -185,14 +170,15 @@ def check_norm_conservation(rng, n: int) -> CheckResult:
 def segment_splitting_residual(delta, kappa0, phase, t1, t2):
     """One segment of t1 + t2 against the same phase held for t1, then t2;
     one case, or columns of cases."""
-    whole = _segments(delta, kappa0, phase, t1 + t2)
-    split = compose(_segments(delta, kappa0, phase, t2), _segments(delta, kappa0, phase, t1))
-    return _matrix_mismatch(whole.as_array(), split.as_array())
+    whole, first, then = (
+        segment_propagator((delta, kappa0), (phase, t)) for t in (t1 + t2, t1, t2)
+    )
+    return _matrix_mismatch(whole.as_array(), compose(then, first).as_array())
 
 
 def check_segment_splitting(rng, n: int) -> CheckResult:
     delta, kappa0, phase, u1, u2 = _draw(rng, n, DELTAS, KAPPAS, PHASES, (0.0, 2.0), (0.0, 2.0))
-    w = _rabi(delta, kappa0)
+    w = _each(math.hypot, delta, kappa0)
     residuals = segment_splitting_residual(delta, kappa0, phase, u1 / w, u2 / w)
     return _worst("segment_splitting", residuals, 1e-12, f"{n} random splits")
 
@@ -226,11 +212,11 @@ def check_rk4_agreement(rng, n: int) -> CheckResult:
 
 
 def _expm_mismatch(delta, kappa0, phase, duration, fault: bool = False):
-    exact = _segments(delta, kappa0, phase, duration).as_array()
+    exact = segment_propagator((delta, kappa0), (phase, duration)).as_array()
     # The reference's phase, stored reduced as CouplingSegment does.  The
     # deliberate corruption that proves the battery can fail negates it.
-    phase = _mapped(_reduce_phase, phase)
-    reference_phase = _mapped(_reduce_phase, -phase) if fault else phase
+    phase = _each(_reduce_phase, phase)
+    reference_phase = _each(_reduce_phase, -phase) if fault else phase
     return _matrix_mismatch(exact, expm_propagator(delta, kappa0, reference_phase, duration))
 
 
@@ -242,7 +228,8 @@ def propagator_vs_expm_residual(delta, kappa0, phase, duration):
 
 def check_expm_agreement(rng, n: int, inject_fault: bool) -> CheckResult:
     delta, kappa0, phase, wt = _draw(rng, n, DELTAS, KAPPAS, PHASES, (0.0, 3.0))
-    residuals = _expm_mismatch(delta, kappa0, phase, wt / _rabi(delta, kappa0), inject_fault)
+    duration = wt / _each(math.hypot, delta, kappa0)
+    residuals = _expm_mismatch(delta, kappa0, phase, duration, inject_fault)
     detail = f"{n} random segments" + (" [fault injected]" if inject_fault else "")
     return _worst("propagator_vs_expm", residuals, 1e-10, detail)
 
@@ -250,21 +237,18 @@ def check_expm_agreement(rng, n: int, inject_fault: bool) -> CheckResult:
 def bloch_consistency_residual(delta, kappa0, phases, durations, state: ModeState):
     """Amplitudes against the Bloch vector precessed about each segment's
     axis; one case and its segments' phases and durations, or columns of
-    cases and (cases, segments) arrays of them, where NaN durations pad a
+    cases and (cases, segments) arrays of them, where zero durations pad a
     protocol past its last segment."""
     bloch = to_bloch(state)
     for phase, duration in zip(np.moveaxis(phases, -1, 0), np.moveaxis(durations, -1, 0)):
-        live = ~np.isnan(duration)
-        moved = _segments(delta, kappa0, phase, duration).apply(state)
-        turned = bloch_precess(rotation_axis((delta, kappa0), phase), bloch, duration)
-        state = ModeState(*np.where(live, (moved.a1, moved.a2), (state.a1, state.a2)))
-        bloch = BlochVector(*np.where(live, tuple(turned), tuple(bloch)))
+        state = segment_propagator((delta, kappa0), (phase, duration)).apply(state)
+        bloch = bloch_precess(rotation_axis((delta, kappa0), phase), bloch, duration)
     return np.abs(to_bloch(state).as_array() - bloch.as_array()).max(axis=0)[()]
 
 
 def check_bloch_consistency(rng, n: int) -> CheckResult:
     params, states = [], []
-    phases, durations = np.zeros((n, 5)), np.full((n, 5), np.nan)
+    phases, durations = np.zeros((2, n, 5))
     for i in range(n):
         coupler, protocol = _random_protocol(rng, max_segments=5)
         state = _random_state(rng)
@@ -311,12 +295,12 @@ def _cone_floor_residuals(delta, kappa0, phase) -> np.ndarray:
     """cone_floor against the lowest w of propagate's 128 samples of a half
     period from mode 1, for columns of (delta, kappa0, phase).  A sample at
     t of one segment is the segment's piece of duration t applied to mode 1."""
-    floor = _mapped(lambda d, k: cone_floor(CouplerParams(d, k)), delta, kappa0)
+    floor = _each(lambda d, k: cone_floor(CouplerParams(d, k)), delta, kappa0)
     # A half period covers the full circle depth.
-    total = math.pi / _rabi(delta, kappa0)[:, None]
+    total = math.pi / _each(math.hypot, delta, kappa0)[:, None]
     t = total * np.arange(129) / 128
     t[:, -1] = total[:, 0]
-    pieces = _segments(delta[:, None], kappa0[:, None], phase[:, None], t)
+    pieces = segment_propagator((delta[:, None], kappa0[:, None]), (phase[:, None], t))
     return floor - to_bloch(pieces.apply(ModeState.mode1())).w.min(axis=1)
 
 
@@ -439,10 +423,10 @@ def precession_leg_residual(delta, kappa0, phase, duration, state: ModeState, al
     c, r, chi = precession_leg(axis, to_bloch(state), along)
     worst = 0.0
     for s, predicted in (
-        (duration, c + r * _mapped(math.cos, 2.0 * axis.omega * duration + chi)),
-        (leg_time(axis, chi, angle), c + r * _mapped(math.cos, angle)),
+        (duration, c + r * _each(math.cos, 2.0 * axis.omega * duration + chi)),
+        (leg_time(axis, chi, angle), c + r * _each(math.cos, angle)),
     ):
-        moved = _segments(delta, kappa0, phase, s).apply(state)
+        moved = segment_propagator((delta, kappa0), (phase, s)).apply(state)
         worst = np.maximum(worst, abs(_dot(along, to_bloch(moved)) - predicted))
     return worst[()]
 
@@ -548,8 +532,8 @@ def check_isolator_identity(rng, n: int) -> CheckResult:
     alpha, arg_d, arg_o, theta1, theta2, offset = _draw(
         rng, n, (0.0, math.pi / 2.0), (-math.pi, math.pi), (-math.pi, math.pi), PHASES, PHASES, PHASES
     )
-    d = _mapped(math.cos, alpha) * np.exp(1j * arg_d)
-    o = _mapped(math.sin, alpha) * np.exp(1j * arg_o)
+    d = _each(math.cos, alpha) * np.exp(1j * arg_d)
+    o = _each(math.sin, alpha) * np.exp(1j * arg_o)
     # Reciprocity zeros: offset 0, and effective differential phase 0.
     stage = TransferMatrix(math.sqrt(0.5), 1j * math.sqrt(0.5))
     zeros = [

@@ -308,3 +308,46 @@ def test_kernel_is_complex_arithmetic_bit_for_bit(coupler, phase, turns, d, o, a
     for matrix in (ref, other):
         got, want = matrix.apply(state), reference_apply(matrix, state)
         assert hexed(got.a1, got.a2) == hexed(want.a1, want.a2)
+
+
+@given(
+    st.lists(st.tuples(kernel_couplers, kernel_phases, kernel_turns), min_size=1, max_size=6),
+    st.booleans(),
+)
+@example([((0.5, 1.0), -1e-20, 0.0), ((-0.0, 2.0), -7.5, math.pi)], False)
+@example([((1.5, 0.0), 12.0, 0.0), ((0.3, 0.2), -0.0, 2.0)], True)
+def test_column_segment_propagator_is_each_case_bit_for_bit(cases, shared):
+    """segment_propagator of (delta, kappa0) and (phase, duration) columns,
+    unreduced phases included, against each case's CouplerParams and
+    CouplingSegment.  shared gives every case the first coupler, passed as
+    two floats beside the columns, as propagate and cone_floor pass it."""
+    couplers = [CouplerParams(*coupler) for coupler, _, _ in cases]
+    if shared:
+        couplers = [couplers[0]] * len(cases)
+    segments = [CouplingSegment(phase, t / p.rabi) for p, (_, phase, t) in zip(couplers, cases)]
+    pair = np.array([(p.delta, p.kappa0) for p in couplers]).T
+    pair = tuple(pair[:, 0].tolist()) if shared else tuple(pair)
+    phases = np.array([phase for _, phase, _ in cases])
+    got = segment_propagator(pair, (phases, np.array([s.duration for s in segments])))
+    want = [segment_propagator(p, s) for p, s in zip(couplers, segments)]
+    assert hexed(*got.d, *got.o) == hexed(*(m.d for m in want), *(m.o for m in want))
+
+
+@pytest.mark.parametrize(
+    "segment, message",
+    [
+        ((math.nan, 1.0), "segment phase = nan must be finite"),
+        ((math.inf, 1.0), "segment phase = inf must be finite"),
+        ((-math.inf, np.ones(2)), "segment phase = -inf must be finite"),
+        ((np.array([0.1, math.nan]), np.ones(2)), r"segment phase = array\(.*\) must be finite"),
+        ((0.1, math.nan), "segment duration = nan must be finite"),
+        ((0.1, math.inf), "segment duration = inf must be finite"),
+        ((0.1, np.array([1.0, math.inf])), r"segment duration = array\(.*\) must be finite"),
+        ((0.1, -1e-9), "segment duration = -1e-09 must be >= 0"),
+        ((np.ones(2), np.array([1.0, -1.0])), r"segment duration = array\(.*\) must be >= 0"),
+    ],
+)
+def test_the_pair_form_names_a_bad_segment(segment, message):
+    for pair in ((0.5, 1.0), (np.array([0.5, -1.0]), np.array([1.0, 0.2]))):
+        with pytest.raises(ValueError, match=message):
+            segment_propagator(pair, segment)

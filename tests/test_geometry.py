@@ -93,6 +93,19 @@ def test_a_non_finite_phase_is_named(phi):
             call(params, phi)
 
 
+@pytest.mark.parametrize("name", ["chi", "angle"])
+@pytest.mark.parametrize(
+    "bad",
+    [math.nan, math.inf, -math.inf, np.array([0.2, math.nan])],
+    ids=["nan", "inf", "-inf", "column"],
+)
+def test_leg_time_names_a_non_finite_angle(name, bad):
+    axis = rotation_axis(CouplerParams(0.5, 1.0), 0.3)
+    angles = {"chi": 0.2, "angle": 1.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} = .* must be finite"):
+        leg_time(axis, **angles)
+
+
 def test_tilt_angle_sign():
     assert tilt_angle(CouplerParams(1.0, 1.0)) == pytest.approx(math.pi / 4.0)
     assert tilt_angle(CouplerParams(-1.0, 1.0)) == pytest.approx(-math.pi / 4.0)

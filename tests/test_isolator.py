@@ -209,6 +209,58 @@ def test_optimal_phases_extremes():
         assert cross_power(spec, BACKWARD) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_optimal_phases_on_columns_is_each_stage():
+    # The last stage's pi/2 - 2 arg D is -2.2e-16, which each entry reduces to 0.0.
+    stages = [
+        TransferMatrix(RHALF * cmath.exp(1j * arg_d), 1j * RHALF) for arg_d in (-2.5, 0.4, 3.0)
+    ]
+    stages.append(TransferMatrix(complex(0.5, 0.5000000000000001), 1j * RHALF))
+    column = TransferMatrix(np.array([s.d for s in stages]), np.array([s.o for s in stages]))
+    dtheta, offset = optimal_phases(column)
+    assert [x.hex() for x in dtheta.tolist()] == [optimal_phases(s)[0].hex() for s in stages]
+    assert offset == math.pi / 2.0
+
+
+def test_optimal_phases_rejects_a_nan_stage():
+    with pytest.raises(ValueError, match="unitary"):
+        optimal_phases(TransferMatrix(complex("nan"), 0.0))
+    with pytest.raises(ValueError, match="unitary"):
+        optimal_phases(TransferMatrix(np.array([RHALF, np.nan]), np.array([RHALF, RHALF]) * 1j))
+
+
+def test_effective_differential_phase_on_columns_is_each_case():
+    rng = np.random.default_rng(18)
+    stages = [random_stage(rng) for _ in range(5)]
+    theta1, theta2 = rng.uniform(-6.0, 6.0, size=(2, 5))
+    stage = TransferMatrix(np.array([s.d for s in stages]), np.array([s.o for s in stages]))
+    got = effective_differential_phase(IsolatorSpec(stage, theta1, theta2, 0.3))
+    want = [
+        effective_differential_phase(IsolatorSpec(s, t1, t2, 0.3))
+        for s, t1, t2 in zip(stages, theta1, theta2)
+    ]
+    assert [x.hex() for x in got.tolist()] == [x.hex() for x in want]
+
+
+def test_contrast_sweep_takes_one_stage():
+    column = TransferMatrix(np.array([RHALF, RHALF]), np.array([RHALF, -RHALF]) * 1j)
+    with pytest.raises(ValueError, match="contrast_sweep takes one case, not columns"):
+        contrast_sweep(column, n=8)
+
+
+def test_cascade_trajectory_takes_one_case():
+    params = CouplerParams(0.5, 1.0)
+    protocol, stage = pushpull_stage(params)
+    column = TransferMatrix(np.array([stage.d, stage.d]), np.array([stage.o, stage.o]))
+    specs = (
+        IsolatorSpec(column, 0.3, 0.0, 0.5),
+        IsolatorSpec(stage, np.array([0.3, 1.0]), 0.0, 0.5),
+        IsolatorSpec(stage, 0.3, 0.0, np.array([0.5, 0.7])),
+    )
+    for spec in specs:
+        with pytest.raises(ValueError, match="cascade_trajectory takes one case, not columns"):
+            cascade_trajectory(params, protocol, spec, FORWARD)
+
+
 def test_reciprocal_configurations():
     rng = np.random.default_rng(15)
     stage = random_stage(rng)

@@ -6,9 +6,10 @@ and the CPU, and which a column of cases cannot replay.  The package sums
 its 3-vector products in geometry._dot and geometry._cross instead; this
 scan keeps the others out of it.
 
-The battery checks the cascade the CLI runs: verify imports only public
-names from isolator, so no private twin of a public function can stand
-in for it."""
+The battery checks the functions the CLI runs: verify imports only public
+names from isolator, and none of the SU(2) kernel's private names from
+dynamics, so no private twin of a public function can stand in for it.
+Its segments come from the public segment_propagator."""
 
 import ast
 from pathlib import Path
@@ -35,13 +36,26 @@ def test_the_scan_sees_the_package():
     assert {"geometry.py", "verify.py"} <= {path.name for path in SRC.glob("*.py")}
 
 
-def test_verify_imports_no_private_isolator_name():
+def _verify_imports(module):
     tree = ast.parse((SRC / "verify.py").read_text(encoding="utf-8"))
-    imported = [
+    return [
         alias.name
         for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module in ("isolator", "modeswitch.isolator")
+        if isinstance(node, ast.ImportFrom) and node.module in (module, f"modeswitch.{module}")
         for alias in node.names
     ]
+
+
+def test_verify_imports_no_private_isolator_name():
+    imported = _verify_imports("isolator")
     assert "cross_power" in imported
     assert [name for name in imported if name.startswith("_")] == []
+
+
+KERNEL = ("_segment", "_compose", "_apply", "_matrix", "_complexes", "_turn", "_unitarity_defect")
+
+
+def test_verify_reaches_the_kernel_through_public_functions():
+    imported = _verify_imports("dynamics")
+    assert "segment_propagator" in imported
+    assert [name for name in imported if name in KERNEL] == []

@@ -268,7 +268,7 @@ def test_a_kernel_that_returns_nan_fails_its_check():
     def nan_defects(row):
         return np.full(np.shape(row[0]), np.nan)
 
-    with mock.patch.object(verify, "_unitarity_defect", nan_defects):
+    with mock.patch("modeswitch.dynamics._unitarity_defect", nan_defects):
         result = verify.check_segment_unitarity(np.random.default_rng(1), 10)
     assert not result.passed
     assert math.isnan(result.residual)
