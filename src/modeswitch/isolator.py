@@ -214,7 +214,7 @@ class ContrastSweep:
 def contrast_sweep(stage: TransferMatrix, n: int = 64) -> ContrastSweep:
     if n < 2:
         raise ValueError("sweep needs n >= 2")
-    if isinstance(_unitary(stage).d, np.ndarray):
+    if np.ndim(_unitary(stage).d):
         raise ValueError("contrast_sweep takes one case, not columns")
     dthetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
     offsets = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)

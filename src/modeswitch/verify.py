@@ -18,9 +18,9 @@ bit for bit the scalar path.  They reach the SU(2) kernel only through
 public functions: each segment is the column form of segment_propagator,
 the one the CLI runs, and the cascade is the public isolator functions.
 The three geometry checks draw case by case first, as they mix normal
-and uniform draws.  check_<check> only draws its cases from the battery's rng and
-keeps the worst residual, and a NaN residual fails it; the property
-tests call the same residual on cases of their own.
+and uniform draws.  check_<check> only draws its cases from the
+battery's rng and keeps the worst residual, and a NaN residual fails it;
+the property tests call the same residual on cases of their own.
 
 inject_fault=True deliberately corrupts the reference used in the expm
 comparison: each segment's coupling phase is negated, which conjugates
