@@ -342,9 +342,7 @@ def _params_block(cfg: RunConfig) -> dict:
 
 
 def _protocol_block(protocol: Protocol) -> list:
-    return [
-        {"phase": s.phase, "duration": s.duration} for s in protocol.segments
-    ]
+    return [{"phase": s.phase, "duration": s.duration} for s in protocol.segments]
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -400,9 +398,7 @@ def cmd_feasibility(cfg: RunConfig) -> int:
     # A bool table is written with %d, as 0/1.
     rows = _grid_rows(fm.ratios, fm.phis, fm.feasible)
     write_csv(out / "feasibility.csv", ["ratio", "phi", "feasible"], rows)
-    boundary = [
-        "%.17g,%.17g\n" % (r, critical_phase(r)) for r in fm.ratios.tolist() if r <= 1.0
-    ]
+    boundary = ["%.17g,%.17g\n" % (r, critical_phase(r)) for r in fm.ratios.tolist() if r <= 1.0]
     write_csv(out / "boundary.csv", ["ratio", "phi_critical"], boundary)
     summary = {
         "command": "feasibility",
@@ -411,9 +407,7 @@ def cmd_feasibility(cfg: RunConfig) -> int:
         "total_cells": int(fm.feasible.size),
     }
     write_text(out / "summary.json", dumps17(summary))
-    print(
-        f"feasibility: {int(fm.feasible.sum())}/{fm.feasible.size} cells feasible"
-    )
+    print(f"feasibility: {int(fm.feasible.sum())}/{fm.feasible.size} cells feasible")
     return 0
 
 

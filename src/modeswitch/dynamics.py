@@ -51,16 +51,7 @@ class CouplerParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "delta", float(self.delta))
         object.__setattr__(self, "kappa0", float(self.kappa0))
-        if not math.isfinite(self.delta) or not math.isfinite(self.kappa0):
-            raise ValueError("coupler parameters must be finite")
-        if self.kappa0 < 0.0:
-            raise ValueError("coupling magnitude kappa0 must be nonnegative")
-        # Every duration is a phase over W: a W that overflows, vanishes or
-        # is subnormal has no usable reciprocal.
-        if not sys.float_info.min <= self.rabi < math.inf:
-            raise ValueError(
-                f"W = hypot(delta, kappa0) = {self.rabi!r} must be a normal finite float"
-            )
+        _coupler((self.delta, self.kappa0))
 
     @property
     def rabi(self) -> float:
@@ -189,12 +180,13 @@ class ModeState:
 
     @property
     def norm(self) -> float:
-        return math.sqrt(abs(self.a1) ** 2 + abs(self.a2) ** 2)
+        n2 = _abs2(self.a1) + _abs2(self.a2)  # sqrt rounds correctly in numpy and math alike
+        return np.sqrt(n2) if isinstance(n2, np.ndarray) else math.sqrt(n2)
 
     @property
     def transfer(self) -> float:
         """Population of mode 2, |a2|^2."""
-        return abs(self.a2) ** 2
+        return _abs2(self.a2)
 
     def normalized(self) -> "ModeState":
         n = self.norm
@@ -236,7 +228,7 @@ class TransferMatrix:
     @property
     def transfer(self) -> float:
         """|a2|^2 that results from the input (1, 0)."""
-        return abs(self.o) ** 2
+        return _abs2(self.o)
 
     @property
     def _row(self) -> tuple[float, float, float, float]:
@@ -275,15 +267,10 @@ def _matrix(row) -> TransferMatrix:
 def segment_propagator(params, segment) -> TransferMatrix:
     """Closed-form propagator for one constant-coupling segment, of a
     CouplerParams or (delta, kappa0) and a CouplingSegment or (phase,
-    duration): pairs of floats, or of columns that broadcast together
-    (delta and kappa0 of one shape), which give a column TransferMatrix,
-    bit for bit each case alone.  A pair is checked and reduced as
-    CouplingSegment does, a bad entry named in a ValueError."""
-    if isinstance(params, CouplerParams):
-        delta, kappa0, w = params.delta, params.kappa0, params.rabi
-    else:
-        delta, kappa0 = params
-        w = _each(math.hypot, delta, kappa0)
+    duration): pairs of floats, or of columns that broadcast together,
+    which give a column TransferMatrix, bit for bit each case alone.  Pairs are checked (and the phase reduced)
+    as CouplerParams and CouplingSegment do, a bad entry named in a ValueError."""
+    delta, kappa0, w = _coupler(params)
     if isinstance(segment, CouplingSegment):
         turn, duration = _turn(segment.phase), segment.duration
     else:
@@ -314,6 +301,30 @@ def cmul(ar, ai, br, bi):
 def abs2(re, im):
     """|re + i im|^2 as CPython's abs(z) ** 2 computes it (hypot, then pow)."""
     return np.float_power(np.hypot(re, im), 2.0)
+
+
+def _abs2(z):
+    """abs(z) ** 2 of a complex, and abs2 of the parts for complex columns."""
+    return abs2(z.real, z.imag) if isinstance(z, np.ndarray) else abs(z) ** 2
+
+
+def _coupler(params):
+    """(delta, kappa0, W) of a CouplerParams, or of a (delta, kappa0) pair of floats or
+    columns that broadcast, checked entry by entry: finite, kappa0 >= 0, W normal."""
+    if isinstance(params, CouplerParams):
+        return params.delta, params.kappa0, params.rabi
+    delta, kappa0 = params
+    every = bool  # numpy's all costs a float case about 1 us
+    if isinstance(delta, np.ndarray) or isinstance(kappa0, np.ndarray):
+        delta, kappa0 = np.broadcast_arrays(np.asarray(delta, float), np.asarray(kappa0, float))
+        every = np.all
+    w = _each(math.hypot, _finite(delta, "delta"), _finite(kappa0, "kappa0"))
+    if not every(kappa0 >= 0.0):
+        raise ValueError(f"coupling magnitude kappa0 must be nonnegative, not {kappa0!r}")
+    # Every duration is a phase over W: W must have a usable reciprocal.
+    if not every((sys.float_info.min <= w) & (w < math.inf)):
+        raise ValueError(f"W = hypot(delta, kappa0) = {w!r} must be a normal finite float")
+    return delta, kappa0, w
 
 
 def _finite(value, name: str):

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CouplerParams, ModeState, Trajectory, _each, _finite, _reduce_phase, abs2, cmul
+from .dynamics import CouplerParams, ModeState, Trajectory, _coupler, _each, _finite, _reduce_phase, abs2, cmul
 
 # Absolute angular tolerance (rad): a turn this short of a full circle is
 # rounding of a leg that starts on its target (leg_time).
@@ -119,11 +119,10 @@ class RotationAxis:
 
 def rotation_axis(params, phi) -> RotationAxis:
     """Precession axis for coupling phase phi, which must be finite: of a
-    CouplerParams and a float, or of (delta, kappa0) and phi columns of one
-    shape, W by math.hypot as CouplerParams.rabi takes it."""
-    delta, kappa0 = (params.delta, params.kappa0) if isinstance(params, CouplerParams) else params
+    CouplerParams and a float, or of a (delta, kappa0) pair and phi, columns
+    that broadcast, W by math.hypot as CouplerParams.rabi takes it."""
+    delta, kappa0, w = _coupler(params)
     _finite(phi, "coupling phase phi")
-    w = _each(math.hypot, delta, kappa0)
     return RotationAxis(
         (kappa0 * _each(math.cos, phi) / w, kappa0 * _each(math.sin, phi) / w, delta / w), w
     )

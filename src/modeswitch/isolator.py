@@ -131,8 +131,7 @@ def cascade(spec: IsolatorSpec, direction: str) -> TransferMatrix:
 
 def cross_power(spec: IsolatorSpec, direction: str) -> float:
     """Cross transmission |T_12|^2 from the cascade matrix product, per column entry."""
-    o = cascade(spec, direction).o
-    return abs2(o.real, o.imag) if isinstance(o, np.ndarray) else abs(o) ** 2
+    return cascade(spec, direction).transfer
 
 
 def _gauge_angle(stage: TransferMatrix):

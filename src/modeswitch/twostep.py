@@ -8,17 +8,11 @@ pole.  Those two circles intersect exactly when
 
     cos(phi) <= 1 - 2 (delta / kappa0)^2,
 
-which is the complete-transfer criterion this module implements.  The
-push-pull special case phi = pi admits closed-form durations whenever
-|delta| < kappa0.
-
-Along the first circle the switch point's height along axis(phi) is one
-sinusoid c + r cos(2 W t1 + chi), so :func:`solve_two_step` switches at
-one acos: the first time that height equals the south pole's.  When the
-criterion fails the acos is clamped to the nearest extremum, which
-reaches the ceiling cos^2(psi - Theta/2) built from the axis separation
-Theta.  :func:`solve_fraction` cuts either solution at a partial target
-with one more acos, on the Bloch w of the leg that first reaches it.
+the complete-transfer criterion.  :func:`solve_two_step` finds the earliest
+switch in closed form, or the largest transfer when the criterion fails
+(push-pull, phi = pi and |delta| < kappa0, has its own closed form);
+:func:`solve_fraction` cuts either at a partial target with one more acos,
+on the Bloch w of the leg that first reaches it.
 """
 
 from __future__ import annotations
@@ -28,20 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import (
-    CouplerParams,
-    CouplingSegment,
-    Protocol,
-    _finite,
-    protocol_propagator,
-)
-from .geometry import NORTH, bloch_precess, leg_time, precession_leg, rotation_axis, tilt_angle
+from .dynamics import CouplerParams, CouplingSegment, Protocol, _finite, protocol_propagator
+from .geometry import ANGLE_TOL, NORTH, bloch_precess, leg_time, precession_leg, rotation_axis
 
 # Slack applied to the feasibility inequality so exact-boundary cases
 # (equality in cos phi) classify as feasible under floating point.
 FEASIBILITY_EPS = 1e-12
-# A first leg whose height along axis(phi) swings by less than this is
-# flat: axis(phi) is parallel to axis(0) and r holds only rounding.
+# A first leg whose axis lies a half-chord kappa0 / W |sin(phi / 2)| below
+# this from axis(phi) is flat: the two axes are parallel up to rounding.
 FLAT_LEG_TOL = 1e-14
 # Slack on comparing a target fraction with the achieved transfer, which
 # the propagator rounds in its last digits.
@@ -81,23 +69,20 @@ def axis_separation(params: CouplerParams, phi: float) -> float:
     2 asin((kappa0 / W) |sin(phi / 2)|); unlike acos of their dot product
     this keeps full precision as Theta goes to 0.  phi must be finite.
     """
-    _finite(phi, "coupling phase phi")
-    half = params.kappa0 / params.rabi * abs(math.sin(phi / 2.0))
-    return 2.0 * math.asin(min(1.0, half))
+    return 2.0 * math.asin(min(1.0, _diagonal(params, phi)[3]))
 
 
 def two_step_ceiling(params: CouplerParams, phi: float) -> float:
     """Largest |a2|^2 reachable with two segments (phases 0 and phi).
 
-    Equals 1 when the criterion holds.  Otherwise the second circle
-    falls short of the south pole by 2 psi - Theta and the ceiling is
-    cos^2(psi - Theta / 2).
+    Equals 1 when the criterion holds, else kr^2 (hypot(A, C) + |C|)^2 of
+    solve_two_step's diagonal t1 = t2: cos^2(psi - Theta / 2), but exact
+    to the last digits as kappa0 / W goes to 0.
     """
     if two_step_feasible(params, phi):
         return 1.0
-    psi = abs(tilt_angle(params))
-    theta = axis_separation(params, phi)
-    return math.cos(psi - theta / 2.0) ** 2
+    kr, a, c, _ = _diagonal(params, phi)
+    return kr * kr * (math.hypot(a, c) + abs(c)) ** 2
 
 
 @dataclass(frozen=True)
@@ -115,9 +100,7 @@ class TwoStepSolution:
     feasible: bool
 
     def protocol(self) -> Protocol:
-        return Protocol(
-            (CouplingSegment(0.0, self.t1), CouplingSegment(self.phi, self.t2))
-        )
+        return Protocol((CouplingSegment(0.0, self.t1), CouplingSegment(self.phi, self.t2)))
 
 
 def pushpull_times(params: CouplerParams) -> TwoStepSolution:
@@ -176,36 +159,51 @@ def _grid_transfer(delta, kappa0, w, phi, wt1: np.ndarray, wt2: np.ndarray) -> n
     return np.abs(oc) ** 2
 
 
-def solve_two_step(params: CouplerParams, phi: float) -> TwoStepSolution:
-    """Durations for complete transfer, or the best fallback, in closed form.
+def _diagonal(params: CouplerParams, phi: float) -> tuple[float, float, float, float]:
+    """(kr, A, C, kr |sin h|) with A >= 0, of solve_two_step's composite diagonal."""
+    w, h = params.rabi, _finite(phi, "coupling phase phi") / 2.0
+    kr, a, c = params.kappa0 / w, math.cos(h), params.delta / w * math.sin(h)
+    return kr, *((-a, -c) if a < 0.0 else (a, c)), kr * abs(math.sin(h))
 
-    The first segment runs until the north-pole circle about axis(0)
-    first reaches the circle about n = axis(phi) through the south pole:
-    its height along n is c + r cos(2 W t1 + chi), so t1 is the earlier
-    of the angles +-acos(g), g = (-n_z - c) / r.  When the criterion
-    fails |g| exceeds 1 and the switch goes to the nearest extremum,
-    the closest approach.  A flat first leg (axis(phi) parallel to
-    axis(0)) switches at once.  The second segment turns to the lowest
-    w of its circle.  The two intersections give a swapped pair of
-    durations, (a, b) and (b, a), with equal totals, so the first
-    crossing settles that tie without rounding and gives t1 <= t2.
+
+def solve_two_step(params: CouplerParams, phi: float) -> TwoStepSolution:
+    """Durations for complete transfer, or the largest transfer, in closed form.
+
+    With x = W t, h = phi / 2, dr = delta / W, kr = kappa0 / W, q = (kr sin
+    h)^2, sigma = x1 + x2 and Delta = x2 - x1, the two segments' product
+    has the diagonal (dr^2 + kr^2 = 1)
+
+        Re D = q cos Delta + (1 - q) cos sigma,
+        Im D = -[dr sin sigma + kr^2 sin h cos h (cos Delta - cos sigma)].
+
+    D = 0 exactly when tan sigma = A / C (A = cos h, C = dr sin h, signs
+    flipped so A >= 0) and cos Delta = -cos sigma (1 - q) / q, in [-1, 1]
+    iff q >= dr^2: the criterion.  sigma = atan2(A, C) and Delta = acos,
+    both in [0, pi], give t1 <= t2; if sigma < Delta the earliest root is
+    sigma + pi, pi - Delta, unless sigma is short by at most ANGLE_TOL (delta
+    ~ 0, leg_time's rule); then, as for a flat first leg, W t2 = pi/2 alone.
+
+    When the criterion fails the clipped acos gives t1 = t2.  The transfer
+    sees Delta only through cos Delta, so swapping x1 and x2 keeps it (each
+    x mod pi); its maximum (the first leg's extreme height along axis(phi),
+    then the second leg's point nearest mode 2) is unique mod pi for a leg
+    that is not flat, so x1 = x2 (mod pi), where kr^2 (A sin 2x + C cos 2x
+    - C)^2 peaks at kr^2 (hypot(A, C) + |C|)^2.  At phi = 0, C = 0 and 2x
+    = pi/2 and 3 pi/2 tie; for phi != 0 the sign of C picks one, so W T
+    jumps with the exact argmax.  The raw phi enters, so the mirror
+    (-delta, -phi) is bit for bit the same.
     """
-    axis1 = rotation_axis(params, 0.0)
-    axis2 = rotation_axis(params, phi)
-    n = axis2.n
-    c, r, chi = precession_leg(axis1, NORTH, n)
-    if r < FLAT_LEG_TOL:
-        t1 = 0.0
-    else:
-        g = (-n[2] - c) / r
-        if abs(g) >= 1.0:
-            angles = (0.0 if g > 0.0 else math.pi,)
-        else:
-            angles = (math.acos(g), -math.acos(g))
-        t1 = min(leg_time(axis1, chi, a) for a in angles)
-    switch = bloch_precess(axis1, NORTH, t1)
-    _, _, chi2 = precession_leg(axis2, switch, NORTH)
-    t2 = leg_time(axis2, chi2, math.pi)
+    kr, a, c, half_chord = _diagonal(params, phi)
+    w2 = 2.0 * params.rabi
+    t1, t2 = 0.0, math.pi / w2
+    if half_chord >= FLAT_LEG_TOL:
+        q = half_chord * half_chord
+        sigma = math.atan2(a, c)
+        diff = math.acos(max(-1.0, min(1.0, -c / math.hypot(a, c) * (1.0 - q) / q)))
+        if sigma < diff - ANGLE_TOL:
+            sigma, diff = sigma + math.pi, math.pi - diff
+        if sigma >= diff:
+            t1, t2 = (sigma - diff) / w2, (sigma + diff) / w2
     sol = TwoStepSolution(t1, t2, phi, 0.0, two_step_feasible(params, phi))
     return replace(sol, achieved=protocol_propagator(params, sol.protocol()).transfer)
 

@@ -45,7 +45,6 @@ from .dynamics import (
     TransferMatrix,
     _each,
     _reduce_phase,
-    abs2,
     compose,
     propagate,
     protocol_propagator,
@@ -161,8 +160,7 @@ def check_norm_conservation(rng, n: int) -> CheckResult:
             params, protocol = _random_protocol(rng)
             state = _random_state(rng)
             traj = propagate(params, protocol, state, 32)
-            norm = np.sqrt(abs2(traj.a1.real, traj.a1.imag) + abs2(traj.a2.real, traj.a2.imag))
-            yield float(np.abs(norm - 1.0).max())
+            yield float(np.abs(ModeState(traj.a1, traj.a2).norm - 1.0).max())
 
     return _worst("norm_conservation", residuals(), 1e-12, f"{n} random protocols")
 

@@ -16,6 +16,7 @@ from modeswitch import (
     compose,
     propagate,
     protocol_propagator,
+    rotation_axis,
     segment_propagator,
     static_max_transfer,
 )
@@ -351,3 +352,69 @@ def test_the_pair_form_names_a_bad_segment(segment, message):
     for pair in ((0.5, 1.0), (np.array([0.5, -1.0]), np.array([1.0, 0.2]))):
         with pytest.raises(ValueError, match=message):
             segment_propagator(pair, segment)
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        (np.array([0.5, -1.0, 0.0, 2.5]), 1.0),
+        (0.5, np.array([1.0, 2.0, 0.0, 1e-3])),
+        (np.array([[0.5], [-1.7]]), np.array([[1.0, 0.2, 3.0]])),
+    ],
+)
+def test_a_float_beside_a_column_broadcasts(pair):
+    """Each (delta, kappa0) entry of the broadcast pair, bit for bit the
+    CouplerParams case, in segment_propagator and rotation_axis alike."""
+    delta, kappa0 = np.broadcast_arrays(*pair)
+    couplers = [CouplerParams(d, k) for d, k in zip(delta.ravel(), kappa0.ravel())]
+    got = segment_propagator(pair, (0.3, 1.0))
+    want = [segment_propagator(p, CouplingSegment(0.3, 1.0)) for p in couplers]
+    assert got.d.shape == delta.shape
+    assert hexed(*got.d.ravel(), *got.o.ravel()) == hexed(*(m.d for m in want), *(m.o for m in want))
+    axis = rotation_axis(pair, 0.3)
+    want_axes = [rotation_axis(p, 0.3) for p in couplers]
+    for k in range(3):
+        assert hexed(*axis.n[k].ravel()) == hexed(*(a.n[k] for a in want_axes))
+    assert hexed(*axis.omega.ravel()) == hexed(*(a.omega for a in want_axes))
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((0.5, -1.0), "kappa0 must be nonnegative"),
+        ((np.array([0.5, 0.2]), np.array([1.0, -1e-300])), "kappa0 must be nonnegative"),
+        ((math.nan, 1.0), "delta = nan must be finite"),
+        ((-math.inf, 1.0), "delta = -inf must be finite"),
+        ((0.5, math.inf), "kappa0 = inf must be finite"),
+        ((np.array([0.5, math.nan]), 1.0), r"delta = array\(.*\) must be finite"),
+        ((0.5, np.array([1.0, math.nan])), r"kappa0 = array\(.*\) must be finite"),
+        ((1e-320, 1e-320), "W = hypot"),
+        ((0.0, 0.0), "W = hypot"),
+        ((1.5e308, 1.5e308), "W = hypot"),
+        ((np.array([1.0, 1e-320]), 0.0), "W = hypot"),
+    ],
+)
+def test_the_pair_form_names_a_bad_coupler(pair, message):
+    """The pair is checked as CouplerParams is, entry by entry, and the
+    message names the field, in CouplerParams too."""
+    with pytest.raises(ValueError, match=message):
+        segment_propagator(pair, (0.3, 1.0))
+    with pytest.raises(ValueError, match=message):
+        rotation_axis(pair, 0.3)
+    if not any(isinstance(x, np.ndarray) for x in pair):
+        with pytest.raises(ValueError, match=message):
+            CouplerParams(*pair)
+
+
+@given(st.lists(st.tuples(complexes, complexes), min_size=1, max_size=8))
+@example([(0.0j, 1.0 + 0.0j), (0.6 - 0.8j, -0.0 + 0.0j)])
+def test_column_transfer_and_norm_are_each_case_bit_for_bit(pairs):
+    """TransferMatrix.transfer, ModeState.transfer and ModeState.norm of
+    columns, each entry float.hex-equal to its case taken alone."""
+    first = np.array([a for a, _ in pairs])
+    second = np.array([b for _, b in pairs])
+    matrix, state = TransferMatrix(first, second), ModeState(first, second)
+    one = [(TransferMatrix(a, b), ModeState(a, b)) for a, b in pairs]
+    assert hexed(*matrix.transfer) == hexed(*(m.transfer for m, _ in one))
+    assert hexed(*state.transfer) == hexed(*(s.transfer for _, s in one))
+    assert hexed(*state.norm) == hexed(*(s.norm for _, s in one))

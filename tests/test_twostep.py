@@ -147,6 +147,18 @@ def test_ceiling_matches_brute_force_at_negative_detuning():
         assert two_step_ceiling(params, phi) == pytest.approx(brute, abs=1e-7)
 
 
+@pytest.mark.parametrize("kappa", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("delta", [0.5, -0.5])
+def test_ceiling_keeps_its_digits_at_weak_coupling(delta, kappa):
+    """kappa0 / W -> 0 leaves kr^2 (hypot(A, C) + |C|)^2 its relative
+    precision, where cos^2(psi - Theta / 2) rounds near 1 first."""
+    from modeswitch.verify import _brute_two_step_maxima
+
+    params = CouplerParams(delta, kappa)
+    brute = _brute_two_step_maxima([params], [1.0])[0]
+    assert two_step_ceiling(params, 1.0) == pytest.approx(brute, rel=1e-6, abs=0.0)
+
+
 def test_solve_two_step_matches_pushpull():
     params = CouplerParams(0.5, 1.0)
     sol = solve_two_step(params, math.pi)
@@ -196,6 +208,15 @@ def test_solve_two_step_degenerate_coincident():
         assert sol.t1 == 0.0
         assert sol.achieved == pytest.approx(two_step_ceiling(params, phi), abs=1e-12)
         assert params.rabi * (sol.t1 + sol.t2) == pytest.approx(math.pi / 2.0, abs=1e-12)
+    # delta = 1e-10 at phi = 0.3: the crossing's t1 falls short of 0 by less
+    # than ANGLE_TOL, so one segment runs to its peak and transfers
+    # 1 - (delta / W)^2.
+    params = CouplerParams(1e-10, 1.0)
+    sol = solve_two_step(params, 0.3)
+    assert sol.feasible
+    assert sol.t1 == 0.0
+    assert sol.achieved == pytest.approx(1.0, abs=1e-12)
+    assert params.rabi * (sol.t1 + sol.t2) == pytest.approx(math.pi / 2.0, abs=1e-12)
 
 
 def test_transfer_map_values_and_peak_location():

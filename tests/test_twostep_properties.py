@@ -1,12 +1,13 @@
 """Property tests: the closed-form two-segment solver reaches the ceiling
 cos^2(psi - Theta/2) (1 when the criterion holds), its W*T depends only
 on |delta| / kappa0 and phi up to the mirror (delta, phi) -> (-delta, -phi),
-the switch is the first crossing (t1 <= t2), and solve_fraction cuts at
-the first time the transfer reaches p."""
+bit for bit under the mirror, the switch is the first crossing (t1 <= t2),
+an infeasible solution has t1 == t2, and solve_fraction cuts at the first
+time the transfer reaches p."""
 
 import math
 
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from modeswitch import (
@@ -22,6 +23,7 @@ from modeswitch import (
     two_step_feasible,
 )
 from modeswitch.dynamics import abs2
+from modeswitch.twostep import ACHIEVED_SLACK, FLAT_LEG_TOL
 from modeswitch.verify import _brute_two_step_maxima
 
 
@@ -73,6 +75,56 @@ def test_solver_duration_is_mirror_and_scale_invariant(coupler, phi, scale):
     wt = solve_wt(delta, kappa, phi)
     assert abs(solve_wt(-delta, kappa, -phi) - wt) <= 1e-12
     assert abs(solve_wt(scale * delta, scale * kappa, phi) - wt) <= 1e-12
+
+
+@given(couplers(), phases)
+@example((-4.834723050882096, 4.3455062179422255), 0.8691281929031798)
+def test_mirror_durations_are_bit_for_bit(coupler, phi):
+    delta, kappa = coupler
+    sol, mirror = (solve_two_step(CouplerParams(s * delta, kappa), s * phi) for s in (1.0, -1.0))
+    assert (mirror.t1, mirror.t2) == (sol.t1, sol.t2)
+    assert solve_wt(-delta, kappa, -phi) == solve_wt(delta, kappa, phi)
+
+
+@st.composite
+def wide_couplers(draw):
+    """(delta, kappa0) with kappa0 from 1e-13 to 100 and |delta| / kappa0 0,
+    at most 1e-9, or up to 3, either sign."""
+    kappa = 10.0 ** draw(st.floats(-13.0, 2.0))
+    ratio = draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-9), st.floats(0.0, 3.0)))
+    return draw(st.sampled_from((1.0, -1.0))) * ratio * kappa, kappa
+
+
+# Raw phases, 0, pi and 2 pi among them, and |phi| down to 1e-30.
+wide_phases = st.one_of(
+    st.sampled_from([0.0, math.pi, 2.0 * math.pi]),
+    st.floats(-30.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(-30.0, -1.0).map(lambda e: -(10.0**e)),
+    st.floats(-20.0, 20.0),
+)
+
+
+@given(wide_couplers(), wide_phases)
+@example((-0.762850905447131, 1.4934813735769112), 0.2666321503863186)
+@example((1.9348370321949444, 3.7191966881973766), 6.0161315354225655)
+def test_infeasible_durations_tie_at_the_ceiling(coupler, phi):
+    """Past the criterion the optimum lies on the diagonal t1 = t2, exactly;
+    within it the earlier switch gives t1 <= t2, with no slack."""
+    params = CouplerParams(*coupler)
+    sol = solve_two_step(params, phi)
+    if two_step_feasible(params, phi):
+        assert sol.t1 <= sol.t2
+    elif params.kappa0 / params.rabi * abs(math.sin(phi / 2.0)) >= FLAT_LEG_TOL:
+        assert sol.t1 == sol.t2
+        assert abs(sol.achieved - two_step_ceiling(params, phi)) <= ACHIEVED_SLACK
+
+
+def test_a_weak_coupling_reaches_the_brute_force_maximum():
+    """At kappa0 / W ~ 2e-12 the first leg swings by ~4e-24 along axis(phi),
+    yet the switch is no flat leg: the transfer is the diagonal's maximum."""
+    params = CouplerParams(0.5, 1e-12)
+    brute = _brute_two_step_maxima([params], [1.0])[0]
+    assert abs(solve_two_step(params, 1.0).achieved - brute) <= 1e-6 * brute
 
 
 @given(couplers(), phases, st.floats(0.0, 1.0))
