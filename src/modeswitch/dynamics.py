@@ -189,10 +189,17 @@ class ModeState:
         return _abs2(self.a2)
 
     def normalized(self) -> "ModeState":
+        """The state over its norm, one case or columns; a zero state, or a
+        zero column entry, raises a ValueError.  a / n divides by n + 0j:
+        CPython's quotient adds a zero product to each part, so a column
+        entry is its case's a / n bit for bit."""
         n = self.norm
-        if n == 0.0:
+        zero = n == 0.0
+        if zero.any() if isinstance(zero, np.ndarray) else zero:
             raise ValueError("cannot normalize the zero state")
-        return ModeState(self.a1 / n, self.a2 / n)
+        r1, i1, r2, i2 = self.a1.real, self.a1.imag, self.a2.real, self.a2.imag
+        parts = (r1 + i1 * 0.0) / n, (i1 - r1 * 0.0) / n, (r2 + i2 * 0.0) / n, (i2 - r2 * 0.0) / n
+        return ModeState(*_complexes(parts))
 
 
 @dataclass(frozen=True)
@@ -255,8 +262,10 @@ def _complexes(parts):
     ar, ai, br, bi = parts
     if isinstance(br, float):
         return complex(ar, ai), complex(br, bi)
-    z = np.stack(np.broadcast_arrays(*parts), axis=-1).view(complex)
-    return z[..., 0], z[..., 1]
+    a = np.empty(np.broadcast_shapes(*map(np.shape, parts)), complex)
+    b = np.empty_like(a)
+    a.real, a.imag, b.real, b.imag = parts
+    return a, b
 
 
 def _matrix(row) -> TransferMatrix:
@@ -434,9 +443,12 @@ def propagate(
     product of the segments passed, a row of prefix_products.  All
     samples go through the one kernel (_segment, _compose, _apply) at
     once, so each is bit for bit segment_propagator, compose and apply.
+    A non-finite initial amplitude is named in a ValueError.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    _finite(initial.a1, "initial a1")
+    _finite(initial.a2, "initial a2")
     *starts, total = 0.0, *protocol.ends
     t = total * np.arange(sample_count + 1) / sample_count
     t[-1] = total

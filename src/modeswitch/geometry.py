@@ -76,17 +76,13 @@ SOUTH = BlochVector(0.0, 0.0, -1.0)
 def to_bloch(state: ModeState | Trajectory) -> BlochVector:
     """Bloch vector of a state, or the columns of a Trajectory's vectors.
 
-    The input is normalized first; the zero state is rejected.  The
-    arithmetic is CPython's complex arithmetic on real parts (cmul,
-    abs2), so a column entry equals its sample's vector bit for bit.
+    The input is normalized first (ModeState.normalized); the zero state
+    is rejected.  The arithmetic is CPython's complex arithmetic on real
+    parts (cmul, abs2), so a column entry equals its sample's vector bit
+    for bit.
     """
+    state = ModeState(state.a1, state.a2).normalized()
     r1, i1, r2, i2 = state.a1.real, state.a1.imag, state.a2.real, state.a2.imag
-    n = np.sqrt(abs2(r1, i1) + abs2(r2, i2))
-    if (n == 0.0).any():
-        raise ValueError("cannot normalize the zero state")
-    # a / n divides by n + 0j: CPython's quotient adds a zero product to each part.
-    r1, i1 = (r1 + i1 * 0.0) / n, (i1 - r1 * 0.0) / n
-    r2, i2 = (r2 + i2 * 0.0) / n, (i2 - r2 * 0.0) / n
     cross_r, cross_i = cmul(r1, i1, r2, -i2)
     return BlochVector(2.0 * cross_r, 2.0 * cross_i, abs2(r1, i1) - abs2(r2, i2))
 
@@ -173,9 +169,10 @@ def bloch_precess(axis: RotationAxis, start: BlochVector, t: float) -> BlochVect
     """Advance a Bloch vector by time t about the given axis.
 
     The physical sense is a rotation by -2*omega*t in the right-hand
-    convention about n, matching the amplitude-level propagator.
+    convention about n, matching the amplitude-level propagator.  A
+    non-finite t is named in a ValueError.
     """
-    return BlochVector(*_rotate(axis.n, start, -2.0 * axis.omega * t))
+    return BlochVector(*_rotate(axis.n, start, -2.0 * axis.omega * _finite(t, "t")))
 
 
 def precession_leg(axis: RotationAxis, start: BlochVector, along) -> tuple[float, float, float]:

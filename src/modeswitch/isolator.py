@@ -100,10 +100,11 @@ def stage_with_offset(stage: TransferMatrix, offset: float) -> TransferMatrix:
     """Stage driven with its modulation phase shifted by offset.
 
     Shifting every drive phase by -offset multiplies the off-diagonal
-    element by exp(-i offset) and leaves the diagonal untouched.
+    element by exp(-i offset) and leaves the diagonal untouched.  A
+    non-finite offset is named in a ValueError.
     """
     dr, di, o_r, oi = stage._row
-    turn = _each(lambda x: cmath.exp(-1j * x), offset, dtype=complex)
+    turn = _each(lambda x: cmath.exp(-1j * x), _finite(offset, "offset"), dtype=complex)
     return _matrix((dr, di, *cmul(o_r, oi, turn.real, turn.imag)))
 
 
@@ -145,11 +146,13 @@ def closed_form_powers(stage: TransferMatrix, dtheta, offset):
     2 |D|^2 |O|^2 (1 + cos(dtheta + 2 arg D +/- offset)), elementwise, so
     the stage may be columns, and dtheta and offset numpy arrays, that
     broadcast together.  Agrees with cross_power to machine precision for
-    any unitary stage.
+    any unitary stage.  A non-finite dtheta or offset is named in a
+    ValueError.
     """
     dr, di, o_r, oi = stage._row
     amp = 2.0 * abs2(dr, di) * abs2(o_r, oi)
-    base = dtheta + _gauge_angle(stage)
+    base = _finite(dtheta, "dtheta") + _gauge_angle(stage)
+    _finite(offset, "offset")
     return amp * (1.0 + np.cos(base + offset)), amp * (1.0 + np.cos(base - offset))
 
 

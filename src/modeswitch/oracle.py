@@ -3,8 +3,8 @@
 This module deliberately avoids the closed-form propagator: it steps
 i da/dt = H a with a fixed-step classical Runge-Kutta (RK4) scheme so it
 can arbitrate disputes about signs and conventions elsewhere.  A second,
-structurally different check via scipy's matrix exponential is also
-provided.
+structurally different reference is exp(-i H t) in the spectral form of
+the Hermitian H, from LAPACK's eigensolver (expm_propagator).
 
 H is constant within a segment, so the four RK4 stages of one step
 collapse into one matrix: a -> a + E a, with E = z + z^2/2 + z^3/6 +
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CouplerParams, ModeState, Protocol, _each
+from .dynamics import CouplerParams, ModeState, Protocol, _each, _finite
 
 # Default resolution: step * W, and the largest value accepted.  RK4
 # error grows like (step * W)^4; results past the cap are not meaningful.
@@ -62,8 +62,8 @@ class IntegrationConfig:
 
 
 def generator(params: CouplerParams, phi: float) -> np.ndarray:
-    """Coupling matrix H for phase phi."""
-    return _generator(params.delta, params.kappa0, phi)
+    """Coupling matrix H for phase phi, which must be finite."""
+    return _generator(params.delta, params.kappa0, _finite(phi, "coupling phase phi"))
 
 
 def _generator(delta: float, kappa0: float, phi: float) -> np.ndarray:
@@ -123,9 +123,11 @@ def integrate(
     """Integrate the protocol from the given initial state.
 
     No renormalization is applied along the way; norm drift is part of
-    the error signal this oracle exists to expose.
+    the error signal this oracle exists to expose.  A non-finite initial
+    amplitude is named in a ValueError.
     """
-    a = np.array([initial.a1, initial.a2], dtype=complex)
+    a1, a2 = _finite(initial.a1, "initial a1"), _finite(initial.a2, "initial a2")
+    a = np.array([a1, a2], dtype=complex)
     a = _rk4_protocol(params, protocol, a, config)
     return ModeState(complex(a[0]), complex(a[1]))
 
@@ -140,13 +142,11 @@ def integrate_matrix(
 
 
 def expm_propagator(delta, kappa0, phase, duration) -> np.ndarray:
-    """Propagator of a segment via scipy's scaling-and-squaring expm; for
-    equal-shape columns of segments, a stack of them from one expm call.
-
-    scipy is imported here, not at module level: only the battery calls
-    this, and every other command starts without loading scipy.linalg.
-    """
-    from scipy.linalg import expm
-
-    h = _each(_generator, delta, kappa0, phase, dtype=(complex, (2, 2)))
-    return expm(-1j * h * np.asarray(duration)[..., None, None])
+    """exp(-i H t) of a segment as V diag(exp(-i lambda t)) V^H, from
+    numpy's eigh of its Hermitian H, the product summed entry by entry
+    (einsum) rather than in BLAS; for equal-shape columns of segments, a
+    stack from one eigh call, each bit for bit its case alone."""
+    args = _finite(delta, "delta"), _finite(kappa0, "kappa0"), _finite(phase, "phase")
+    lam, v = np.linalg.eigh(_each(_generator, *args, dtype=(complex, (2, 2))))
+    turn = np.exp(-1j * lam * np.asarray(_finite(duration, "duration"))[..., None])
+    return np.einsum("...ik,...k,...jk->...ij", v, turn, v.conj())

@@ -28,8 +28,9 @@ from .geometry import ANGLE_TOL, NORTH, bloch_precess, leg_time, precession_leg,
 # Slack applied to the feasibility inequality so exact-boundary cases
 # (equality in cos phi) classify as feasible under floating point.
 FEASIBILITY_EPS = 1e-12
-# A first leg whose axis lies a half-chord kappa0 / W |sin(phi / 2)| below
-# this from axis(phi) is flat: the two axes are parallel up to rounding.
+# A first leg is flat when |sin(phi / 2)| is below this: its axis then lies
+# within this times kappa0 / W of axis(phi), parallel up to rounding at any
+# coupling.
 FLAT_LEG_TOL = 1e-14
 # Slack on comparing a target fraction with the achieved transfer, which
 # the propagator rounds in its last digits.
@@ -182,6 +183,9 @@ def solve_two_step(params: CouplerParams, phi: float) -> TwoStepSolution:
     both in [0, pi], give t1 <= t2; if sigma < Delta the earliest root is
     sigma + pi, pi - Delta, unless sigma is short by at most ANGLE_TOL (delta
     ~ 0, leg_time's rule); then, as for a flat first leg, W t2 = pi/2 alone.
+    The leg is flat when |sin h| < FLAT_LEG_TOL, relative to kr, so a weak
+    coupling still switches, or when q underflows to 0, so the quotient
+    never divides by 0.
 
     When the criterion fails the clipped acos gives t1 = t2.  The transfer
     sees Delta only through cos Delta, so swapping x1 and x2 keeps it (each
@@ -196,8 +200,8 @@ def solve_two_step(params: CouplerParams, phi: float) -> TwoStepSolution:
     kr, a, c, half_chord = _diagonal(params, phi)
     w2 = 2.0 * params.rabi
     t1, t2 = 0.0, math.pi / w2
-    if half_chord >= FLAT_LEG_TOL:
-        q = half_chord * half_chord
+    q = half_chord * half_chord
+    if half_chord >= FLAT_LEG_TOL * kr and q > 0.0:
         sigma = math.atan2(a, c)
         diff = math.acos(max(-1.0, min(1.0, -c / math.hypot(a, c) * (1.0 - q) / q)))
         if sigma < diff - ANGLE_TOL:

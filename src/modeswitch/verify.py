@@ -1,12 +1,12 @@
 """Self-check battery: every load-bearing identity, checked numerically.
 
 Each check exercises one contract of the package against an independent
-route (grid-and-zoom brute force, the RK4 oracle, scipy's expm, direct
-geometry) and reports a residual against a fixed tolerance.  The battery
-is what the `modeswitch verify` subcommand runs.  precession_leg checks
-the leg-height primitive that times the two-segment switch and the
-fraction cut against the amplitude propagator; plan_geometry checks
-that each planned switch point stays on the circle it leaves.
+route (grid-and-zoom brute force, the RK4 oracle, the eigh spectral
+form of exp(-i H t), direct geometry) and reports a residual against a
+fixed tolerance.  The battery is what the `modeswitch verify` subcommand
+runs.  precession_leg checks the leg-height primitive that times
+solve_fraction's cut against the amplitude propagator; plan_geometry
+checks that each planned switch point stays on the circle it leaves.
 
 A check whose contract is a formula over one case keeps that formula in
 a pure `<check>_residual(case...)`.  segment_splitting, propagator_vs_expm,
@@ -22,10 +22,10 @@ and uniform draws.  check_<check> only draws its cases from the
 battery's rng and keeps the worst residual, and a NaN residual fails it;
 the property tests call the same residual on cases of their own.
 
-inject_fault=True deliberately corrupts the reference used in the expm
-comparison: each segment's coupling phase is negated, which conjugates
-the Hamiltonian.  The propagator_vs_expm check must then fail; this
-guards against the battery itself going soft.
+inject_fault=True deliberately corrupts the reference of
+propagator_vs_expm: each segment's coupling phase is negated, which
+conjugates the Hamiltonian.  That check must then fail; this guards
+against the battery itself going soft.
 """
 
 from __future__ import annotations
@@ -219,8 +219,8 @@ def _expm_mismatch(delta, kappa0, phase, duration, fault: bool = False):
 
 
 def propagator_vs_expm_residual(delta, kappa0, phase, duration):
-    """Closed-form segment propagator against scipy's expm of its
-    Hamiltonian; one case, or columns of cases."""
+    """Closed-form segment propagator against oracle.expm_propagator, the
+    spectral exp(-i H t) of its Hamiltonian; one case, or columns of cases."""
     return _expm_mismatch(delta, kappa0, phase, duration)
 
 

@@ -233,26 +233,23 @@ def test_negative_exponent_values_parse_like_the_equals_form(tmp_path):
     assert not (tmp_path / "inf").exists()
 
 
-def test_cli_import_skips_scipy_optimize_and_linalg(tmp_path):
-    # Start-up cost: neither the CLI commands nor the battery's brute-force
-    # references (grid and zoom on the closed-form transfer) load
-    # scipy.optimize, and only the battery's expm reference loads
-    # scipy.linalg.
+def test_cli_runs_without_scipy(tmp_path):
+    # numpy is the one runtime dependency: with every scipy import made to
+    # fail, the CLI commands and the battery run, and the fault-injected
+    # battery fails in propagator_vs_expm alone.
     src = str(Path(modeswitch.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import sys, numpy, modeswitch.cli\n"
+        "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from modeswitch.cli import main\n"
         "out = sys.argv[1]\n"
-        "assert modeswitch.cli.main(['simulate', '--out', out + '/sim']) == 0\n"
-        "assert modeswitch.cli.main(['plan', '--delta', '3', '--out', out + '/plan']) == 0\n"
-        "linalg = 'scipy.linalg' in sys.modules\n"
-        "from modeswitch.verify import check_criterion_vs_brute, check_two_step_ceiling\n"
-        "assert check_two_step_ceiling(numpy.random.default_rng(1), 3).passed\n"
-        "assert check_criterion_vs_brute(4).passed\n"
-        "optimize = 'scipy.optimize' in sys.modules\n"
-        "from modeswitch.verify import check_expm_agreement\n"
-        "assert check_expm_agreement(numpy.random.default_rng(1), 2, False).passed\n"
-        "print(linalg, optimize, 'scipy.linalg' in sys.modules)"
+        "assert main(['simulate', '--out', out + '/sim']) == 0\n"
+        "assert main(['plan', '--delta', '3', '--out', out + '/plan']) == 0\n"
+        "assert main(['verify', '--fast', '--out', out + '/fast']) == 0\n"
+        "assert main(['verify', '--fast', '--inject-fault', '--out', out + '/fault']) == 1\n"
+        "checks = json.load(open(out + '/fault/report.json'))['checks']\n"
+        "print([c['name'] for c in checks if not c['passed']], sys.modules['scipy'])"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, str(tmp_path)],
@@ -261,7 +258,7 @@ def test_cli_import_skips_scipy_optimize_and_linalg(tmp_path):
         text=True,
         check=True,
     )
-    assert result.stdout.splitlines()[-1] == "False False True"
+    assert result.stdout.splitlines()[-1] == "['propagator_vs_expm'] None"
 
 
 def test_simulate_outputs(tmp_path):
@@ -715,7 +712,7 @@ def test_verify_fast(tmp_path, capsys):
 
 
 def test_verify_fault_injection_fails():
-    # The injected fault conjugates the expm reference; on the same draws
+    # The injected fault conjugates the eigh reference; on the same draws
     # the check fails with it and passes without it.
     failed = check_expm_agreement(np.random.default_rng(7), 40, inject_fault=True)
     passed = check_expm_agreement(np.random.default_rng(7), 40, inject_fault=False)

@@ -8,16 +8,23 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from modeswitch import (
+    NORTH,
     CouplerParams,
     CouplingSegment,
     ModeState,
     Protocol,
     TransferMatrix,
+    bloch_precess,
+    closed_form_powers,
     compose,
+    expm_propagator,
+    generator,
+    integrate,
     propagate,
     protocol_propagator,
     rotation_axis,
     segment_propagator,
+    stage_with_offset,
     static_max_transfer,
 )
 from modeswitch.dynamics import abs2
@@ -418,3 +425,61 @@ def test_column_transfer_and_norm_are_each_case_bit_for_bit(pairs):
     assert hexed(*matrix.transfer) == hexed(*(m.transfer for m, _ in one))
     assert hexed(*state.transfer) == hexed(*(s.transfer for _, s in one))
     assert hexed(*state.norm) == hexed(*(s.norm for _, s in one))
+
+
+nonzero_pairs = st.tuples(complexes, complexes).filter(lambda pair: ModeState(*pair).norm > 0.0)
+
+
+@given(st.lists(nonzero_pairs, min_size=1, max_size=8))
+@example([(0.0j, 1.0 + 0.0j), (-0.0 - 0.0j, 0.6 - 0.8j), (3.0 + 0.0j, -0.0 + 4.0j)])
+def test_column_normalized_is_each_case_bit_for_bit(pairs):
+    """ModeState.normalized of columns, each entry float.hex-equal to its case
+    taken alone, which is CPython's a / norm; a zero entry is rejected."""
+    column = ModeState(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])).normalized()
+    one = [ModeState(a, b).normalized() for a, b in pairs]
+    assert hexed(*column.a1, *column.a2) == hexed(*(s.a1 for s in one), *(s.a2 for s in one))
+    for (a, b), s in zip(pairs, one):
+        n = ModeState(a, b).norm
+        assert hexed(s.a1, s.a2) == hexed(a / n, b / n)
+    with pytest.raises(ValueError, match="zero state"):
+        ModeState(np.array([pairs[0][0], 0j]), np.array([pairs[0][1], 0j])).normalized()
+
+
+def shaped(value, like):
+    """value as a column of like's shape when like is a column."""
+    return np.full(np.shape(like), value) if np.ndim(like) else value
+
+
+BALANCED = TransferMatrix(math.sqrt(0.5), 1j * math.sqrt(0.5))
+HALF = CouplerParams(0.5, 1.0)
+ONE_SEGMENT = Protocol.from_pairs([(0.3, 1.0)])
+# entry: (the argument it names, a call with x in that argument, whether it takes columns)
+NON_FINITE_ENTRIES = {
+    "stage_with_offset": ("offset", lambda x: stage_with_offset(BALANCED, x), True),
+    "closed_form_powers dtheta": ("dtheta", lambda x: closed_form_powers(BALANCED, x, 0.0), True),
+    "closed_form_powers offset": ("offset", lambda x: closed_form_powers(BALANCED, 0.0, x), True),
+    "bloch_precess": ("t", lambda x: bloch_precess(rotation_axis(HALF, 0.0), NORTH, x), True),
+    "generator": ("coupling phase phi", lambda x: generator(HALF, x), False),
+    "expm_propagator phase": (
+        "phase", lambda x: expm_propagator(shaped(0.5, x), shaped(1.0, x), x, shaped(1.0, x)), True
+    ),
+    "expm_propagator duration": (
+        "duration", lambda x: expm_propagator(shaped(0.5, x), shaped(1.0, x), shaped(0.3, x), x), True
+    ),
+    "propagate": ("initial a1", lambda x: propagate(HALF, ONE_SEGMENT, ModeState(x, 0.0)), False),
+    "integrate": ("initial a2", lambda x: integrate(HALF, ONE_SEGMENT, ModeState(1.0, x)), False),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", NON_FINITE_ENTRIES)
+def test_an_entry_names_its_non_finite_argument(entry, value):
+    """Each of these exports raises a ValueError naming a non-finite
+    argument, a float or a column entry, where it returned NaN."""
+    name, call, columns = NON_FINITE_ENTRIES[entry]
+    call(np.array([0.5, 0.7]) if columns else 0.5)
+    with pytest.raises(ValueError, match=f"^{name} = .* must be finite$"):
+        call(value)
+    if columns:
+        with pytest.raises(ValueError, match=f"^{name} = array\\(.*\\) must be finite$"):
+            call(np.array([0.5, value]))

@@ -1,9 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from modeswitch import (
     CouplerParams,
@@ -11,6 +13,7 @@ from modeswitch import (
     IntegrationConfig,
     ModeState,
     Protocol,
+    expm_propagator,
     generator,
     integrate,
     integrate_matrix,
@@ -84,11 +87,32 @@ def test_integrate_matrix_matches_closed_form(params, pairs):
     st.builds(CouplingSegment, phases, st.floats(0.0, 5.0)),
 )
 def test_expm_agrees_with_closed_form(params, seg):
-    """scipy's expm of the segment Hamiltonian equals the closed form."""
+    """The spectral exp(-i H t) of the segment Hamiltonian, the battery's
+    reference, equals the closed form."""
     residual = verify.propagator_vs_expm_residual(
         params.delta, params.kappa0, seg.phase, seg.duration
     )
     assert residual <= 1e-12
+
+
+@example(0.5, 0.0, 1.0, 0.0)
+@example(0.0, 0.0, 0.0, 1.0)
+@example(-3.0, 3.0, -20.0, 1.0)
+@given(
+    st.floats(-3.0, 3.0),
+    st.floats(0.0, 3.0),
+    st.floats(-20.0, 20.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+)
+def test_spectral_reference_is_scipy_expm(delta, kappa0, phase, duration):
+    """expm_propagator, from numpy's eigh, against scipy's scaling and
+    squaring expm of the same Hamiltonian, at raw phases, with kappa0 = 0
+    and zero durations among the cases; and the same as one column."""
+    kappa = kappa0 * cmath.exp(1j * phase)
+    want = expm(-1j * np.array([[delta, kappa], [kappa.conjugate(), -delta]]) * duration)
+    assert np.abs(expm_propagator(delta, kappa0, phase, duration) - want).max() <= 1e-14
+    column = expm_propagator(*(np.array([x]) for x in (delta, kappa0, phase, duration)))
+    assert np.abs(column[0] - want).max() <= 1e-14
 
 
 def test_zero_duration_is_identity():

@@ -6,6 +6,10 @@ and the CPU, and which a column of cases cannot replay.  The package sums
 its 3-vector products in geometry._dot and geometry._cross instead; this
 scan keeps the others out of it.
 
+numpy is the one runtime dependency: no module imports scipy, at module
+level or inside a function, so every command, the battery's expm
+reference included, runs where scipy is not installed.
+
 The battery checks the functions the CLI runs: verify imports only public
 names from isolator, and none of the SU(2) kernel's private names from
 dynamics, so no private twin of a public function can stand in for it.
@@ -30,6 +34,22 @@ def test_no_blas_rounded_product(path):
         if call in line
     ]
     assert not found
+
+
+def _imports(path):
+    """The modules a source file imports, at module level or in a function."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_scipy_import(path):
+    modules = list(_imports(path))
+    assert modules
+    assert [name for name in modules if name.split(".")[0] == "scipy"] == []
 
 
 def test_the_scan_sees_the_package():

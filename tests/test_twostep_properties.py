@@ -112,19 +112,25 @@ def test_infeasible_durations_tie_at_the_ceiling(coupler, phi):
     within it the earlier switch gives t1 <= t2, with no slack."""
     params = CouplerParams(*coupler)
     sol = solve_two_step(params, phi)
+    # A first leg is flat where |sin(phi / 2)| < FLAT_LEG_TOL, relative to
+    # kappa0 / W, or where the half-chord's square underflows.
+    kr = params.kappa0 / params.rabi
+    half_chord = kr * abs(math.sin(phi / 2.0))
     if two_step_feasible(params, phi):
         assert sol.t1 <= sol.t2
-    elif params.kappa0 / params.rabi * abs(math.sin(phi / 2.0)) >= FLAT_LEG_TOL:
+    elif half_chord >= FLAT_LEG_TOL * kr and half_chord * half_chord > 0.0:
         assert sol.t1 == sol.t2
         assert abs(sol.achieved - two_step_ceiling(params, phi)) <= ACHIEVED_SLACK
 
 
 def test_a_weak_coupling_reaches_the_brute_force_maximum():
     """At kappa0 / W ~ 2e-12 the first leg swings by ~4e-24 along axis(phi),
-    yet the switch is no flat leg: the transfer is the diagonal's maximum."""
-    params = CouplerParams(0.5, 1e-12)
-    brute = _brute_two_step_maxima([params], [1.0])[0]
-    assert abs(solve_two_step(params, 1.0).achieved - brute) <= 1e-6 * brute
+    and at 2e-15 its half-chord is below FLAT_LEG_TOL, yet the switch is no
+    flat leg: the transfer is the diagonal's maximum."""
+    for kappa0 in (1e-12, 1e-15):
+        params = CouplerParams(0.5, kappa0)
+        brute = _brute_two_step_maxima([params], [1.0])[0]
+        assert abs(solve_two_step(params, 1.0).achieved - brute) <= 1e-6 * brute
 
 
 @given(couplers(), phases, st.floats(0.0, 1.0))

@@ -7,10 +7,12 @@ is the per-case loop such a check runs with the scalar API: one
 CouplerParams, CouplingSegment and TransferMatrix per case.  Where the
 library shares its column code with the scalar path (TransferMatrix's
 unitarity_defect, the public isolator functions that isolator_identity
-calls on a column IsolatorSpec, the geometry algebra), the reference
-writes the formula out in Python float or complex arithmetic instead:
-the geometry's dot products as left-to-right sums of floats, its cross
-products by np.cross.  Every per-case residual must agree as
+calls on a column IsolatorSpec, the geometry algebra, the spectral
+reference's product), the reference writes the formula out in Python
+float or complex arithmetic instead: the geometry's dot products as
+left-to-right sums of floats, its cross products by np.cross, and
+V diag(exp(-i lambda t)) V^H from one case's eigh as sums of complex
+products.  Every per-case residual must agree as
 float.hex, and the rng must be left in the same state, so that every
 later check sees the same draws."""
 
@@ -23,7 +25,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm
 
 from modeswitch import (
     BACKWARD,
@@ -76,13 +77,24 @@ def segment_splitting(rng, n):
         yield matrix_mismatch(whole.as_array(), split.as_array())
 
 
+def spectral_propagator(h, t):
+    """exp(-i H t) = V diag(exp(-i lambda t)) V^H from H's eigh, the
+    product in Python complex arithmetic."""
+    lam, v = np.linalg.eigh(h)
+    turn = [complex(x) for x in np.exp(-1j * lam * t)]
+    v = v.tolist()
+    return np.array(
+        [[sum(v[i][k] * turn[k] * v[j][k].conjugate() for k in range(2)) for j in range(2)] for i in range(2)]
+    )
+
+
 def propagator_vs_expm(rng, n, inject_fault):
     for _ in range(n):
         params, seg = random_segment(rng, 3.0)
         # The fault conjugates the reference: its phase negated, and reduced.
         ref = CouplingSegment(-seg.phase, seg.duration) if inject_fault else seg
         exact = segment_propagator(params, seg).as_array()
-        yield matrix_mismatch(exact, expm(-1j * generator(params, ref.phase) * ref.duration))
+        yield matrix_mismatch(exact, spectral_propagator(generator(params, ref.phase), ref.duration))
 
 
 def cone_floor_residuals(rng, n):
