@@ -54,7 +54,6 @@ from .oracle import (
     expm_propagator,
     generator,
     integrate,
-    integrate_matrix,
 )
 from .planner import (
     PlanSearch,

@@ -222,7 +222,9 @@ def _grid_rows(row_axis, col_axis, *tables):
 
 def _table_rows(*columns):
     """Lines of equal-length float columns at %.17g (equal to fmt17), written
-    GRID_BLOCK lines per chunk from one % template."""
+    GRID_BLOCK lines per chunk from one % template.  An integer column, such
+    as a segment count, prints as %d does: %.17g of an integer-valued float
+    below 2**53 has no point or exponent."""
     table = np.column_stack(columns)
     line = ",".join(["%.17g"] * len(columns)) + "\n"
     for lo in range(0, len(table), GRID_BLOCK):
@@ -398,7 +400,8 @@ def cmd_feasibility(cfg: RunConfig) -> int:
     # A bool table is written with %d, as 0/1.
     rows = _grid_rows(fm.ratios, fm.phis, fm.feasible)
     write_csv(out / "feasibility.csv", ["ratio", "phi", "feasible"], rows)
-    boundary = ["%.17g,%.17g\n" % (r, critical_phase(r)) for r in fm.ratios.tolist() if r <= 1.0]
+    ratios = [r for r in fm.ratios.tolist() if r <= 1.0]
+    boundary = _table_rows(ratios, [critical_phase(r) for r in ratios])
     write_csv(out / "boundary.csv", ["ratio", "phi_critical"], boundary)
     summary = {
         "command": "feasibility",
@@ -464,11 +467,7 @@ def cmd_plan(cfg: RunConfig) -> int:
         "curve": [{"segments": k, "achieved": a} for k, a in curve],
     }
     write_text(out / "plan.json", dumps17(payload))
-    write_csv(
-        out / "curve.csv",
-        ["segments", "achieved"],
-        ["%d,%.17g\n" % (k, a) for k, a in curve],
-    )
+    write_csv(out / "curve.csv", ["segments", "achieved"], _table_rows(*zip(*curve)))
     traj = propagate(params, plan.protocol, ModeState.mode1(), cfg.samples)
     b = to_bloch(traj)
     svg = trajectory_svg(traj.t, b.u, b.v, b.w, plan.protocol.ends[:-1])

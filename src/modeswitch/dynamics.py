@@ -20,17 +20,20 @@ _segment, _compose and _apply in cmul's arithmetic on rows (d.real, d.imag,
 o.real, o.imag) of floats or numpy columns, serves the scalar propagators,
 propagate's columns and the battery's columns of cases alike; its one
 segment entry is segment_propagator, one case or columns.  TransferMatrix
-and ModeState likewise hold one case or columns, and _matrix makes either
-kind of TransferMatrix from a row.  modeswitch.oracle cross-checks them.
+and ModeState likewise hold one case or columns, _matrix makes either
+kind of TransferMatrix from a row and _complexes either kind of complex
+pair from parts.  Columns and floats broadcast as numpy broadcasts them,
+through _each.  Each input is checked in one place, whether a dataclass
+or a pair holds it: a coupler by _coupler, a segment by _segment_pair.
+modeswitch.oracle cross-checks them.
 """
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,7 +65,7 @@ class CouplerParams:
     def ratio(self) -> float:
         """Detuning-to-coupling ratio |delta| / kappa0.  Requires kappa0 > 0."""
         if self.kappa0 == 0.0:
-            raise ValueError("ratio undefined for kappa0 = 0")
+            raise ValueError("ratio undefined for kappa0 = 0: set kappa > 0")
         return abs(self.delta) / self.kappa0
 
 
@@ -86,21 +89,17 @@ def _reduce_phase(phase: float) -> float:
 class CouplingSegment:
     """One constant-coupling interval: phase phi (rad) held for a duration (s).
 
-    The phase is stored reduced to [0, 2*pi).  Durations must be
-    nonnegative; zero-duration segments are legal and act as the identity.
+    The phase is stored reduced to [0, 2*pi).  Both must be finite and
+    durations nonnegative, as _segment_pair checks them; zero-duration
+    segments are legal and act as the identity.
     """
 
     phase: float
     duration: float
 
     def __post_init__(self) -> None:
-        phase = float(self.phase)
-        duration = float(self.duration)
-        if not math.isfinite(phase):
-            raise ValueError("segment phase must be finite")
-        if not math.isfinite(duration) or duration < 0.0:
-            raise ValueError("segment duration must be finite and >= 0")
-        object.__setattr__(self, "phase", _reduce_phase(phase))
+        phase, duration = _segment_pair(float(self.phase), float(self.duration))
+        object.__setattr__(self, "phase", phase)
         object.__setattr__(self, "duration", duration)
 
 
@@ -112,28 +111,27 @@ class Protocol:
     total_duration and every start, switch and boundary time read it."""
 
     segments: tuple[CouplingSegment, ...]
+    ends: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         segments = tuple(self.segments)
         if not segments:
             raise ValueError("a protocol needs at least one segment")
-        total = 0.0
+        ends, total = [], 0.0
         for s in segments:
             if not isinstance(s, CouplingSegment):
                 raise TypeError("protocol segments must be CouplingSegment")
             total += s.duration
-        # total is ends[-1]: segments that each are finite can overflow it.
+            ends.append(total)
+        # Segments that each are finite can overflow the total.
         _finite(total, "protocol total duration")
         object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "ends", tuple(ends))
 
     @classmethod
     def from_pairs(cls, pairs) -> "Protocol":
         """Build from an iterable of (phase, duration) pairs."""
         return cls(tuple(CouplingSegment(p, d) for p, d in pairs))
-
-    @property
-    def ends(self) -> tuple[float, ...]:
-        return tuple(itertools.accumulate(self.durations, initial=0.0))[1:]
 
     @property
     def total_duration(self) -> float:
@@ -277,17 +275,28 @@ def segment_propagator(params, segment) -> TransferMatrix:
     """Closed-form propagator for one constant-coupling segment, of a
     CouplerParams or (delta, kappa0) and a CouplingSegment or (phase,
     duration): pairs of floats, or of columns that broadcast together,
-    which give a column TransferMatrix, bit for bit each case alone.  Pairs are checked (and the phase reduced)
-    as CouplerParams and CouplingSegment do, a bad entry named in a ValueError."""
+    which give a column TransferMatrix, bit for bit each case alone.  Pairs
+    are checked (and the phase reduced) by the _coupler and _segment_pair
+    that CouplerParams and CouplingSegment run, a bad entry named in a
+    ValueError."""
     delta, kappa0, w = _coupler(params)
     if isinstance(segment, CouplingSegment):
         turn, duration = _turn(segment.phase), segment.duration
     else:
-        phase, duration = segment
-        turn = _each(_turn, _each(_reduce_phase, _finite(phase, "segment phase")), dtype=complex)
-        if np.any(_finite(duration, "segment duration") < 0.0):
-            raise ValueError(f"segment duration = {duration!r} must be >= 0")
+        phase, duration = _segment_pair(*segment)
+        turn = _each(_turn, phase, dtype=complex)
     return _matrix(_segment(delta, kappa0, w, turn, duration))
+
+
+def _segment_pair(phase, duration):
+    """(phase reduced to [0, 2 pi), duration) of floats or columns, checked
+    entry by entry as CouplingSegment and the pair form take them: both
+    finite, the duration >= 0, a bad field named in a ValueError."""
+    phase = _each(_reduce_phase, _finite(phase, "segment phase"))
+    negative = _finite(duration, "segment duration") < 0.0
+    if negative.any() if isinstance(negative, np.ndarray) else negative:
+        raise ValueError(f"segment duration = {duration!r} must be >= 0")
+    return phase, duration
 
 
 def compose(later: TransferMatrix, earlier: TransferMatrix) -> TransferMatrix:
@@ -323,11 +332,8 @@ def _coupler(params):
     if isinstance(params, CouplerParams):
         return params.delta, params.kappa0, params.rabi
     delta, kappa0 = params
-    every = bool  # numpy's all costs a float case about 1 us
-    if isinstance(delta, np.ndarray) or isinstance(kappa0, np.ndarray):
-        delta, kappa0 = np.broadcast_arrays(np.asarray(delta, float), np.asarray(kappa0, float))
-        every = np.all
     w = _each(math.hypot, _finite(delta, "delta"), _finite(kappa0, "kappa0"))
+    every = np.all if isinstance(w, np.ndarray) else bool  # numpy's all costs a float case about 1 us
     if not every(kappa0 >= 0.0):
         raise ValueError(f"coupling magnitude kappa0 must be nonnegative, not {kappa0!r}")
     # Every duration is a phase over W: W must have a usable reciprocal.
@@ -345,15 +351,20 @@ def _finite(value, name: str):
 
 
 def _each(fn, *args, dtype=float):
-    """fn of floats, or of equal-shape columns entry by entry on Python floats,
-    as the scalar path takes them: numpy may vectorize its own sin, cos,
-    hypot and atan2, which can differ in a bit.  A dtype with a shape, such
-    as (complex, (2, 2)), adds that shape after the columns'."""
-    if not isinstance(args[0], np.ndarray):
+    """fn of floats, or of columns and floats broadcast together as numpy
+    broadcasts them (a float beside a column, (n, 1) against (1, m)),
+    entry by entry on Python floats, as the scalar path takes them: numpy
+    may vectorize its own sin, cos, hypot and atan2, which can differ in a
+    bit.  A dtype with a shape, such as (complex, (2, 2)), adds that shape
+    after the columns'."""
+    for arg in args:
+        if isinstance(arg, np.ndarray):
+            break
+    else:
         return fn(*args)
-    flat = [np.ravel(c).tolist() for c in args]
-    values = np.fromiter(map(fn, *flat), dtype, len(flat[0]))
-    return values.reshape(args[0].shape + values.shape[1:])
+    columns = np.broadcast_arrays(*args)
+    values = np.fromiter(map(fn, *(c.ravel().tolist() for c in columns)), dtype, columns[0].size)
+    return values.reshape(columns[0].shape + values.shape[1:])
 
 
 def _segment(delta, kappa0, w, turn, duration):
@@ -464,6 +475,4 @@ def propagate(
     partial = (whole < n) & (t > start)
     piece_row = _segment(params.delta, params.kappa0, params.rabi, turns[piece], t - start)
     row = np.where(partial, _compose(piece_row, prefix), prefix)
-    # The apply's real and imaginary columns, side by side, view as a1, a2.
-    a1, a2 = np.stack(_apply(row, initial.a1, initial.a2), axis=-1).view(complex).T
-    return Trajectory(t, a1, a2)
+    return Trajectory(t, *_complexes(_apply(row, initial.a1, initial.a2)))

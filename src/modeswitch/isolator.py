@@ -23,7 +23,6 @@ backward one reaches 1.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -104,7 +103,7 @@ def stage_with_offset(stage: TransferMatrix, offset: float) -> TransferMatrix:
     non-finite offset is named in a ValueError.
     """
     dr, di, o_r, oi = stage._row
-    turn = _each(lambda x: cmath.exp(-1j * x), _finite(offset, "offset"), dtype=complex)
+    turn = _each(_turn, -_finite(offset, "offset"), dtype=complex)
     return _matrix((dr, di, *cmul(o_r, oi, turn.real, turn.imag)))
 
 
@@ -252,9 +251,7 @@ def cascade_trajectory(
     )
     leg1 = propagate(params, first, ModeState.mode1(), sample_count)
     t_mid, end = leg1.t[-1], leg1.final
-    mid = ModeState(
-        end.a1 * cmath.exp(1j * spec.theta1), end.a2 * cmath.exp(1j * spec.theta2)
-    )
+    mid = ModeState(end.a1 * _turn(spec.theta1), end.a2 * _turn(spec.theta2))
     leg2 = propagate(params, second, mid, sample_count)
     return Trajectory(
         np.concatenate((leg1.t, [t_mid], t_mid + leg2.t[1:])),

@@ -18,10 +18,12 @@ applied to the state as a -> a + X a, which keeps rounding from piling
 up in one direction.  Every step still counts; only their order of
 multiplication changes.
 
-Steps never straddle a segment boundary.  Within each segment the step
-count is ceil(duration / step) so the integrator lands on the boundary
-exactly; the last partial step is therefore slightly shorter, never
-longer, than requested.
+integrate steps one state or columns of states, as every entry of the
+package takes them; on the two basis states as columns it gives the 2x2
+propagator.  Steps never straddle a segment boundary.  Within each
+segment the step count is ceil(duration / step) so the integrator lands
+on the boundary exactly; the last partial step is therefore slightly
+shorter, never longer, than requested.
 """
 
 from __future__ import annotations
@@ -101,26 +103,16 @@ def _rk4_segment(h: np.ndarray, a: np.ndarray, duration: float, step: float) -> 
     return np.array(cols, dtype=complex).T.reshape(a.shape)
 
 
-def _rk4_protocol(
-    params: CouplerParams,
-    protocol: Protocol,
-    a: np.ndarray,
-    config: IntegrationConfig | None,
-) -> np.ndarray:
-    """Step a, one state vector or a 2x2 matrix of columns, through the protocol."""
-    step = (config or IntegrationConfig()).resolved_step(params)
-    for seg in protocol.segments:
-        a = _rk4_segment(generator(params, seg.phase), a, seg.duration, step)
-    return a
-
-
 def integrate(
     params: CouplerParams,
     protocol: Protocol,
     initial: ModeState,
     config: IntegrationConfig | None = None,
 ) -> ModeState:
-    """Integrate the protocol from the given initial state.
+    """Integrate the protocol from the given initial state, one state or
+    columns of states, each column entry bit for bit its case alone: the
+    basis columns ModeState(*np.eye(2, dtype=complex)) give the 2x2
+    propagator as np.array([out.a1, out.a2]).
 
     No renormalization is applied along the way; norm drift is part of
     the error signal this oracle exists to expose.  A non-finite initial
@@ -128,24 +120,18 @@ def integrate(
     """
     a1, a2 = _finite(initial.a1, "initial a1"), _finite(initial.a2, "initial a2")
     a = np.array([a1, a2], dtype=complex)
-    a = _rk4_protocol(params, protocol, a, config)
-    return ModeState(complex(a[0]), complex(a[1]))
-
-
-def integrate_matrix(
-    params: CouplerParams,
-    protocol: Protocol,
-    config: IntegrationConfig | None = None,
-) -> np.ndarray:
-    """Full 2x2 propagator: both basis states stepped together as one matrix."""
-    return _rk4_protocol(params, protocol, np.eye(2, dtype=complex), config)
+    step = (config or IntegrationConfig()).resolved_step(params)
+    for seg in protocol.segments:
+        a = _rk4_segment(generator(params, seg.phase), a, seg.duration, step)
+    return ModeState(*a)
 
 
 def expm_propagator(delta, kappa0, phase, duration) -> np.ndarray:
     """exp(-i H t) of a segment as V diag(exp(-i lambda t)) V^H, from
     numpy's eigh of its Hermitian H, the product summed entry by entry
-    (einsum) rather than in BLAS; for equal-shape columns of segments, a
-    stack from one eigh call, each bit for bit its case alone."""
+    (einsum) rather than in BLAS; for columns of segments and floats that
+    broadcast together (_each's rule), a stack from one eigh call, each
+    bit for bit its case alone."""
     args = _finite(delta, "delta"), _finite(kappa0, "kappa0"), _finite(phase, "phase")
     lam, v = np.linalg.eigh(_each(_generator, *args, dtype=(complex, (2, 2))))
     turn = np.exp(-1j * lam * np.asarray(_finite(duration, "duration"))[..., None])

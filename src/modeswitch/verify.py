@@ -17,6 +17,8 @@ all their cases at once as column TransferMatrix and ModeState values,
 bit for bit the scalar path.  They reach the SU(2) kernel only through
 public functions: each segment is the column form of segment_propagator,
 the one the CLI runs, and the cascade is the public isolator functions.
+propagator_vs_rk4 and rk4_convergence integrate the two basis states as
+columns, in one call of the public oracle.integrate per protocol.
 The three geometry checks draw case by case first, as they mix normal
 and uniform draws.  check_<check> only draws its cases from the
 battery's rng and keeps the worst residual, and a NaN residual fails it;
@@ -76,7 +78,7 @@ from .isolator import (
     reciprocity_defect,
     stage_with_offset,
 )
-from .oracle import IntegrationConfig, expm_propagator, integrate_matrix
+from .oracle import IntegrationConfig, expm_propagator, integrate
 from .planner import StaircasePlan, minimal_plan_search
 from .twostep import _grid_transfer, pushpull_times, two_step_ceiling, two_step_feasible
 
@@ -106,6 +108,8 @@ def _worst(name: str, residuals: Iterable[float], tol: float, detail: str) -> Ch
 DELTAS = (-3.0, 3.0)
 KAPPAS = (0.1, 3.0)
 PHASES = (0.0, TWO_PI)
+# The two basis states as columns: the RK4 oracle integrates both at once.
+_BASIS = ModeState(*np.eye(2, dtype=complex))
 
 
 def _draw(rng, n: int, *ranges: tuple[float, float]) -> np.ndarray:
@@ -201,7 +205,8 @@ def check_static_peak(rng, n: int) -> CheckResult:
 def propagator_vs_rk4_residual(params: CouplerParams, protocol: Protocol) -> float:
     """Closed-form protocol propagator against the RK4 oracle at its default step."""
     exact = protocol_propagator(params, protocol).as_array()
-    return _matrix_mismatch(exact, integrate_matrix(params, protocol))
+    rk4 = integrate(params, protocol, _BASIS)
+    return _matrix_mismatch(exact, np.array([rk4.a1, rk4.a2]))
 
 
 def check_rk4_agreement(rng, n: int) -> CheckResult:
@@ -500,10 +505,11 @@ def check_rk4_convergence(rng, n: int) -> CheckResult:
         params, protocol = _random_protocol(rng, max_segments=8, min_frac=0.3)
         for seg in protocol.segments:
             exact = segment_propagator(params, seg).as_array()
+            alone = Protocol((seg,))
             errs = []
             for frac in (0.08, 0.04, 0.02):
-                rk4 = integrate_matrix(params, Protocol((seg,)), IntegrationConfig(frac))
-                errs.append(_matrix_mismatch(exact, rk4))
+                rk4 = integrate(params, alone, _BASIS, IntegrationConfig(frac))
+                errs.append(_matrix_mismatch(exact, np.array([rk4.a1, rk4.a2])))
             factor = math.sqrt(errs[0] / errs[2])
             lo = min(lo, factor)
             hi = max(hi, factor)

@@ -790,6 +790,14 @@ def test_simulate_runs_at_the_protocol_cap(tmp_path):
     assert summary["rk4_mismatch"] <= 1e-8
 
 
+def test_simulate_without_coupling_names_kappa_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "sim"
+    for args in (["--kappa", 0], ["--kappa", 0, "--delta", -1.5, "--phi", 2]):
+        assert run(["simulate", *args, "--out", out]) == 2
+        assert capsys.readouterr().err == "error: ratio undefined for kappa0 = 0: set kappa > 0\n"
+        assert not out.exists()
+
+
 def test_transfer_map_without_coupling_writes_nothing(tmp_path, capsys):
     out = tmp_path / "map"
     assert run(["transfer-map", "--kappa", 0, "--delta", 1, "--out", out]) == 2

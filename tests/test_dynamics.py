@@ -102,6 +102,29 @@ def test_protocol_timeline_is_the_running_sum():
     assert traj.t[-1] == prot.total_duration
 
 
+@given(st.lists(st.floats(0.0, 1e308), min_size=1, max_size=12))
+@example([0.1] * 10)
+@example([1e308, 1e308])
+@example([1.7e308, 0.0, 1.7e308, 5e-324])
+def test_protocol_ends_are_the_left_to_right_sum(durations):
+    """ends[j] is the sum of the first j + 1 durations, added left to right
+    from 0.0 in float arithmetic, and the protocol holds it once; a total
+    that overflows is rejected, though every segment is finite."""
+    total, sums = 0.0, []
+    for d in durations:
+        total += d
+        sums.append(total)
+    pairs = [(0.3, d) for d in durations]
+    if not math.isfinite(total):
+        with pytest.raises(ValueError, match="^protocol total duration = inf must be finite$"):
+            Protocol.from_pairs(pairs)
+        return
+    prot = Protocol.from_pairs(pairs)
+    assert hexed(*prot.ends) == hexed(*sums)
+    assert prot.total_duration == sums[-1]
+    assert prot.ends is prot.ends
+
+
 def test_segment_propagator_matches_expm():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -353,12 +376,22 @@ def test_column_segment_propagator_is_each_case_bit_for_bit(cases, shared):
         ((0.1, np.array([1.0, math.inf])), r"segment duration = array\(.*\) must be finite"),
         ((0.1, -1e-9), "segment duration = -1e-09 must be >= 0"),
         ((np.ones(2), np.array([1.0, -1.0])), r"segment duration = array\(.*\) must be >= 0"),
+        ((-math.inf, 1.0), "segment phase = -inf must be finite"),
+        ((math.nan, -1.0), "segment phase = nan must be finite"),
+        ((0.1, -math.inf), "segment duration = -inf must be finite"),
+        ((0.1, -1.0), "segment duration = -1.0 must be >= 0"),
+        ((0.1, -5e-324), "segment duration = -5e-324 must be >= 0"),
     ],
 )
 def test_the_pair_form_names_a_bad_segment(segment, message):
+    """The pair form and CouplingSegment run one check, so a bad pair of
+    floats is named alike in both."""
     for pair in ((0.5, 1.0), (np.array([0.5, -1.0]), np.array([1.0, 0.2]))):
         with pytest.raises(ValueError, match=message):
             segment_propagator(pair, segment)
+    if not any(isinstance(x, np.ndarray) for x in segment):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CouplingSegment(*segment)
 
 
 @pytest.mark.parametrize(
@@ -383,6 +416,45 @@ def test_a_float_beside_a_column_broadcasts(pair):
     for k in range(3):
         assert hexed(*axis.n[k].ravel()) == hexed(*(a.n[k] for a in want_axes))
     assert hexed(*axis.omega.ravel()) == hexed(*(a.omega for a in want_axes))
+
+
+def _parts(*values):
+    return tuple(np.asarray(v) for v in values)
+
+
+# entry: (a call on (delta, kappa0, phase, duration), how many of them it reads)
+BROADCAST_ENTRIES = {
+    "expm_propagator": (lambda d, k, p, t: _parts(expm_propagator(d, k, p, t)), 4),
+    "segment_propagator": (lambda d, k, p, t: _parts(*segment_propagator((d, k), (p, t))._row), 4),
+    "rotation_axis": (lambda d, k, p, t: _parts(*rotation_axis((d, k), p).n, rotation_axis((d, k), p).omega), 3),
+}
+BROADCAST_LAYOUTS = {
+    "a float beside a column": (np.array([0.5, -1.7, 0.0, 2.5]), 1.0, np.array([0.1, 2.0, -3.0, 7.0]), 1.3),
+    "floats beside columns of kappa0 and duration": (
+        0.5, np.array([1.0, 0.2, 0.0, 3.0]), 0.3, np.array([0.0, 0.7, 2.0, 1.1])
+    ),
+    "(n, 1) against (1, m)": (
+        np.array([[0.5], [-1.7]]), np.array([[1.0, 0.2, 3.0]]), np.array([[0.3], [4.0]]),
+        np.array([[0.7, 0.0, 1.1]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("layout", BROADCAST_LAYOUTS)
+@pytest.mark.parametrize("entry", BROADCAST_ENTRIES)
+def test_every_column_entry_broadcasts_as_numpy_does(entry, layout):
+    """Columns and floats broadcast by numpy's rule, in each entry that
+    takes columns; each entry of the result is its one-case call, bytes
+    and all."""
+    call, reads = BROADCAST_ENTRIES[entry]
+    args = BROADCAST_LAYOUTS[layout]
+    shape = np.broadcast_shapes(*map(np.shape, args[:reads]))
+    got = call(*args)
+    for idx in np.ndindex(shape):
+        one = call(*(float(np.broadcast_to(a, shape)[idx]) for a in args))
+        for part, want in zip(got, one):
+            assert part.shape == shape + want.shape
+            assert part[idx].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,16 @@ from modeswitch import (
     expm_propagator,
     generator,
     integrate,
-    integrate_matrix,
     protocol_propagator,
     verify,
 )
 from modeswitch.oracle import DEFAULT_STEP_FRACTION, HARD_STEP_FRACTION
+
+
+def _rk4_matrix(params, protocol, config=None):
+    """The 2x2 RK4 propagator: integrate on the two basis states as columns."""
+    out = integrate(params, protocol, ModeState(*np.eye(2, dtype=complex)), config)
+    return np.array([out.a1, out.a2])
 
 
 def test_config_validation():
@@ -131,7 +136,7 @@ def test_step_halving_shrinks_error():
 
     def err(frac: float) -> float:
         cfg = IntegrationConfig(frac)
-        return float(np.max(np.abs(integrate_matrix(params, protocol, cfg) - exact)))
+        return float(np.max(np.abs(_rk4_matrix(params, protocol, cfg) - exact)))
 
     coarse, fine = err(0.08), err(0.04)
     # Fourth-order scheme: halving the step cuts the error ~16x.
@@ -223,7 +228,7 @@ def test_powered_map_is_the_stepped_map(delta):
         duration = (n - 0.5) * step
         assert math.ceil(duration / step) == n
         protocol = Protocol.from_pairs([(0.7, duration)])
-        out, ref = integrate_matrix(params, protocol), _stepped_rk4(params, protocol, eye, step)
+        out, ref = _rk4_matrix(params, protocol), _stepped_rk4(params, protocol, eye, step)
         if n <= 2:
             assert np.array_equal(out, ref), n
         else:
@@ -271,4 +276,32 @@ def test_collapsed_step_is_staged_rk4(params, wt_pairs, frac, theta, phase):
     assert abs(out.a2 - ref[1]) <= 1e-12
 
     ref_m = _staged_rk4(params, protocol, np.eye(2, dtype=complex), step)
-    assert np.max(np.abs(integrate_matrix(params, protocol, cfg) - ref_m)) <= 1e-12
+    assert np.max(np.abs(_rk4_matrix(params, protocol, cfg) - ref_m)) <= 1e-12
+
+
+amplitudes = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60)
+@given(
+    _couplers(),
+    st.lists(st.tuples(phases, st.floats(0.0, 3.0)), min_size=1, max_size=4),
+    st.lists(st.tuples(amplitudes, amplitudes), min_size=1, max_size=6),
+    st.sampled_from([None, IntegrationConfig(0.01), IntegrationConfig(HARD_STEP_FRACTION)]),
+    st.booleans(),
+)
+def test_integrate_on_columns_is_each_case_bit_for_bit(params, wt_pairs, states, cfg, upright):
+    """integrate on columns of states, flat or (n, 1), gives each entry
+    float.hex-equal to integrating that state alone."""
+    protocol = Protocol.from_pairs([(phi, wt / params.rabi) for phi, wt in wt_pairs])
+    a1, a2 = (np.array(column, dtype=complex) for column in zip(*states))
+    if upright:
+        a1, a2 = a1[:, None], a2[:, None]
+    out = integrate(params, protocol, ModeState(a1, a2), cfg)
+    assert out.a1.shape == out.a2.shape == a1.shape
+    for got1, got2, (b1, b2) in zip(out.a1.ravel(), out.a2.ravel(), states):
+        one = integrate(params, protocol, ModeState(b1, b2), cfg)
+        parts = (got1.real, got1.imag, got2.real, got2.imag)
+        assert [float(x).hex() for x in parts] == [
+            x.hex() for x in (one.a1.real, one.a1.imag, one.a2.real, one.a2.imag)
+        ]

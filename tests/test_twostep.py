@@ -296,3 +296,20 @@ def test_solve_fraction_unreachable_target():
     assert exc.value.achievable == pytest.approx(CEILING_HALF_QUARTER, abs=1e-6)
     with pytest.raises(ValueError):
         solve_fraction(params, math.pi, 1.5)
+
+
+NO_COUPLING_ENTRIES = {
+    "two_step_feasible": two_step_feasible,
+    "two_step_ceiling": two_step_ceiling,
+    "solve_two_step": solve_two_step,
+    "solve_fraction": lambda params, phi: solve_fraction(params, phi, 0.5),
+}
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.0, math.pi])
+@pytest.mark.parametrize("entry", NO_COUPLING_ENTRIES)
+def test_no_coupling_names_the_option(entry, phi):
+    """At kappa0 = 0 the two-segment entries have no ratio to judge by; the
+    ValueError names the option that sets it."""
+    with pytest.raises(ValueError, match="^ratio undefined for kappa0 = 0: set kappa > 0$"):
+        NO_COUPLING_ENTRIES[entry](CouplerParams(0.5, 0.0), phi)
