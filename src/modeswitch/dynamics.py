@@ -40,6 +40,10 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+# Every ratio |delta| / kappa0 at kappa0 = 0 raises this ValueError.
+_NO_RATIO = "ratio undefined for kappa0 = 0: set kappa > 0"
+
+
 @dataclass(frozen=True)
 class CouplerParams:
     """Static system parameters.
@@ -65,7 +69,7 @@ class CouplerParams:
     def ratio(self) -> float:
         """Detuning-to-coupling ratio |delta| / kappa0.  Requires kappa0 > 0."""
         if self.kappa0 == 0.0:
-            raise ValueError("ratio undefined for kappa0 = 0: set kappa > 0")
+            raise ValueError(_NO_RATIO)
         return abs(self.delta) / self.kappa0
 
 

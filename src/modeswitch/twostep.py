@@ -22,7 +22,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import CouplerParams, CouplingSegment, Protocol, _finite, protocol_propagator
+from .dynamics import (
+    _NO_RATIO,
+    CouplerParams,
+    CouplingSegment,
+    Protocol,
+    _coupler,
+    _each,
+    _finite,
+    protocol_propagator,
+)
 from .geometry import ANGLE_TOL, NORTH, bloch_precess, leg_time, precession_leg, rotation_axis
 
 # Slack applied to the feasibility inequality so exact-boundary cases
@@ -45,11 +54,26 @@ class InfeasibleTransferError(ValueError):
         self.achievable = achievable
 
 
-def two_step_feasible(params: CouplerParams, phi: float) -> bool:
-    """Whether two segments (phases 0 and finite phi) can transfer completely."""
+def two_step_feasible(params, phi):
+    """Whether two segments (phases 0 and finite phi) can transfer completely.
+
+    params is a CouplerParams or, as segment_propagator takes it, a (delta,
+    kappa0) pair of floats or columns that broadcast with phi, checked as
+    CouplerParams checks it; columns give a column of bools, each entry its
+    scalar call bit for bit (math.cos, entry by entry).
+    """
     _finite(phi, "coupling phase phi")
-    r = params.ratio
-    return math.cos(phi) <= 1.0 - 2.0 * r * r + FEASIBILITY_EPS
+    try:  # not isinstance, which would cost a CouplerParams call about 20 ns
+        r = params.ratio
+    except AttributeError:  # a (delta, kappa0) pair
+        pass
+    else:
+        return math.cos(phi) <= 1.0 - 2.0 * r * r + FEASIBILITY_EPS
+    delta, kappa0, _ = _coupler(params)
+    if np.any(kappa0 == 0.0):
+        raise ValueError(_NO_RATIO)
+    r = abs(delta) / kappa0
+    return _each(math.cos, phi) <= 1.0 - 2.0 * r * r + FEASIBILITY_EPS
 
 
 def critical_phase(ratio: float) -> float:
@@ -144,7 +168,10 @@ def _grid_transfer(delta, kappa0, w, phi, wt1: np.ndarray, wt2: np.ndarray) -> n
     on the table, each cell as if alone.  Durations are pi-periodic, so axes in
     [0, pi] cover everything.  numpy's complex arithmetic stays: in the dynamics
     kernel's cmul form transfer_map 512^2 took 26 ms, not 4.4, and moved 37-44% of cells
-    by up to 8.9e-16; shared real-column entries slowed criterion_vs_brute ~40%.
+    by up to 8.9e-16.  Each value is elementwise, so a row is the same bits in any
+    table: the battery's brute force saves its seed work by taking only the rows that
+    its real-arithmetic row bounds keep (verify._brute_two_step_maxima), not by
+    another form of this table.
     """
     dr = delta / w
     kr = kappa0 / w

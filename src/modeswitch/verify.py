@@ -33,7 +33,8 @@ against the battery itself going soft.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+import sys
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -317,49 +318,133 @@ def check_cone_floor(rng, n: int) -> CheckResult:
 
 
 _SEED_AXIS = np.linspace(0.0, math.pi, 48)
+_SEED_COS, _SEED_SIN = np.cos(_SEED_AXIS), np.sin(_SEED_AXIS)
 _ZOOM_OFFSETS = np.arange(-4, 5)
 _ZOOM_LEVELS = 30
-# Cells per seed table: (cells, 48, 48) complex is 0.3 MB at 8 cells,
+# Cells whose seed rows are bounded together, as (cells, 48) bounds.
+SEED_CHUNK = 64
+# Seed rows per cell that get exact values: a cell with more candidate
+# rows takes its whole table.
+SEED_ROWS = 4
+# Slack of the seed row bounds, in units of (kappa0 / W)^2.
+SEED_SLACK = 1e-12
+# Cells per whole seed table: (cells, 48, 48) complex is 0.3 MB at 8 cells,
 # where all 2445 cells of a full battery at once would need about 90 MB.
-SCREEN_CHUNK = 8
+TABLE_CHUNK = 8
 # Cells zoomed together; each level is a (cells, 9, 9) table.
 ZOOM_CHUNK = 128
 # A two-segment transfer this close to 1 counts as complete.
 FULL_TRANSFER = 1.0 - 1e-6
 
 
-def _brute_two_step_maxima(
-    params: Sequence[CouplerParams],
-    phis: Sequence[float],
-    screen: float = -math.inf,
-    settle: float = math.inf,
-) -> np.ndarray:
-    """Largest two-segment transfer (phases 0 and phis[c]) of each cell
-    params[c] by brute force, or a best of at least `settle`.
+def _seed_row_bounds(delta, kappa0, w, phi) -> tuple[np.ndarray, np.ndarray]:
+    """(upper, lower) bounds, (cells, 48), of each seed row's largest transfer,
+    for (cells, 1) columns; _brute_two_step_maxima has the proof."""
+    dr, k2 = delta / w, (kappa0 / w) ** 2
+    ec, es = np.cos(phi), np.sin(phi)
+    ds = dr * _SEED_SIN
+    u = ec * _SEED_COS - es * ds
+    v = (ec - 1.0) * ds + es * _SEED_COS
+    ss, bb = _SEED_SIN * _SEED_SIN, u * u + v * v
+    a, r = (ss + bb) / 2.0, np.hypot((ss - bb) / 2.0, _SEED_SIN * u)
+    slack = SEED_SLACK * k2 + sys.float_info.min
+    return k2 * (a + r) + slack, k2 * (a + r * math.cos(_SEED_AXIS[1])) - slack
 
-    The closed-form transfer table is evaluated on a 48-point W t grid
-    over [0, pi]^2, SCREEN_CHUNK cells at a time.  Cells whose seed peak
-    reaches `screen` then zoom on up to 30 levels of a 9 x 9 window
-    centred on each cell's best point so far, the step shrinking by 4
-    per level; a point replaces the best only if strictly greater.  The
-    map is pi-periodic in each duration, so the window needs no clipping.
-    Cells below `screen` keep their seed peak.
+
+def _seed_peaks(cols: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(best, W t1, W t2) of each cell of cols over its seed rows, the
+    (cells, R) indices `rows`: the first of equal values in the order of rows."""
+    wt1 = _SEED_AXIS[rows]
+    values = _grid_transfer(*cols, wt1, _SEED_AXIS)
+    values = values.reshape(len(rows), rows.shape[1] * len(_SEED_AXIS))
+    k = values.argmax(axis=1)
+    i, j = np.divmod(k, len(_SEED_AXIS))
+    cells = np.arange(len(rows))
+    return values[cells, k], wt1[cells, i], _SEED_AXIS[j]
+
+
+def _brute_two_step_maxima(
+    coupler: tuple, phi, screen: float = -math.inf, settle: float = math.inf
+) -> np.ndarray:
+    """Largest two-segment transfer (phases 0 and phi) of each cell by brute
+    force, or a best of at least `settle`.  The cells are a (delta, kappa0)
+    pair and phi, floats or columns that broadcast together, flattened.
+
+    The seed is the closed-form transfer table on a 48-point W t grid over
+    [0, pi]^2: its largest value, the first in row order (W t1, then W t2)
+    where values tie.  Cells whose seed peak reaches `screen` then zoom
+    on up to 30 levels of a 9 x 9 window centred on each cell's best
+    point so far, the step shrinking by 4 per level; a point replaces the
+    best only if strictly greater.  The map is pi-periodic in each
+    duration, so the window needs no clipping.  Cells below `screen` keep
+    their seed peak.
+
+    Only the seed rows that can hold the seed peak get exact values, and
+    they come from _grid_transfer.  Row i of a cell's table, W t1 = x_i,
+    is a sinusoid in x = W t2.  The table's value is |d2 o1 + e^(i phi) o2
+    conj(d1)|^2, with each leg's entries d = cos - i dr sin and o = -i kr
+    sin of its W t (dr, kr = delta, kappa0 over W).  With c1, s1 = cos,
+    sin x_i, the row is |o1 cos x + B sin x|^2, B = -i (dr o1 + kr e^(i
+    phi) conj(d1)), which is
+
+        kr^2 [a + p cos 2x + q sin 2x] = kr^2 [a + r cos(2x - chi)]
+
+    with u = cos(phi) c1 - sin(phi) dr s1, v = (cos(phi) - 1) dr s1 +
+    sin(phi) c1, a = (s1^2 + u^2 + v^2) / 2, p = (s1^2 - u^2 - v^2) / 2,
+    q = s1 u and r = hypot(p, q) >= 0.  The grid's 2x runs from 0 to 2 pi
+    in steps of 2h (h the axis step), so some grid point has 2x within h
+    of chi mod 2 pi, and the row's largest value lies in [kr^2 (a + r cos
+    h), kr^2 (a + r)].  Every factor of the table and of the bounds is at
+    most 1 in size apart from kr, which each value carries twice, so
+    rounding (numpy's sin and cos included) moves a table value or a
+    bound by a few tens of u kr^2 (u = 2^-53; at worst 42 u kr^2 over
+    10,000 random cells with kappa0 / W from 1 to 1e-100), and the axis's
+    own rounding moves h by about 1e-15 h.  Both scale with kr^2 as
+    kappa0 -> 0, and so does slack = SEED_SLACK kr^2, about 4,500 u kr^2.
+    The slack adds the smallest normal float, which covers values that
+    underflow (each rounding there is absolute, at most 2^-1075), so the
+    computed row maximum M_i keeps
+
+        lower_i = kr^2 (a + r cos h) - slack <= M_i <= kr^2 (a + r) + slack = upper_i.
+
+    Let M = max_i M_i be the cell's seed peak and L = max_i lower_i.
+    Then M >= L, and every row holding M, or a value equal to it, has
+    upper_i >= M >= L: no such row is skipped by keeping the candidate
+    rows, those with upper_i >= L.  Any other row lies wholly below M.
+    The candidates, padded to SEED_ROWS with such rows, are evaluated in
+    row order with the padding after them, so the largest value and its
+    first position are the whole table's, bit for bit: _grid_transfer's
+    values are elementwise.  A cell with more than SEED_ROWS candidates,
+    where several rows peak within r (1 - cos h) of each other (delta
+    near 0, phi near 0 or pi), takes its whole table, TABLE_CHUNK cells
+    at a time.  Bounds are taken SEED_CHUNK cells at a time.
 
     Each level zooms the live cells, ZOOM_CHUNK at a time; a cell leaves
     once its best reaches `settle`.  The best never falls, so a settled
     cell returns a best of at least `settle`, not its maximum, and every
     other cell returns the maximum it would without `settle`, bit for bit.
     """
-    cols = np.array([(p.delta, p.kappa0, p.rabi, phi) for p, phi in zip(params, phis)])
-    cols = cols.reshape(-1, 4).T[:, :, None]
-    best, x1, x2 = np.empty((3, len(params)))
-    for lo in range(0, len(best), SCREEN_CHUNK):
-        rows = slice(lo, lo + SCREEN_CHUNK)
-        chunk = cols[:, rows]
-        values = _grid_transfer(*chunk, _SEED_AXIS, _SEED_AXIS).reshape(chunk.shape[1], -1)
-        best[rows] = values.max(axis=1)
-        i, j = np.divmod(values.argmax(axis=1), len(_SEED_AXIS))
-        x1[rows], x2[rows] = _SEED_AXIS[i], _SEED_AXIS[j]
+    delta, kappa0, phi = (np.ravel(c) for c in np.broadcast_arrays(*coupler, phi))
+    cols = np.array((delta, kappa0, _each(math.hypot, delta, kappa0), phi), float)[:, :, None]
+    n = cols.shape[1]
+    best, x1, x2 = np.empty((3, n))
+    whole = np.zeros(n, bool)
+    for lo in range(0, n, SEED_CHUNK):
+        chunk = np.arange(lo, min(lo + SEED_CHUNK, n))
+        upper, lower = _seed_row_bounds(*cols[:, chunk])
+        candidate = upper >= lower.max(axis=1, keepdims=True)
+        few = candidate.sum(axis=1) <= SEED_ROWS
+        # Candidates first, in row order; the stable sort pads with rows below the peak.
+        rows = np.argsort(~candidate[few], axis=1, kind="stable")[:, :SEED_ROWS]
+        cells = chunk[few]
+        best[cells], x1[cells], x2[cells] = _seed_peaks(cols[:, cells], rows)
+        whole[chunk[~few]] = True
+    whole = np.flatnonzero(whole)
+    every_row = np.arange(len(_SEED_AXIS))
+    for lo in range(0, len(whole), TABLE_CHUNK):
+        cells = whole[lo : lo + TABLE_CHUNK]
+        rows = np.broadcast_to(every_row, (len(cells), len(every_row)))
+        best[cells], x1[cells], x2[cells] = _seed_peaks(cols[:, cells], rows)
     live = np.flatnonzero((best >= screen) & (best < settle))
     step = _SEED_AXIS[1]
     for _ in range(_ZOOM_LEVELS):
@@ -381,40 +466,34 @@ def _brute_two_step_maxima(
 
 def check_two_step_ceiling(rng, n: int) -> CheckResult:
     """Brute-force maxima against the analytic ceiling; odd draws negate delta."""
-    draws = [(rng.uniform(0.05, 1.2), rng.uniform(0.0, math.pi)) for _ in range(n)]
-    params = [CouplerParams(-r if k % 2 else r, 1.0) for k, (r, _) in enumerate(draws)]
-    phis = [phi for _, phi in draws]
+    ratio, phi = _draw(rng, n, (0.05, 1.2), (0.0, math.pi))
+    delta = np.where(np.arange(n) % 2, -ratio, ratio)
+    achieved = _brute_two_step_maxima((delta, 1.0), phi)
     residuals = (
-        abs(achieved - two_step_ceiling(p, phi))
-        for p, phi, achieved in zip(params, phis, _brute_two_step_maxima(params, phis))
+        abs(a - two_step_ceiling(CouplerParams(d, 1.0), p))
+        for d, p, a in zip(delta.tolist(), phi.tolist(), achieved.tolist())
     )
     return _worst("two_step_ceiling", residuals, 1e-7, f"{n} random (delta, phi) draws, both signs")
 
 
 def check_criterion_vs_brute(n_cells: int = 50) -> CheckResult:
     """Classification agreement between the criterion and maximization."""
-    cells = [
-        (float(r), float(phi))
-        for r in np.linspace(0.0, 1.2, n_cells)
-        for phi in np.linspace(0.0, math.pi, n_cells)
-        if abs(math.cos(phi) - (1.0 - 2.0 * r * r)) >= 0.02
-    ]
-    if not cells:
+    ratios, phis = np.linspace(0.0, 1.2, n_cells)[:, None], np.linspace(0.0, math.pi, n_cells)
+    # Cells in the boundary band are not counted; math.cos, as the criterion takes it.
+    counted = np.abs(_each(math.cos, phis) - (1.0 - 2.0 * ratios * ratios)) >= 0.02
+    ratio = np.broadcast_to(ratios, counted.shape)[counted]
+    phi = np.broadcast_to(phis, counted.shape)[counted]
+    if not len(ratio):
         return _result("criterion_vs_brute", 1.0, 0.01, "no cell counted: all in the boundary band")
-    params = [CouplerParams(r, 1.0) for r, _ in cells]
-    phis = [phi for _, phi in cells]
     # Only a seed grid peak near 1 can zoom in to a full transfer, and a
     # cell whose best reaches FULL_TRANSFER is classified and stops.
-    peaks = _brute_two_step_maxima(params, phis, screen=0.99, settle=FULL_TRANSFER)
-    agree = sum(
-        two_step_feasible(p, phi) == (peak >= FULL_TRANSFER)
-        for p, phi, peak in zip(params, phis, peaks)
-    )
+    peaks = _brute_two_step_maxima((ratio, 1.0), phi, screen=0.99, settle=FULL_TRANSFER)
+    agree = int(np.count_nonzero(two_step_feasible((ratio, 1.0), phi) == (peaks >= FULL_TRANSFER)))
     return _result(
         "criterion_vs_brute",
-        1.0 - agree / len(cells),
+        1.0 - agree / len(ratio),
         0.01,
-        f"{agree}/{len(cells)} cells agree away from the boundary band",
+        f"{agree}/{len(ratio)} cells agree away from the boundary band",
     )
 
 

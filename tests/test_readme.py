@@ -85,3 +85,44 @@ def test_readme_wt_table_is_dive_plan_and_the_speed_limit():
         wts = [params.rabi * dive_plan(params, j, p).protocol.total_duration for j in range(k, k + 3)]
         want = [f"{x:.3f}" for x in wts + [speed_limit_wt(params, p)]]
         assert [c.strip() for c in cells.split("|")] == want
+
+
+def paper_table() -> list[tuple[str, str, str, str]]:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Paper to code", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| (.*) \| (.*) \| (.*) \| (.*) \|$", section, re.MULTILINE)
+    return [row for row in rows if row[0] != "Claim" and not row[0].startswith("---")]
+
+
+def acceptance_labels() -> dict[int, str]:
+    source = (README.parent / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    found = re.findall(r'announce\(\s*capsys, (\d), "([^"]+)"', source)
+    return {int(index): label for index, label in found}
+
+
+def test_paper_table_names_what_exists():
+    """Each function of the paper-to-code table is exported, each battery
+    check is in the battery's report, and each acceptance test exists."""
+    import modeswitch
+    from modeswitch.verify import battery_report, run_battery
+
+    rows = paper_table()
+    # One row per claim of the abstract.
+    assert len(rows) == 6
+    checks = {check["name"] for check in battery_report(run_battery(fast=True))["checks"]}
+    labels = acceptance_labels()
+    assert sorted(labels) == list(range(1, 8))
+    for claim, functions, battery, acceptance in rows:
+        names = re.findall(r"`(\w+)`", functions)
+        assert names, claim
+        assert all(callable(getattr(modeswitch, name, None)) for name in names), names
+        named_checks = re.findall(r"`(\w+)`", battery)
+        assert named_checks or battery == "none yet", claim
+        assert set(named_checks) <= checks, named_checks
+        if acceptance != "none":
+            index, label = re.fullmatch(r"(\d)/7 (.+)", acceptance).groups()
+            assert labels[int(index)] == label, acceptance
+    # The switch-count bound has no battery check yet.
+    [switches] = [row for row in rows if "`descent_bound`" in row[1]]
+    assert "`min_switches_estimate`" in switches[1]
+    assert switches[2] == "none yet"

@@ -142,7 +142,7 @@ def test_ceiling_matches_brute_force_at_negative_detuning():
     phi = 1.0
     for delta in (0.6, -0.6):
         params = CouplerParams(delta, 1.0)
-        brute = _brute_two_step_maxima([params], [phi])[0]
+        brute = _brute_two_step_maxima((delta, 1.0), phi)[0]
         assert brute == pytest.approx(0.98643, abs=1e-5)
         assert two_step_ceiling(params, phi) == pytest.approx(brute, abs=1e-7)
 
@@ -155,7 +155,7 @@ def test_ceiling_keeps_its_digits_at_weak_coupling(delta, kappa):
     from modeswitch.verify import _brute_two_step_maxima
 
     params = CouplerParams(delta, kappa)
-    brute = _brute_two_step_maxima([params], [1.0])[0]
+    brute = _brute_two_step_maxima((delta, kappa), 1.0)[0]
     assert two_step_ceiling(params, 1.0) == pytest.approx(brute, rel=1e-6, abs=0.0)
 
 
@@ -313,3 +313,54 @@ def test_no_coupling_names_the_option(entry, phi):
     ValueError names the option that sets it."""
     with pytest.raises(ValueError, match="^ratio undefined for kappa0 = 0: set kappa > 0$"):
         NO_COUPLING_ENTRIES[entry](CouplerParams(0.5, 0.0), phi)
+
+
+finite_phases = st.floats(-10.0, 10.0)
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(0.0, 3.0), st.floats(1e-3, 5.0), finite_phases), min_size=1, max_size=8
+    ),
+    finite_phases,
+)
+def test_feasibility_on_columns_is_each_scalar_call(cells, phi0):
+    """The (delta, kappa0) pair form takes floats or columns that broadcast
+    with phi; each entry is its scalar call on a CouplerParams, bit for bit."""
+    ratio, kappa, phi = np.array(cells).T
+    # Both signs of delta, alternating.
+    delta = ratio * kappa * np.where(np.arange(len(ratio)) % 2, -1.0, 1.0)
+
+    def scalar(d, k, p):
+        return two_step_feasible(CouplerParams(d, k), p)
+
+    column = two_step_feasible((delta, kappa), phi)
+    assert column.dtype == bool
+    assert column.tolist() == [scalar(*c) for c in zip(delta, kappa, phi)]
+    # A float beside a column.
+    assert two_step_feasible((delta, kappa), phi0).tolist() == [
+        scalar(d, k, phi0) for d, k in zip(delta, kappa)
+    ]
+    assert two_step_feasible((delta[0], 1.0), phi).tolist() == [
+        scalar(delta[0], 1.0, p) for p in phi
+    ]
+    # (n, 1) against (1, m).
+    table = two_step_feasible((delta[:, None], kappa[:, None]), phi[None, :])
+    assert table.shape == (len(delta), len(phi))
+    assert table.tolist() == [[scalar(d, k, p) for p in phi] for d, k in zip(delta, kappa)]
+    # A float pair is a float case.
+    pair = float(delta[0]), float(kappa[0])
+    assert two_step_feasible(pair, phi0) is scalar(*pair, phi0)
+
+
+@pytest.mark.parametrize("kappa", [0.0, np.array([1.0, 0.0])])
+def test_feasibility_on_columns_keeps_the_scalar_errors(kappa):
+    with pytest.raises(ValueError, match="^ratio undefined for kappa0 = 0: set kappa > 0$"):
+        two_step_feasible((np.array([0.5, 0.5]), kappa), 1.0)
+    for phi in (math.nan, math.inf, np.array([1.0, -math.inf])):
+        with pytest.raises(ValueError, match="^coupling phase phi = .* must be finite$"):
+            two_step_feasible((np.array([0.5, 0.5]), 1.0), phi)
+    with pytest.raises(ValueError, match="^delta = .* must be finite$"):
+        two_step_feasible((np.array([0.5, math.nan]), 1.0), 1.0)
+    with pytest.raises(ValueError, match="^coupling magnitude kappa0 must be nonnegative"):
+        two_step_feasible((0.5, np.array([1.0, -1.0])), 1.0)

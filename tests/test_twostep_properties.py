@@ -61,7 +61,7 @@ def test_solver_reaches_the_ceiling(coupler, phi):
     params = CouplerParams(*coupler)
     sol = solve_two_step(params, phi)
     assert abs(sol.achieved - two_step_ceiling(params, phi)) <= 1e-12
-    brute = _brute_two_step_maxima([params], [phi])[0]
+    brute = _brute_two_step_maxima(coupler, phi)[0]
     assert abs(brute - two_step_ceiling(params, phi)) <= 1e-12
     assert abs(protocol_propagator(params, sol.protocol()).transfer - sol.achieved) <= 1e-12
     if two_step_feasible(params, phi):
@@ -129,7 +129,7 @@ def test_a_weak_coupling_reaches_the_brute_force_maximum():
     flat leg: the transfer is the diagonal's maximum."""
     for kappa0 in (1e-12, 1e-15):
         params = CouplerParams(0.5, kappa0)
-        brute = _brute_two_step_maxima([params], [1.0])[0]
+        brute = _brute_two_step_maxima((0.5, kappa0), 1.0)[0]
         assert abs(solve_two_step(params, 1.0).achieved - brute) <= 1e-6 * brute
 
 

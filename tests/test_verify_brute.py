@@ -1,8 +1,11 @@
 """The battery's brute-force two-segment maximum, batched over cells:
 bit for bit the plain one-cell grid-and-zoom, bounded in memory, and
-unable to pass without the package's transfer table.  With a settle
-level, a cell stops zooming once its best reaches it: its class at that
-level is the reference's, and a cell that never settles keeps its bits."""
+unable to pass without the package's transfer table.  The seed takes
+exact values only on the rows its bounds cannot rule out, or the whole
+table where too many rows tie, and its maxima are still the whole
+table's.  With a settle level, a cell stops zooming once its best
+reaches it: its class at that level is the reference's, and a cell that
+never settles keeps its bits."""
 
 import math
 import tracemalloc
@@ -17,9 +20,12 @@ from modeswitch import verify
 from modeswitch.twostep import _grid_transfer
 from modeswitch.verify import (
     FULL_TRANSFER,
-    SCREEN_CHUNK,
+    SEED_CHUNK,
+    SEED_ROWS,
+    TABLE_CHUNK,
     ZOOM_CHUNK,
     _brute_two_step_maxima,
+    _seed_row_bounds,
     check_criterion_vs_brute,
     check_two_step_ceiling,
 )
@@ -48,11 +54,16 @@ def scalar_brute_max(params: CouplerParams, phi: float, screen: float = -math.in
     return best
 
 
+def columns(cells):
+    """(delta, kappa0) and phi columns of (delta, kappa0, phi) cells."""
+    delta, kappa, phi = np.array(cells, float).reshape(-1, 3).T
+    return (delta, kappa), phi
+
+
 def assert_matches_reference(cells, screen=-math.inf):
-    params = [CouplerParams(delta, kappa) for delta, kappa, _ in cells]
-    phis = [phi for _, _, phi in cells]
-    batched = _brute_two_step_maxima(params, phis, screen)
-    reference = np.array([scalar_brute_max(p, phi, screen) for p, phi in zip(params, phis)])
+    batched = _brute_two_step_maxima(*columns(cells), screen)
+    reference = [scalar_brute_max(CouplerParams(d, k), phi, screen) for d, k, phi in cells]
+    reference = np.array(reference)
     assert batched.shape == (len(cells),)
     assert batched.tobytes() == reference.tobytes()
     return batched
@@ -73,7 +84,7 @@ cells_strategy = st.lists(
         st.floats(0.0, 2.0 * math.pi),
     ).map(lambda c: (c[1] * c[0] * c[2], c[2], c[3])),
     min_size=1,
-    max_size=2 * SCREEN_CHUNK + 1,
+    max_size=2 * TABLE_CHUNK + 1,
 )
 
 
@@ -90,17 +101,17 @@ def test_batched_maxima_equal_the_scalar_reference(cells, screen):
     st.sampled_from((0.99, FULL_TRANSFER, 1.0 - 1e-12)),
 )
 def test_settled_cells_keep_their_class(cells, screen, settle):
-    params = [CouplerParams(delta, kappa) for delta, kappa, _ in cells]
-    phis = [phi for _, _, phi in cells]
-    batched = _brute_two_step_maxima(params, phis, screen, settle)
-    for best, p, phi in zip(batched.tolist(), params, phis):
-        reference = scalar_brute_max(p, phi, screen)
+    batched = _brute_two_step_maxima(*columns(cells), screen, settle)
+    for best, (d, k, phi) in zip(batched.tolist(), cells):
+        reference = scalar_brute_max(CouplerParams(d, k), phi, screen)
         assert (best >= settle) == (reference >= settle)
         if reference < settle:
             assert best.hex() == reference.hex()
 
 
-CHUNK_EDGES = sorted({1, *(c + d for c in (SCREEN_CHUNK, ZOOM_CHUNK) for d in (-1, 0, 1))})
+CHUNK_EDGES = sorted(
+    {1, *(c + d for c in (TABLE_CHUNK, SEED_CHUNK, ZOOM_CHUNK) for d in (-1, 0, 1))}
+)
 
 
 @pytest.mark.parametrize("n", CHUNK_EDGES)
@@ -112,7 +123,7 @@ def test_batched_maxima_across_chunk_edges(n):
 
 def test_no_cell_reaches_the_screen():
     # Above ratio 1.2 no phase lifts the two-segment ceiling to 0.99.
-    cells = random_cells(np.random.default_rng(3), SCREEN_CHUNK + 3, ratio=(1.2, 3.0))
+    cells = random_cells(np.random.default_rng(3), TABLE_CHUNK + 3, ratio=(1.2, 3.0))
     batched = assert_matches_reference(cells, screen=0.99)
     assert (batched < 0.99).all()
     seed_peaks = [
@@ -120,6 +131,65 @@ def test_no_cell_reaches_the_screen():
         for d, k, phi in cells
     ]
     assert batched.tolist() == seed_peaks
+
+
+# Cells where seed rows tie or nearly tie, or the coupling is weak:
+# delta = 0, phi at 0 and pi, kappa0 down to 1e-12 and |delta| / kappa0
+# at 1 -+ 1e-9, both signs.
+DEGENERATE_CELLS = [
+    (sign * ratio * kappa, kappa, phi)
+    for kappa in (1.0, 1e-9, 1e-12)
+    for ratio in (0.0, 1.0 - 1e-9, 1.0 + 1e-9, 0.5)
+    for sign in ((1.0,) if ratio == 0.0 else (1.0, -1.0))
+    for phi in (0.0, math.pi, 1.0)
+]
+
+
+@pytest.mark.parametrize("screen", [-math.inf, 0.99])
+def test_degenerate_cells_equal_the_scalar_reference(screen):
+    assert_matches_reference(DEGENERATE_CELLS, screen)
+    # A weak coupling scales the table by (kappa0 / W)^2, bounds and slack alike.
+    weak = [(1.0, kappa, phi) for kappa in (1e-9, 1e-12, 1e-160) for phi in (0.0, 1.0)]
+    assert_matches_reference(weak, screen)
+
+
+def test_seed_row_bounds_hold_every_row_maximum():
+    rng = np.random.default_rng(11)
+    cells = DEGENERATE_CELLS + random_cells(rng, 200, ratio=(0.0, 3.0))
+    # Below kappa0 / W ~ 1e-154, (kappa0 / W)^2 and the table underflow.
+    weak = [1e-9, *np.geomspace(1e-150, 1e-165, 16).tolist(), 1e-300, 0.0]
+    cells += [(d, kappa, phi) for d in (1.0, -0.7, 2.5) for kappa in weak for phi in (0.0, 1.0)]
+    (delta, kappa), phi = columns(cells)
+    w = np.hypot(delta, kappa)[:, None]
+    table = _grid_transfer(delta[:, None], kappa[:, None], w, phi[:, None], SEED_AXIS, SEED_AXIS)
+    upper, lower = _seed_row_bounds(delta[:, None], kappa[:, None], w, phi[:, None])
+    row_max = table.max(axis=2)
+    assert (lower <= row_max).all()
+    assert (row_max <= upper).all()
+
+
+def rule_out_nothing(delta, kappa0, w, phi):
+    upper, lower = _seed_row_bounds(delta, kappa0, w, phi)
+    return np.full_like(upper, math.inf), lower
+
+
+@pytest.mark.parametrize("path", ["bounds", "whole tables", "every row"])
+def test_whole_tables_and_candidate_rows_give_the_same_maxima(monkeypatch, path):
+    if path == "whole tables":  # every row a candidate: every cell takes its whole table
+        monkeypatch.setattr(verify, "_seed_row_bounds", rule_out_nothing)
+    elif path == "every row":  # every cell takes all 48 rows, candidates first
+        monkeypatch.setattr(verify, "SEED_ROWS", len(SEED_AXIS))
+    cells = DEGENERATE_CELLS + random_cells(np.random.default_rng(5), SEED_CHUNK + 1)
+    assert_matches_reference(cells)
+    assert_matches_reference(cells, screen=0.99)
+
+
+def test_tied_rows_take_the_whole_table(monkeypatch):
+    # At delta = 0 and phi = pi every seed row reaches the same maximum.
+    _, seed, _ = grid_work(monkeypatch, lambda: _brute_two_step_maxima((0.0, 1.0), math.pi))
+    assert seed[0] == len(SEED_AXIS)
+    _, seed, _ = grid_work(monkeypatch, lambda: _brute_two_step_maxima((0.5, 1.0), 2.0))
+    assert seed == (SEED_ROWS, 1)
 
 
 def test_criterion_check_with_no_counted_cell_fails():
@@ -153,34 +223,51 @@ def test_brute_force_checks_read_the_transfer(monkeypatch, fault):
     assert not check_two_step_ceiling(np.random.default_rng(20240817), 12).passed
 
 
-def zoom_work(monkeypatch, check):
-    """(rows, calls) of the 2-D zoom windows check() passes to _grid_transfer."""
-    real, rows = verify._grid_transfer, []
+def grid_work(monkeypatch, check):
+    """check()'s result, and (rows, calls) of the seed tables and of the zoom
+    windows it passes to _grid_transfer.  A zoom window has 2-D W t2 and
+    counts its cells; a seed table has the shared 1-D W t2 axis and counts
+    its (cell, W t1) rows."""
+    real, seed, zoom = verify._grid_transfer, [], []
 
     def counted(delta, kappa0, w, phi, wt1, wt2):
-        if np.ndim(wt1) == 2:
-            rows.append(len(wt1))
+        if np.ndim(wt2) == 2:
+            zoom.append(len(wt2))
+        else:
+            seed.append(np.size(wt1))
         return real(delta, kappa0, w, phi, wt1, wt2)
 
     monkeypatch.setattr(verify, "_grid_transfer", counted)
     res = check()
-    return res, sum(rows), len(rows)
+    return res, (sum(seed), len(seed)), (sum(zoom), len(zoom))
 
 
 def test_zoom_work_is_pinned(monkeypatch):
     # A settled cell leaves the zoom: 8844 of the 44190 cell-levels that
     # zooming every screened cell through all 30 levels would take.
-    res, rows, calls = zoom_work(monkeypatch, lambda: check_criterion_vs_brute(50))
+    res, _, zoom = grid_work(monkeypatch, lambda: check_criterion_vs_brute(50))
     assert res.detail.startswith("2445/2445 ")
-    assert (rows, calls) == (8844, 86)
-    res, rows, calls = zoom_work(monkeypatch, lambda: check_criterion_vs_brute(24))
+    assert zoom == (8844, 86)
+    res, _, zoom = grid_work(monkeypatch, lambda: check_criterion_vs_brute(24))
     assert res.detail.startswith("558/558 ")
-    assert (rows, calls) == (1902, 35)
+    assert zoom == (1902, 35)
     # The exact maxima settle nothing: 60 cells, 30 levels.
     rng = np.random.default_rng(20240817)
-    res, rows, calls = zoom_work(monkeypatch, lambda: check_two_step_ceiling(rng, 60))
+    res, _, zoom = grid_work(monkeypatch, lambda: check_two_step_ceiling(rng, 60))
     assert res.passed
-    assert (rows, calls) == (1800, 30)
+    assert zoom == (1800, 30)
+
+
+def test_seed_work_is_pinned(monkeypatch):
+    # SEED_ROWS rows per cell, and all 48 for the cells with more candidates:
+    # 21044 of the 117360 rows of the whole tables of the full battery's cells.
+    _, seed, _ = grid_work(monkeypatch, lambda: check_criterion_vs_brute(50))
+    assert seed == (21044, 71)
+    _, seed, _ = grid_work(monkeypatch, lambda: check_criterion_vs_brute(24))
+    assert seed == (4872, 17)
+    rng = np.random.default_rng(20240817)
+    _, seed, _ = grid_work(monkeypatch, lambda: check_two_step_ceiling(rng, 60))
+    assert seed == (548, 2)
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
