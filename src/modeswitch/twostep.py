@@ -63,14 +63,9 @@ def two_step_feasible(params, phi):
     scalar call bit for bit (math.cos, entry by entry).
     """
     _finite(phi, "coupling phase phi")
-    try:  # not isinstance, which would cost a CouplerParams call about 20 ns
-        r = params.ratio
-    except AttributeError:  # a (delta, kappa0) pair
-        pass
-    else:
-        return math.cos(phi) <= 1.0 - 2.0 * r * r + FEASIBILITY_EPS
     delta, kappa0, _ = _coupler(params)
-    if np.any(kappa0 == 0.0):
+    uncoupled = kappa0 == 0.0
+    if uncoupled.any() if isinstance(uncoupled, np.ndarray) else uncoupled:
         raise ValueError(_NO_RATIO)
     r = abs(delta) / kappa0
     return _each(math.cos, phi) <= 1.0 - 2.0 * r * r + FEASIBILITY_EPS

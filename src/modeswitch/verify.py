@@ -394,16 +394,35 @@ def _brute_two_step_maxima(
     q = s1 u and r = hypot(p, q) >= 0.  The grid's 2x runs from 0 to 2 pi
     in steps of 2h (h the axis step), so some grid point has 2x within h
     of chi mod 2 pi, and the row's largest value lies in [kr^2 (a + r cos
-    h), kr^2 (a + r)].  Every factor of the table and of the bounds is at
-    most 1 in size apart from kr, which each value carries twice, so
-    rounding (numpy's sin and cos included) moves a table value or a
-    bound by a few tens of u kr^2 (u = 2^-53; at worst 42 u kr^2 over
-    10,000 random cells with kappa0 / W from 1 to 1e-100), and the axis's
-    own rounding moves h by about 1e-15 h.  Both scale with kr^2 as
-    kappa0 -> 0, and so does slack = SEED_SLACK kr^2, about 4,500 u kr^2.
-    The slack adds the smallest normal float, which covers values that
-    underflow (each rounding there is absolute, at most 2^-1075), so the
-    computed row maximum M_i keeps
+    h), kr^2 (a + r)].
+
+    Rounding.  The sizes are |dr|, kr, |c1|, |s1| <= 1; |d1| <= 1 and
+    |o1| <= kr; |u| <= 1, |v| <= 2 and u^2 + v^2 <= 4, since u + i (v +
+    dr s1) = e^(i phi) conj(d1); and 0 <= r <= a <= 5/2, since a^2 - r^2
+    = (s1 v)^2.  So a + r <= 5 and each table value |oc|^2 <= 5 kr^2.
+    Take numpy's sin, cos and exp(i phi) within 4 ulp, which is 4 eps for
+    values of size at most 1 (eps = 2^-53), and every other operation
+    within eps times the size of its result.  To first order in eps,
+    _seed_row_bounds' steps are then within 6 eps (dr s1), 21 eps (u),
+    31 eps (v), 95 eps (a and p), 26 eps (q = s1 u), 125 eps (r), 225 eps
+    (a + r) and 230 eps (a + r cos h), and k2 = kr^2 within 3 eps of it
+    relatively, so each bound before its slack is within 260 eps kr^2.
+    In _grid_transfer each component of oc = d2 o1 + e^(i phi) o2
+    conj(d1) is within 51 eps kr (13 from d2 o1, 35 from the other
+    product, 3 from their sum), |oc| within 75 eps kr and |oc|^2 within
+    340 eps kr^2.  A table value and a bound thus differ from their exact
+    values by at most 600 eps kr^2 together.  As a check of this budget,
+    10,000 random cells with kappa0 / W from 1 to 1e-100, 7 rows and 10
+    columns of each table, against mpmath at 60 digits reach at most
+    26 eps kr^2 in a bound and 37 eps kr^2 in a table value.  The
+    axis's steps are at most 4.2e-16 h longer than the h = _SEED_AXIS[1]
+    in cos h, and its last point is pi as a double, which moves a lower
+    bound by under 0.1 eps kr^2.  All of it scales with kr^2 as kappa0 ->
+    0, and so does slack = SEED_SLACK kr^2, about 4,500 eps kr^2.  The
+    slack adds the smallest normal float, 2^-1022, for values that
+    underflow, where each of the bounds' and the table's roundings, about
+    70 in all, is instead at most 2^-1075.  So the computed row maximum
+    M_i keeps
 
         lower_i = kr^2 (a + r cos h) - slack <= M_i <= kr^2 (a + r) + slack = upper_i.
 
