@@ -24,7 +24,8 @@ and ModeState likewise hold one case or columns, _matrix makes either
 kind of TransferMatrix from a row and _complexes either kind of complex
 pair from parts.  Columns and floats broadcast as numpy broadcasts them,
 through _each.  Each input is checked in one place, whether a dataclass
-or a pair holds it: a coupler by _coupler, a segment by _segment_pair.
+or a pair holds it: a coupler by _coupler, a segment by _segment_pair;
+every guard of the package asks _every whether it holds in each entry.
 modeswitch.oracle cross-checks them.
 """
 
@@ -196,8 +197,7 @@ class ModeState:
         CPython's quotient adds a zero product to each part, so a column
         entry is its case's a / n bit for bit."""
         n = self.norm
-        zero = n == 0.0
-        if zero.any() if isinstance(zero, np.ndarray) else zero:
+        if not _every(n != 0.0):
             raise ValueError("cannot normalize the zero state")
         r1, i1, r2, i2 = self.a1.real, self.a1.imag, self.a2.real, self.a2.imag
         parts = (r1 + i1 * 0.0) / n, (i1 - r1 * 0.0) / n, (r2 + i2 * 0.0) / n, (i2 - r2 * 0.0) / n
@@ -297,8 +297,7 @@ def _segment_pair(phase, duration):
     entry by entry as CouplingSegment and the pair form take them: both
     finite, the duration >= 0, a bad field named in a ValueError."""
     phase = _each(_reduce_phase, _finite(phase, "segment phase"))
-    negative = _finite(duration, "segment duration") < 0.0
-    if negative.any() if isinstance(negative, np.ndarray) else negative:
+    if not _every(_finite(duration, "segment duration") >= 0.0):
         raise ValueError(f"segment duration = {duration!r} must be >= 0")
     return phase, duration
 
@@ -337,21 +336,27 @@ def _coupler(params):
         return params.delta, params.kappa0, params.rabi
     delta, kappa0 = params
     w = _each(math.hypot, _finite(delta, "delta"), _finite(kappa0, "kappa0"))
-    every = np.all if isinstance(w, np.ndarray) else bool  # numpy's all costs a float case about 1 us
-    if not every(kappa0 >= 0.0):
+    if not _every(kappa0 >= 0.0):
         raise ValueError(f"coupling magnitude kappa0 must be nonnegative, not {kappa0!r}")
     # Every duration is a phase over W: W must have a usable reciprocal.
-    if not every((sys.float_info.min <= w) & (w < math.inf)):
+    if not _every((sys.float_info.min <= w) & (w < math.inf)):
         raise ValueError(f"W = hypot(delta, kappa0) = {w!r} must be a normal finite float")
     return delta, kappa0, w
 
 
 def _finite(value, name: str):
     """value, a float or a column, if each entry is finite; else a ValueError naming it."""
-    finite = abs(value) < math.inf
-    if not (finite.all() if isinstance(finite, np.ndarray) else finite):
+    if not _every(abs(value) < math.inf):
         raise ValueError(f"{name} = {value!r} must be finite")
     return value
+
+
+def _every(mask) -> bool:
+    """Whether a guard holds in every entry: mask.all() of a column, the bool
+    itself of one case (numpy's all costs a float case about 1 us).  A test
+    for any bad entry is the negated _every of a comparison for the good
+    ones, not of ~mask: ~True is -2."""
+    return mask.all() if isinstance(mask, np.ndarray) else mask
 
 
 def _each(fn, *args, dtype=float):

@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CouplerParams, ModeState, Trajectory, _coupler, _each, _finite, _reduce_phase, abs2, cmul
+from .dynamics import (
+    CouplerParams, ModeState, Trajectory, _coupler, _each, _every, _finite, _reduce_phase, abs2, cmul
+)
 
 # Absolute angular tolerance (rad): a turn this short of a full circle is
 # rounding of a leg that starts on its target (leg_time).
@@ -103,10 +105,9 @@ class RotationAxis:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "omega", self.omega if columns else float(self.omega))
         # Both guards must hold in every entry, and a NaN fails them.
-        unit = abs(_each(math.sqrt, _dot(n, n)) - 1.0) <= UNIT_TOL
-        if not (unit.all() if columns else unit):
+        if not _every(abs(_each(math.sqrt, _dot(n, n)) - 1.0) <= UNIT_TOL):
             raise ValueError("axis must be a unit vector")
-        if not ((self.omega > 0.0).all() if columns else self.omega > 0.0):
+        if not _every(self.omega > 0.0):
             raise ValueError("precession rate must be positive")
 
     def as_array(self) -> np.ndarray:

@@ -37,6 +37,7 @@ from .dynamics import (
     TransferMatrix,
     _compose,
     _each,
+    _every,
     _finite,
     _matrix,
     _reduce_phase,
@@ -58,7 +59,7 @@ UNITARY_TOL = 1e-9
 
 def _unitary(stage: TransferMatrix) -> TransferMatrix:
     """stage, if its defect is at most UNITARY_TOL in every entry; a NaN fails it."""
-    if not np.all(stage.unitarity_defect <= UNITARY_TOL):
+    if not _every(stage.unitarity_defect <= UNITARY_TOL):
         raise ValueError("stage matrix must be unitary")
     return stage
 

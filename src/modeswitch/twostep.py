@@ -29,6 +29,7 @@ from .dynamics import (
     Protocol,
     _coupler,
     _each,
+    _every,
     _finite,
     protocol_propagator,
 )
@@ -64,8 +65,7 @@ def two_step_feasible(params, phi):
     """
     _finite(phi, "coupling phase phi")
     delta, kappa0, _ = _coupler(params)
-    uncoupled = kappa0 == 0.0
-    if uncoupled.any() if isinstance(uncoupled, np.ndarray) else uncoupled:
+    if not _every(kappa0 != 0.0):
         raise ValueError(_NO_RATIO)
     r = abs(delta) / kappa0
     return _each(math.cos, phi) <= 1.0 - 2.0 * r * r + FEASIBILITY_EPS
@@ -278,14 +278,14 @@ class FeasibilityMap:
 
 
 def feasibility_map(n: int = 64) -> FeasibilityMap:
-    """Criterion truth table over ratio in [0, 1.2], phi in [0, pi]."""
+    """Criterion truth table over ratio in [0, 1.2], phi in [0, pi]: one
+    broadcast two_step_feasible call on the grid, kappa0 = 1 and delta = ratio,
+    so each cell is its scalar call bit for bit."""
     if n < 2:
         raise ValueError("feasibility map needs n >= 2")
     ratios = np.linspace(0.0, 1.2, n)
     phis = np.linspace(0.0, math.pi, n)
-    limit = 1.0 - 2.0 * ratios[:, None] ** 2
-    feas = np.cos(phis)[None, :] <= limit + FEASIBILITY_EPS
-    return FeasibilityMap(ratios, phis, feas)
+    return FeasibilityMap(ratios, phis, two_step_feasible((ratios[:, None], 1.0), phis))
 
 
 def solve_fraction(params: CouplerParams, phi: float, p: float) -> Protocol:

@@ -504,10 +504,11 @@ def check_criterion_vs_brute(n_cells: int = 50) -> CheckResult:
     phi = np.broadcast_to(phis, counted.shape)[counted]
     if not len(ratio):
         return _result("criterion_vs_brute", 1.0, 0.01, "no cell counted: all in the boundary band")
+    feasible = two_step_feasible((ratios, 1.0), phis)[counted]
     # Only a seed grid peak near 1 can zoom in to a full transfer, and a
     # cell whose best reaches FULL_TRANSFER is classified and stops.
     peaks = _brute_two_step_maxima((ratio, 1.0), phi, screen=0.99, settle=FULL_TRANSFER)
-    agree = int(np.count_nonzero(two_step_feasible((ratio, 1.0), phi) == (peaks >= FULL_TRANSFER)))
+    agree = int(np.count_nonzero(feasible == (peaks >= FULL_TRANSFER)))
     return _result(
         "criterion_vs_brute",
         1.0 - agree / len(ratio),
@@ -720,6 +721,8 @@ def check_output_determinism() -> CheckResult:
 def run_battery(
     seed: int = 20240817, fast: bool = False, inject_fault: bool = False
 ) -> list[CheckResult]:
+    if seed < 0:  # default_rng's own message does not name the seed
+        raise ValueError(f"seed = {seed!r} must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     k = 0.2 if fast else 1.0
 

@@ -711,6 +711,13 @@ def test_verify_fast(tmp_path, capsys):
     assert lines[-1].startswith("verify:")
 
 
+def test_verify_names_a_negative_seed_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "ver"
+    assert run(["verify", "--seed=-1", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: seed = -1 must be a nonnegative integer\n"
+    assert not out.exists()
+
+
 def test_verify_fault_injection_fails():
     # The injected fault conjugates the eigh reference; on the same draws
     # the check fails with it and passes without it.

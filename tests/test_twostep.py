@@ -246,19 +246,15 @@ def test_transfer_map_peak_reaches_one_iff_feasible():
 
 
 def test_feasibility_map_matches_pointwise():
-    fm = feasibility_map(40)
-    assert fm.feasible.shape == (40, 40)
-    rng = np.random.default_rng(21)
-    for _ in range(60):
-        i = int(rng.integers(0, 40))
-        j = int(rng.integers(0, 40))
-        r = float(fm.ratios[i])
-        phi = float(fm.phis[j])
-        if r == 0.0:
-            assert fm.feasible[i, j]
-            continue
-        params = CouplerParams(r, 1.0)
-        assert bool(fm.feasible[i, j]) == two_step_feasible(params, phi)
+    # Every cell is the scalar criterion at its (ratio, phi), ratio 0 included.
+    for n in (2, 40, 257):
+        fm = feasibility_map(n)
+        assert fm.feasible.shape == (n, n)
+        pointwise = [
+            [two_step_feasible(CouplerParams(r, 1.0), phi) for phi in fm.phis.tolist()]
+            for r in fm.ratios.tolist()
+        ]
+        assert fm.feasible.tolist() == pointwise
 
 
 def test_solve_fraction_endpoints():

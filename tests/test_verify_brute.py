@@ -201,6 +201,20 @@ def test_criterion_check_with_no_counted_cell_fails():
     assert check_criterion_vs_brute(2).passed
 
 
+@pytest.mark.parametrize("shift", [0.1, -0.1])
+def test_criterion_check_reads_the_criterion(monkeypatch, shift):
+    # A threshold moved by 0.1 in cos(phi), past the 0.02 band of uncounted
+    # cells, misclassifies the cells between the two boundaries.
+    def shifted(params, phi):
+        delta, kappa0 = params
+        r = abs(delta) / kappa0
+        return np.cos(phi) <= 1.0 - 2.0 * r * r + shift
+
+    assert check_criterion_vs_brute(24).passed
+    monkeypatch.setattr(verify, "two_step_feasible", shifted)
+    assert not check_criterion_vs_brute(24).passed
+
+
 # Faulty transfer tables: each wraps the real one.
 FAULTS = {
     "halved": lambda real, delta, kappa0, w, phi, wt1, wt2: real(delta, kappa0, w, phi, wt1, wt2) / 2.0,
