@@ -92,18 +92,21 @@ def to_bloch(state: ModeState | Trajectory) -> BlochVector:
 @dataclass(frozen=True)
 class RotationAxis:
     """Unit precession axis together with the rate W (rad/s), or columns of
-    them: omega a column, and n three columns of its shape."""
+    them: a column in any field broadcasts n's three components and omega
+    to one shape."""
 
     n: tuple[float, float, float]
     omega: float
 
     def __post_init__(self) -> None:
-        columns = isinstance(self.omega, np.ndarray)
-        n = tuple(self.n) if columns else tuple(map(float, self.n))
-        if len(n) != 3:
+        fields = (*self.n, self.omega)
+        if len(fields) != 4:
             raise ValueError("axis must have three components")
+        columns = any(isinstance(x, np.ndarray) for x in fields)
+        *n, omega = np.broadcast_arrays(*fields) if columns else map(float, fields)
+        n = tuple(n)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "omega", self.omega if columns else float(self.omega))
+        object.__setattr__(self, "omega", omega)
         # Both guards must hold in every entry, and a NaN fails them.
         if not _every(abs(_each(math.sqrt, _dot(n, n)) - 1.0) <= UNIT_TOL):
             raise ValueError("axis must be a unit vector")

@@ -272,6 +272,31 @@ def test_column_axes_keep_the_guards():
         rotation_axis((np.ones(2), np.ones(2)), np.array([0.3, np.inf]))
 
 
+@pytest.mark.parametrize(
+    "params, phi",
+    [
+        ((0.5, 1.0), np.array([0.1, 2.0, -3.0, math.pi])),
+        (CouplerParams(-1.7, 0.4), np.array([0.1, 2.0, -3.0, math.pi])),
+        ((np.array([[0.5, -1.7, 0.0]]), 1.0), np.array([[0.3], [4.0]])),
+    ],
+    ids=["a float pair", "CouplerParams", "(1, m) against (n, 1)"],
+)
+def test_a_column_in_any_field_broadcasts_the_axis(params, phi):
+    """Each entry of a column axis, in n, omega and bloch_precess, is its
+    scalar call bit for bit, wherever the column enters."""
+    axis = rotation_axis(params, phi)
+    delta, kappa0 = (params.delta, params.kappa0) if isinstance(params, CouplerParams) else params
+    delta, kappa0, phi = np.broadcast_arrays(delta, kappa0, phi)
+    assert axis.as_array().shape == (3, *phi.shape)
+    assert axis.omega.shape == phi.shape
+    moved = bloch_precess(axis, NORTH, 0.7)
+    for idx in np.ndindex(phi.shape):
+        one = rotation_axis(CouplerParams(float(delta[idx]), float(kappa0[idx])), float(phi[idx]))
+        want = [*one.n, one.omega, *bloch_precess(one, NORTH, 0.7)]
+        got = [*(c[idx] for c in axis.n), axis.omega[idx], *(c[idx] for c in moved)]
+        assert [float(x).hex() for x in got] == [x.hex() for x in want]
+
+
 def test_circle_through_and_pole_radii():
     # The circles through the poles sit at angles pi/2 -+ psi from any axis.
     params = CouplerParams(1.0, 1.0)

@@ -1,11 +1,11 @@
 """The battery's brute-force two-segment maximum, batched over cells:
 bit for bit the plain one-cell grid-and-zoom, bounded in memory, and
 unable to pass without the package's transfer table.  The seed takes
-exact values only on the rows its bounds cannot rule out, or the whole
-table where too many rows tie, and its maxima are still the whole
-table's.  With a settle level, a cell stops zooming once its best
-reaches it: its class at that level is the reference's, and a cell that
-never settles keeps its bits."""
+exact values only on the rows its bounds cannot rule out, all 48 where
+every row ties, and its maxima are still the whole table's.  With a
+settle level, a cell stops zooming once its best reaches it: its class
+at that level is the reference's, and a cell that never settles keeps
+its bits."""
 
 import math
 import tracemalloc
@@ -21,9 +21,7 @@ from modeswitch.twostep import _grid_transfer
 from modeswitch.verify import (
     FULL_TRANSFER,
     SEED_CHUNK,
-    SEED_ROWS,
-    TABLE_CHUNK,
-    ZOOM_CHUNK,
+    TABLE_VALUES,
     _brute_two_step_maxima,
     _seed_row_bounds,
     check_criterion_vs_brute,
@@ -31,6 +29,9 @@ from modeswitch.verify import (
 )
 
 SEED_AXIS = np.linspace(0.0, math.pi, 48)
+# Cells per _grid_transfer call: whole seed tables, and 9 x 9 zoom windows.
+TABLES = TABLE_VALUES // len(SEED_AXIS) ** 2
+ZOOM_CELLS = TABLE_VALUES // 81
 
 
 def scalar_brute_max(params: CouplerParams, phi: float, screen: float = -math.inf) -> float:
@@ -84,7 +85,7 @@ cells_strategy = st.lists(
         st.floats(0.0, 2.0 * math.pi),
     ).map(lambda c: (c[1] * c[0] * c[2], c[2], c[3])),
     min_size=1,
-    max_size=2 * TABLE_CHUNK + 1,
+    max_size=2 * TABLES + 1,
 )
 
 
@@ -109,9 +110,7 @@ def test_settled_cells_keep_their_class(cells, screen, settle):
             assert best.hex() == reference.hex()
 
 
-CHUNK_EDGES = sorted(
-    {1, *(c + d for c in (TABLE_CHUNK, SEED_CHUNK, ZOOM_CHUNK) for d in (-1, 0, 1))}
-)
+CHUNK_EDGES = sorted({1, *(c + d for c in (TABLES, SEED_CHUNK, ZOOM_CELLS) for d in (-1, 0, 1))})
 
 
 @pytest.mark.parametrize("n", CHUNK_EDGES)
@@ -123,7 +122,7 @@ def test_batched_maxima_across_chunk_edges(n):
 
 def test_no_cell_reaches_the_screen():
     # Above ratio 1.2 no phase lifts the two-segment ceiling to 0.99.
-    cells = random_cells(np.random.default_rng(3), TABLE_CHUNK + 3, ratio=(1.2, 3.0))
+    cells = random_cells(np.random.default_rng(3), TABLES + 3, ratio=(1.2, 3.0))
     batched = assert_matches_reference(cells, screen=0.99)
     assert (batched < 0.99).all()
     seed_peaks = [
@@ -153,6 +152,14 @@ def test_degenerate_cells_equal_the_scalar_reference(screen):
     assert_matches_reference(weak, screen)
 
 
+def test_a_non_finite_cell_is_nan_beside_finite_cells():
+    # A NaN bound rules out no row: the cell takes its whole table, all NaN.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        best = _brute_two_step_maxima((np.array([math.nan, 0.5, 0.0]), np.array([1.0, 1.0, 0.0])), 0.3)
+    assert np.isnan(best[[0, 2]]).all()
+    assert best[1] == scalar_brute_max(CouplerParams(0.5, 1.0), 0.3)
+
+
 def test_seed_row_bounds_hold_every_row_maximum():
     rng = np.random.default_rng(11)
     cells = DEGENERATE_CELLS + random_cells(rng, 200, ratio=(0.0, 3.0))
@@ -173,12 +180,12 @@ def rule_out_nothing(delta, kappa0, w, phi):
     return np.full_like(upper, math.inf), lower
 
 
-@pytest.mark.parametrize("path", ["bounds", "whole tables", "every row"])
+@pytest.mark.parametrize("path", ["bounds", "whole tables", "one table per call"])
 def test_whole_tables_and_candidate_rows_give_the_same_maxima(monkeypatch, path):
     if path == "whole tables":  # every row a candidate: every cell takes its whole table
         monkeypatch.setattr(verify, "_seed_row_bounds", rule_out_nothing)
-    elif path == "every row":  # every cell takes all 48 rows, candidates first
-        monkeypatch.setattr(verify, "SEED_ROWS", len(SEED_AXIS))
+    elif path == "one table per call":  # blocks of 48 // r cells, zoom levels of 28
+        monkeypatch.setattr(verify, "TABLE_VALUES", len(SEED_AXIS) ** 2)
     cells = DEGENERATE_CELLS + random_cells(np.random.default_rng(5), SEED_CHUNK + 1)
     assert_matches_reference(cells)
     assert_matches_reference(cells, screen=0.99)
@@ -187,9 +194,9 @@ def test_whole_tables_and_candidate_rows_give_the_same_maxima(monkeypatch, path)
 def test_tied_rows_take_the_whole_table(monkeypatch):
     # At delta = 0 and phi = pi every seed row reaches the same maximum.
     _, seed, _ = grid_work(monkeypatch, lambda: _brute_two_step_maxima((0.0, 1.0), math.pi))
-    assert seed[0] == len(SEED_AXIS)
+    assert seed == (len(SEED_AXIS), 1)
     _, seed, _ = grid_work(monkeypatch, lambda: _brute_two_step_maxima((0.5, 1.0), 2.0))
-    assert seed == (SEED_ROWS, 1)
+    assert seed == (2, 1)
 
 
 def test_criterion_check_with_no_counted_cell_fails():
@@ -201,10 +208,10 @@ def test_criterion_check_with_no_counted_cell_fails():
     assert check_criterion_vs_brute(2).passed
 
 
-@pytest.mark.parametrize("shift", [0.1, -0.1])
+@pytest.mark.parametrize("shift", [0.1, -0.1, 0.03, -0.03])
 def test_criterion_check_reads_the_criterion(monkeypatch, shift):
-    # A threshold moved by 0.1 in cos(phi), past the 0.02 band of uncounted
-    # cells, misclassifies the cells between the two boundaries.
+    # A threshold moved past the 0.02 band of uncounted cells misclassifies
+    # the cells between the two boundaries: at 0.03, 2 of 558.
     def shifted(params, phi):
         delta, kappa0 = params
         r = abs(delta) / kappa0
@@ -237,12 +244,14 @@ def test_brute_force_checks_read_the_transfer(monkeypatch, fault):
     assert not check_two_step_ceiling(np.random.default_rng(20240817), 12).passed
 
 
-def grid_work(monkeypatch, check):
+def grid_work(monkeypatch, check, candidates=None):
     """check()'s result, and (rows, calls) of the seed tables and of the zoom
     windows it passes to _grid_transfer.  A zoom window has 2-D W t2 and
     counts its cells; a seed table has the shared 1-D W t2 axis and counts
-    its (cell, W t1) rows."""
+    its (cell, W t1) rows.  A `candidates` list gets the count of rows whose
+    upper bound from _seed_row_bounds reaches their cell's best lower bound."""
     real, seed, zoom = verify._grid_transfer, [], []
+    real_bounds = verify._seed_row_bounds
 
     def counted(delta, kappa0, w, phi, wt1, wt2):
         if np.ndim(wt2) == 2:
@@ -251,7 +260,14 @@ def grid_work(monkeypatch, check):
             seed.append(np.size(wt1))
         return real(delta, kappa0, w, phi, wt1, wt2)
 
+    def bounds(*cols):
+        upper, lower = real_bounds(*cols)
+        candidates.append(int(np.count_nonzero(upper >= lower.max(axis=1, keepdims=True))))
+        return upper, lower
+
     monkeypatch.setattr(verify, "_grid_transfer", counted)
+    if candidates is not None:
+        monkeypatch.setattr(verify, "_seed_row_bounds", bounds)
     res = check()
     return res, (sum(seed), len(seed)), (sum(zoom), len(zoom))
 
@@ -261,10 +277,10 @@ def test_zoom_work_is_pinned(monkeypatch):
     # zooming every screened cell through all 30 levels would take.
     res, _, zoom = grid_work(monkeypatch, lambda: check_criterion_vs_brute(50))
     assert res.detail.startswith("2445/2445 ")
-    assert zoom == (8844, 86)
+    assert zoom == (8844, 46)
     res, _, zoom = grid_work(monkeypatch, lambda: check_criterion_vs_brute(24))
     assert res.detail.startswith("558/558 ")
-    assert zoom == (1902, 35)
+    assert zoom == (1902, 33)
     # The exact maxima settle nothing: 60 cells, 30 levels.
     rng = np.random.default_rng(20240817)
     res, _, zoom = grid_work(monkeypatch, lambda: check_two_step_ceiling(rng, 60))
@@ -273,15 +289,17 @@ def test_zoom_work_is_pinned(monkeypatch):
 
 
 def test_seed_work_is_pinned(monkeypatch):
-    # SEED_ROWS rows per cell, and all 48 for the cells with more candidates:
-    # 21044 of the 117360 rows of the whole tables of the full battery's cells.
-    _, seed, _ = grid_work(monkeypatch, lambda: check_criterion_vs_brute(50))
-    assert seed == (21044, 71)
-    _, seed, _ = grid_work(monkeypatch, lambda: check_criterion_vs_brute(24))
-    assert seed == (4872, 17)
-    rng = np.random.default_rng(20240817)
-    _, seed, _ = grid_work(monkeypatch, lambda: check_two_step_ceiling(rng, 60))
-    assert seed == (548, 2)
+    # Each cell evaluates exactly its candidate rows: 8977 of the 117360
+    # rows of the whole tables of the full battery's cells.
+    for check, pinned in [
+        (lambda: check_criterion_vs_brute(50), (8977, 37)),
+        (lambda: check_criterion_vs_brute(24), (2573, 17)),
+        (lambda: check_two_step_ceiling(np.random.default_rng(20240817), 60), (156, 7)),
+    ]:
+        candidates = []
+        _, seed, _ = grid_work(monkeypatch, check, candidates)
+        assert seed == pinned
+        assert seed[0] == sum(candidates)
 
 
 @pytest.mark.parametrize("fault", list(FAULTS))
