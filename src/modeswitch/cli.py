@@ -137,19 +137,184 @@ def write_text(path: Path, text: str) -> None:
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Header plus the body, written chunk by chunk as the rows arrive.
 
-    rows yields text of whole lines, each ended by a newline: one line
-    per table row, or a block of grid cells from _grid_rows.
+    rows yields text of whole lines, each ended by a newline: chunks of
+    table rows from _table_rows, or of up to GRID_CELLS grid cells from
+    _grid_rows.
     """
     with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(rows)
 
 
-# Grid cells per chunk of _grid_rows.  The widest map line, the isolator
-# sweep's, has five fields of at most 24 characters, so a chunk stays
-# under 8 KB; chunks of a whole grid row left more heap resident after a
-# 512-point sweep (+6% peak RSS on the benchmark's maps workload).
-GRID_BLOCK = 64
+# Cells per chunk of _grid_rows, and per chunk of _table_rows.  A chunk
+# of the widest map line, the isolator sweep's five fields of at most 24
+# characters, stays under 512 KB of text; at 4096 values per table the
+# vectorized formatting costs about a third of %.17g per value.
+GRID_CELLS = 4096
+
+# Powers of ten 10**p, p in [_P10_MIN, _P10_MAX], for _text17.  Only
+# 1e-270 <= |x| < 1e270 takes its vectorized path, which reads 10**E and
+# 10**(E + 1) for E = floor(log10 |x|) in [-271, 270] and 10**(16 - E).
+_P10_MIN, _P10_MAX = -280, 300
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for binary64
+# A rounding margin |frac - 1/2| at or below this goes to %.17g (_text17
+# derives it).
+_TIE_MARGIN = 2.0**-47
+
+
+def _split(a):
+    """Dekker's split of doubles into halves of at most 26 bits, head + tail == a."""
+    c = _SPLIT * a
+    head = c - (c - a)
+    return head, a - head
+
+
+class _Tables(typing.NamedTuple):
+    """_text17's lookup tables; _tables builds them on first use."""
+
+    hi: np.ndarray  # the double nearest 10**p, at p - _P10_MIN
+    lo: np.ndarray  # the double nearest 10**p - hi
+    quads: np.ndarray  # the four digits of 0..9999 as uint32, in memory order
+    zeros: np.ndarray  # their trailing zeros: 4 for 0000
+    masks: np.ndarray  # (25, 4) uint64: row w keeps the first w of 32 bytes
+    exponents: np.ndarray  # %e's exponent, e-05 or e+100, at E - _P10_MIN
+
+
+@functools.cache
+def _tables() -> _Tables:
+    """hi and lo come from exact integers: Python's int true division is
+    correctly rounded, and hi is m / d exactly (as_integer_ratio), so
+    10**p - hi is the integer fraction (num d - m den) / (den d)."""
+    his, los = [], []
+    for p in range(_P10_MIN, _P10_MAX + 1):
+        num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+        hi = num / den
+        m, d = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * d - m * den) / (den * d))
+    q = np.arange(10_000)
+    digits = np.stack([q // 1000, q // 100 % 10, q // 10 % 10, q % 10], axis=1)
+    masks = np.where(np.arange(32) < np.arange(25)[:, None], 255, 0).astype(np.uint8)
+    return _Tables(
+        np.array(his),
+        np.array(los),
+        (digits + ord("0")).astype(np.uint8).view(np.uint32).ravel(),
+        sum(q % 10**j == 0 for j in range(1, 5)).astype(np.int8),
+        masks.view(np.uint64),
+        np.array([b"e%+03d" % p for p in range(_P10_MIN, _P10_MAX + 1)]),
+    )
+
+
+def _text17(x, end=b""):
+    """numpy bytes text of a float64 column, entry for entry "%.17g" % x + end.
+
+    With E = floor(log10 |x|), the 17 significant digits are the integer D
+    nearest y = |x| 10**(16 - E), ties to even.  y is formed in
+    double-double: ph + pl = |x| hi exactly (Dekker's product of split
+    halves), and t = RN(pl + RN(|x| lo)) carries the rest, so y = ph + t
+    up to an error bounded as follows (u = 2**-53, RN round to nearest).
+    On the fast path 10**16 + 64 < ph < 10**17 - 64 < 2**57, so ph is an
+    even integer and |pl| <= ulp(ph) / 2 <= 8.  |lo| <= u |hi| (1 + u), so
+    |x| |lo| <= 16 (1 + u): RN(|x| lo) errs by at most 2**-49, and so does
+    RN(pl + .) below 32.  lo itself errs by at most u |lo|, which |x|
+    scales to at most 2**-49 (1 + u).  Hence |t - (y - ph)| <= 3 2**-49
+    (1 + u) < _TIE_MARGIN, so when frac = t - floor(t) has |frac - 1/2| >
+    _TIE_MARGIN, y - ph rounds to floor(t) + (frac > 1/2) as t does, and
+    D = ph + that.  With |y - ph| < 32 the guard also keeps
+    10**16 < y < 10**17 - 1/2: D has 17 digits, none carried to an 18th,
+    and E is exact.  np.log10 may put E one decade off; it is first moved
+    to the decade between the doubles nearest 10**E and 10**(E + 1), and
+    a y still outside [10**16, 10**17) lies within 64 of the guard's
+    ends.  No product under- or overflows for 1e-270 <= |x| < 1e270.
+
+    The digits of D come four at a time from a table, its trailing zeros
+    are cut, and %g's style rule applies: fixed notation for -4 <= E < 17,
+    else d.ddd and an exponent.  Every other entry, one whose margin is at
+    or below _TIE_MARGIN, whose ph lies within 64 of 10**16 or 10**17, or
+    which is 0, below 1e-270, at or above 1e270, inf or nan, is
+    "%.17g" % x itself.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    tab = _tables()
+    a = np.abs(x)
+    fast = (a >= 1e-270) & (a < 1e270)
+    a = np.where(fast, a, 1.0)  # in range of log10 and the table; the guard drops it
+    e = np.floor(np.log10(a)).astype(np.intp)
+    e += a >= tab.hi.take(e + (1 - _P10_MIN))
+    e -= a < tab.hi.take(e - _P10_MIN)
+    k = (16 - _P10_MIN) - e
+    hi = tab.hi.take(k)
+    ph = a * hi
+    (ah, al), (bh, bl) = _split(a), _split(hi)
+    pl = al * bl - (((ph - ah * bh) - al * bh) - ah * bl)
+    t = pl + a * tab.lo.take(k)
+    f = np.floor(t)
+    frac = t - f
+    fast &= (np.abs(frac - 0.5) > _TIE_MARGIN) & (ph > 1e16 + 64) & (ph < 1e17 - 64)
+    d = ph.astype(np.int64) + f.astype(np.int64) + (frac > 0.5)
+
+    # Seven '0' characters, then the 17 digits of D; nsig counts the
+    # digits left once trailing zeros are cut.
+    n = len(x)
+    quads = np.empty((n, 6), dtype=np.uint32)
+    quads[:, 0] = tab.quads[0]
+    nsig = np.full(n, 17, dtype=np.int8)
+    zero = np.ones(n, dtype=bool)
+    for j in (5, 4, 3, 2):
+        q = d // 10_000
+        r = d - q * 10_000
+        d = q
+        quads[:, j] = tab.quads.take(r)
+        nsig -= zero * tab.zeros.take(r)
+        zero &= r == 0
+    quads[:, 1] = tab.quads.take(d)
+    chars = quads.view(np.uint8)
+    # A layout per style and sign: fixed notation with E < 0 shifts in -E
+    # zeros ("0.00ddd"), with E >= 0 it puts the point after E + 1 digits,
+    # and d.ddd (with an exponent after it) sits as E = 0 does.  The cut
+    # drops the point where no digit follows it.
+    neg = np.signbit(x)
+    fixed = (e >= -4) & (e < 17)
+    style = np.where(fixed, e, 0)
+    kept = np.maximum(-style, 0) + nsig
+    point = np.maximum(style + 1, 1)
+    width = (neg + np.where(kept > point, kept + 1, point)) * fast
+    layout = np.where(fast, (style + 4) * 2 + neg, 42).astype(np.uint8)
+    # Rows sorted by layout, so each layout fills one slice.
+    order = np.argsort(layout, kind="stable")
+    counts = np.bincount(layout, minlength=43)
+    chars = chars.take(order, axis=0)
+    body = np.zeros((n, 32), dtype=np.uint8)
+    start = 0
+    for key in np.flatnonzero(counts[:42]):
+        stop = start + counts[key]
+        s, sign = divmod(int(key), 2)
+        z, p = max(4 - s, 0), max(s - 3, 1)
+        digits = chars[start:stop, 7 - z :]
+        block = body[start:stop]
+        if sign:
+            block[:, 0] = ord("-")
+        block[:, sign : sign + p] = digits[:, :p]
+        block[:, sign + p] = ord(".")
+        block[:, sign + p + 1 : sign + 18 + z] = digits[:, p:]
+        start = stop
+    body.view(np.uint64)[...] &= tab.masks.take(width.take(order), axis=0)
+    # The narrowest itemsize that holds every entry: later joins copy it.
+    sci, slow = np.flatnonzero(fast & ~fixed), np.flatnonzero(~fast)
+    others = [b"%.17g" % v + end for v in x[slow].tolist()]
+    size = max([width.max(initial=0) + 5 * bool(len(sci)) + len(end), *map(len, others)])
+    text = np.empty(n, dtype=f"S{size}")
+    text[order] = np.ascontiguousarray(body[:, :size]).view(text.dtype).ravel()
+    # end goes right after the digits; d.ddd takes its exponent first.
+    mantissas = text[sci]
+    if end:
+        text.view(np.uint8)[np.arange(0, size * n, size) + width] = end[0]
+    if len(sci):
+        exponents = tab.exponents.take(e[sci] - _P10_MIN)
+        text[sci] = np.strings.add(np.strings.add(mantissas, exponents), end)
+    text[slow] = others
+    return text
+
 
 # A float table with at most this many distinct values per grid row is
 # formatted once per distinct value.  The isolator sweep's powers depend
@@ -160,9 +325,9 @@ GRID_BLOCK = 64
 DISTINCT_PER_ROW = 16
 
 
-def _distinct_text(table):
-    """(sorted distinct bit patterns, their %.17g text) of a float64 table
-    with at most DISTINCT_PER_ROW distinct values per row, else None.
+def _distinct_text(table, end):
+    """(sorted distinct bit patterns, their %.17g text + end) of a float64
+    table with at most DISTINCT_PER_ROW distinct values per row, else None.
 
     Values are keyed on their bits, so -0.0 stays "-0" and every NaN
     payload reads "nan".  The one transient copy is the sorted bits.
@@ -176,59 +341,59 @@ def _distinct_text(table):
     if np.count_nonzero(first) > DISTINCT_PER_ROW * len(table):
         return None
     keys = bits[first]
-    text = np.array(["%.17g" % v for v in keys.view(np.float64).tolist()], dtype=object)
-    return keys, text
+    return keys, _text17(keys.view(np.float64), end)
+
+
+def _cell_text(cells, distinct, end):
+    """Text + end of a flat run of one table's cells: a bool as 0 or 1, any
+    other as %.17g through its distinct values or _text17."""
+    if cells.dtype == bool:
+        return np.where(cells, b"1" + end, b"0" + end)
+    if distinct is not None:
+        keys, text = distinct
+        return text[np.searchsorted(keys, cells.view(np.uint64))]
+    return _text17(cells, end)
 
 
 def _grid_rows(row_axis, col_axis, *tables):
     """Lines (row value, column value, table values...) of 2-D maps, row-major.
 
-    The column values are formatted once and baked into one % template
-    per block of GRID_BLOCK columns; each grid row fills every block's
-    template from a flat list, integer tables as %d, floats as %.17g
-    (equal to fmt17).  A float table with few distinct values
-    (_distinct_text) is formatted once per distinct value instead, and
-    each grid row gathers its text with searchsorted into a %s field: at
-    grid 512 and delta 0.5 the isolator sweep's forward and backward
-    powers hold 2,090 and 3,252 distinct values in 262,144 cells.  Only
-    one grid row is converted to Python objects at a time, no chunk holds
-    more than one block, and text is held for at most DISTINCT_PER_ROW
-    values per row.
+    The two axes are formatted once per file, each value with its comma.
+    The cells go GRID_CELLS at a time, in row-major order, so a chunk may
+    end partway through a grid row: each table's run of cells becomes
+    numpy bytes text with its comma or newline (_cell_text), np.strings.add
+    puts the lines together as row + column + cells, and one join makes
+    the chunk's text.  A float table with few distinct values
+    (_distinct_text) is formatted once per distinct value, and each cell
+    gathers its text with searchsorted: at grid 512 and delta 0.5 the
+    isolator sweep's forward and backward powers hold 2,090 and 3,252
+    distinct values in 262,144 cells.  No chunk holds more than GRID_CELLS
+    lines, and text is held for at most DISTINCT_PER_ROW values per row.
     """
-    width = 1 + len(tables)
-    distinct = [_distinct_text(t) for t in tables]
-    cell = "".join(
-        ",%d" if t.dtype.kind in "biu" else ",%s" if d else ",%.17g"
-        for t, d in zip(tables, distinct)
-    )
-    cols = [fmt17(c) for c in col_axis.tolist()]
-    blocks = []
-    for lo in range(0, len(cols), GRID_BLOCK):
-        block = cols[lo : lo + GRID_BLOCK]
-        template = "".join("%s," + c + cell + "\n" for c in block)
-        blocks.append((lo, lo + len(block), template, [None] * (width * len(block))))
-    for r, *rows in zip(row_axis.tolist(), *tables):
-        r = fmt17(r)
-        rows = [
-            d[1][np.searchsorted(d[0], row.view(np.uint64))].tolist() if d else row.tolist()
-            for row, d in zip(rows, distinct)
-        ]
-        for lo, hi, template, buf in blocks:
-            buf[::width] = [r] * (hi - lo)
-            for k, values in enumerate(rows, 1):
-                buf[k::width] = values[lo:hi]
-            yield template % tuple(buf)
+    rows, cols = len(row_axis), len(col_axis)
+    row_text, col_text = _text17(row_axis, b","), _text17(col_axis, b",")
+    ends = [b","] * (len(tables) - 1) + [b"\n"]
+    distinct = [_distinct_text(t, end) for t, end in zip(tables, ends)]
+    flat = [t.reshape(-1) for t in tables]
+    for lo in range(0, rows * cols, GRID_CELLS):
+        hi = min(lo + GRID_CELLS, rows * cols)
+        r, c = np.divmod(np.arange(lo, hi), cols)
+        line = np.strings.add(row_text[r], col_text[c])
+        for cells, d, end in zip(flat, distinct, ends):
+            line = np.strings.add(line, _cell_text(cells[lo:hi], d, end))
+        yield b"".join(line.tolist()).decode()
 
 
 def _table_rows(*columns):
     """Lines of equal-length float columns at %.17g (equal to fmt17), written
-    GRID_BLOCK lines per chunk from one % template.  An integer column, such
+    GRID_CELLS values per chunk from one % template.  An integer column, such
     as a segment count, prints as %d does: %.17g of an integer-valued float
     below 2**53 has no point or exponent."""
     table = np.column_stack(columns)
     line = ",".join(["%.17g"] * len(columns)) + "\n"
-    for lo in range(0, len(table), GRID_BLOCK):
-        block = table[lo : lo + GRID_BLOCK]
+    step = GRID_CELLS // len(columns)
+    for lo in range(0, len(table), step):
+        block = table[lo : lo + step]
         yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
@@ -397,7 +562,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def cmd_feasibility(cfg: RunConfig) -> int:
     fm = feasibility_map(cfg.grid)
     out = Path(cfg.out)
-    # A bool table is written with %d, as 0/1.
+    # A bool table is written as 0/1.
     rows = _grid_rows(fm.ratios, fm.phis, fm.feasible)
     write_csv(out / "feasibility.csv", ["ratio", "phi", "feasible"], rows)
     ratios = [r for r in fm.ratios.tolist() if r <= 1.0]

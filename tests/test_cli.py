@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import modeswitch
 from modeswitch import (
@@ -29,7 +30,7 @@ from modeswitch import (
 )
 from modeswitch.cli import (
     DISTINCT_PER_ROW,
-    GRID_BLOCK,
+    GRID_CELLS,
     MAX_GRID,
     MAX_PROTOCOL_WT,
     MAX_SAMPLES,
@@ -39,6 +40,7 @@ from modeswitch.cli import (
     fmt17,
     _distinct_text,
     _grid_rows,
+    _text17,
     build_parser,
     load_config,
     main,
@@ -77,9 +79,54 @@ def test_fmt17_round_trips_exactly():
 @example(2.225073858507201e-308, 2**63)
 @example(1.7976931348623157e308, 0)
 def test_percent_templates_match_fmt17(x, n):
-    # The grid and table templates format cells with %.17g and %d.
+    # The table template formats cells with %.17g and %d, and the grid
+    # kernel hands the entries it cannot prove to %.17g.
     assert "%.17g" % x == fmt17(x)
     assert "%d" % n == str(n)
+
+
+def _assert_text17(x, end=b""):
+    x = np.asarray(x, dtype=np.float64)
+    assert _text17(x, end).tolist() == [("%.17g" % v).encode() + end for v in x.tolist()]
+
+
+@given(
+    arrays(
+        np.float64,
+        st.integers(0, 64),
+        elements=st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    ),
+    st.sampled_from([b"", b",", b"\n"]),
+)
+def test_text17_is_percent_17g(x, end):
+    _assert_text17(x, end)
+
+
+def _ties():
+    """Exact ties at 17 digits, m / 2**k with m odd: 18 significant digits
+    ending in 5 (k = 1 has none below 2**53, so its halves have 17)."""
+    rng = np.random.default_rng(7)
+    ties = []
+    for k in range(1, 12):
+        lo, hi = min(10 ** (17 - k) << k, 2**52), min(10 ** (18 - k) << k, 2**53)
+        ties.append((rng.integers(lo, hi, 20_000) | 1) / 2.0**k)
+    return np.concatenate(ties)
+
+
+def test_text17_is_percent_17g_on_fixed_sets():
+    rng = np.random.default_rng(20240817)
+    bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    powers = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, math.inf)])
+    edges = [9.99999999999999995e-5, 1e-4, 1e16, 1e17, 99999999999999999.0, 1e-270, 1e270]
+    around_2_53 = np.arange(2**53 - 1000, 2**53 + 1000, dtype=np.int64).astype(np.float64)
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324]
+    _assert_text17(bits.view(np.float64))
+    _assert_text17(_ties())
+    for x in (powers, edges, around_2_53, specials):
+        x = np.asarray(x, dtype=np.float64)
+        _assert_text17(np.concatenate([x, -x]))
+    _assert_text17(powers, b",")
 
 
 def test_dumps17_structure():
@@ -548,8 +595,9 @@ def _body(path):
 
 
 def test_grid_csv_layout(tmp_path):
-    # GRID_BLOCK + 3 columns end on a partial block of templates.
-    for grid in (5, GRID_BLOCK + 3):
+    # 67 x 67 cells fill one chunk of GRID_CELLS and end the next partway
+    # through a grid row.
+    for grid in (5, 67):
         assert run(["feasibility", "--grid", grid, "--out", tmp_path / "feas"]) == 0
         fm = feasibility_map(grid)
         body = _body(tmp_path / "feas" / "feasibility.csv")
@@ -582,8 +630,8 @@ def test_grid_csv_layout(tmp_path):
 
 
 def test_grid_rows_of_a_single_cell(tmp_path):
-    # The CLI needs grid >= 2; a 1x1 corner of each map exercises one
-    # template of one column.
+    # The CLI needs grid >= 2; a 1x1 corner of each map makes a chunk of
+    # one line.
     fm = feasibility_map(4)
     tm = transfer_map(CouplerParams(0.5, 1.0), math.pi, 4)
     sweep = _isolator_sweep(0.0, 4)
@@ -598,38 +646,52 @@ def test_grid_rows_of_a_single_cell(tmp_path):
         assert _body(tmp_path / "one.csv") == _grid_lines(*axes, *tables)
 
 
-def test_grid_chunks_stay_under_8k():
-    # Chunks of a whole 512-point row kept more heap resident while the
-    # sweep file was read back; each chunk holds one block of columns.
+def test_grid_chunks_hold_at_most_grid_cells_lines():
+    # Each chunk is whole lines, at most GRID_CELLS of them.
     sweep = _isolator_sweep(0.5, 512)
     chunks = list(
         _grid_rows(
             sweep.delta_thetas, sweep.offsets, sweep.forward, sweep.backward, sweep.contrast_db
         )
     )
-    assert max(len(c) for c in chunks) <= 8192
+    assert all(c.endswith("\n") and c.count("\n") <= GRID_CELLS for c in chunks)
     assert sum(c.count("\n") for c in chunks) == 512 * 512
 
 
 _SPECIAL = st.sampled_from(
     [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1e-310, 2.225073858507201e-308]
 )
+# Finite cells that _text17 hands to %.17g one at a time: exact ties at 17
+# digits, neighbours of powers of ten, subnormals and the extremes.
+_FALLBACK = np.array(
+    [
+        4503599627370497 / 4, -2.5e-16 * (1 + 2**-52), 1125899906842625 / 2**9,
+        9.9999999999999995e-5, np.nextafter(1e-4, 0), 1e23, np.nextafter(1e22, math.inf),
+        -9.999999999999999e16, 1e-320, -3e-310, 1e-275, 1.7976931348623157e308,
+    ]
+)
 
 
 @st.composite
 def _grid_case(draw):
     """Axes and tables of one grid: a float table of at most 8 distinct
-    values (specials included), a bool table, random floats, and, when a
-    row has room, a table at DISTINCT_PER_ROW * rows distinct values or
-    one more."""
-    sides = st.sampled_from([1, 5, GRID_BLOCK + 3])
-    rows, cols = draw(sides), draw(sides)
+    values (specials included), a bool table, random floats, random floats
+    mixed with _FALLBACK cells, and, when a row has room, a table at
+    DISTINCT_PER_ROW * rows distinct values or one more.  A grid of
+    GRID_CELLS // cols + 1 rows ends its first chunk partway."""
+    cols = draw(st.sampled_from([1, 5, 67]))
+    rows = draw(st.sampled_from([1, 5, 67, GRID_CELLS // cols + 1]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.array(draw(st.lists(_SPECIAL | st.floats(), min_size=1, max_size=8)))
     tables = [
         rng.choice(pool, size=(rows, cols)),
         rng.random((rows, cols)) < 0.5,
         rng.standard_normal((rows, cols)),
+        np.where(
+            rng.random((rows, cols)) < 0.5,
+            rng.choice(_FALLBACK, size=(rows, cols)),
+            rng.standard_normal((rows, cols)),
+        ),
     ]
     edge = None
     if cols > DISTINCT_PER_ROW:
@@ -643,10 +705,10 @@ def _grid_case(draw):
 @given(_grid_case())
 def test_grid_rows_match_the_reference_on_both_paths(case):
     row_axis, col_axis, tables, edge = case
-    assert _distinct_text(tables[0]) is not None
-    assert _distinct_text(tables[1]) is None
+    assert _distinct_text(tables[0], b",") is not None
+    assert _distinct_text(tables[1], b",") is None
     if edge is not None:
-        assert (_distinct_text(tables[-1]) is None) == (edge > DISTINCT_PER_ROW * len(row_axis))
+        assert (_distinct_text(tables[-1], b",") is None) == (edge > DISTINCT_PER_ROW * len(row_axis))
     body = "".join(_grid_rows(row_axis, col_axis, *tables)).splitlines()
     assert body == _grid_lines(row_axis, col_axis, *tables)
 
@@ -656,25 +718,30 @@ def test_sweep_powers_take_the_distinct_path():
     # transfer map have far more than DISTINCT_PER_ROW values per row.
     for grid in (64, 256, 512):
         sweep = _isolator_sweep(0.5, grid)
-        assert _distinct_text(sweep.forward) is not None
-        assert _distinct_text(sweep.backward) is not None
-        assert _distinct_text(sweep.contrast_db) is None
-        assert _distinct_text(transfer_map(CouplerParams(0.5, 1.0), math.pi, grid).values) is None
+        assert _distinct_text(sweep.forward, b",") is not None
+        assert _distinct_text(sweep.backward, b",") is not None
+        assert _distinct_text(sweep.contrast_db, b"\n") is None
+        values = transfer_map(CouplerParams(0.5, 1.0), math.pi, grid).values
+        assert _distinct_text(values, b"\n") is None
 
 
 def test_sweep_write_stays_small(tmp_path):
-    # Text is held per distinct value, never per cell: the 512 sweep
-    # (262,144 lines) peaks at the sorted bits of one table plus a row.
+    # Text is held per distinct value or per chunk, never per cell: a 512
+    # sweep or transfer map (262,144 lines) peaks at the sorted bits of one
+    # table plus a chunk.
     sweep = _isolator_sweep(0.5, 512)
-    tables = (sweep.forward, sweep.backward, sweep.contrast_db)
-    tracemalloc.start()
-    try:
-        rows = _grid_rows(sweep.delta_thetas, sweep.offsets, *tables)
-        write_csv(tmp_path / "sweep.csv", ["r", "c"], rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2**20
+    tm = transfer_map(CouplerParams(0.5, 1.0), math.pi, 512)
+    for axes, tables in (
+        ((sweep.delta_thetas, sweep.offsets), (sweep.forward, sweep.backward, sweep.contrast_db)),
+        ((tm.t1_axis, tm.t2_axis), (tm.values,)),
+    ):
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "grid.csv", ["r", "c"], _grid_rows(*axes, *tables))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 def test_isolator_zero_offset_is_reciprocal(tmp_path):
